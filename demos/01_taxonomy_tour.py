@@ -6,7 +6,7 @@ Categories are three-layer paths: visibility (Seen/Unseen), aspect
 (Property/Action/Space), and a relation leaf. Only 11 combinations exist.
 """
 
-from vckb import ALL_CATEGORIES, Voice, kb_relation_to_category, parse_category, pos_to_seen_category
+from vckb import ALL_CATEGORIES, Pos, kb_relation_to_category, parse_category, pos_to_seen_category
 
 # The full set of valid leaves, in canonical order.
 for category in ALL_CATEGORIES:
@@ -27,8 +27,8 @@ print("\nUsedFor ->", kb_relation_to_category("UsedFor"))
 print("AtLocation ->", kb_relation_to_category("AtLocation"))
 
 # Part-of-speech tags select seen leaves: adjectives are properties,
-# prepositions spatial relations, verbs actions split by voice.
-print("\nADJ ->", pos_to_seen_category("ADJ"))
-print("PREP ->", pos_to_seen_category("PREP"))
-print("VERB active ->", pos_to_seen_category("VERB", Voice.ACTIVE))
-print("VERB passive ->", pos_to_seen_category("VERB", Voice.PASSIVE))
+# prepositions spatial relations, active (VBG) and passive (VBN) verbs
+# the two action leaves.
+print()
+for pos in (Pos.ADJ, Pos.PREP, Pos.VBG, Pos.VBN):
+    print(pos.value, "->", pos_to_seen_category(pos))

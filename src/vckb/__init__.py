@@ -67,7 +67,6 @@ from .taxonomy import (
     CategoryPath,
     Relation,
     Visibility,
-    Voice,
     kb_relation_to_category,
     parse_category,
     pos_to_seen_category,

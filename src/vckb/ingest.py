@@ -85,10 +85,6 @@ class SceneCorpus:
 
     def __init__(self, images: dict[str, ImageEntry]):
         self._images = images
-        self._objects_by_id: dict[str, dict[str, GroundedObject]] = {
-            image_id: {obj.object_id: obj for obj in entry.objects}
-            for image_id, entry in images.items()
-        }
 
     def __len__(self) -> int:
         return len(self._images)
@@ -102,9 +98,6 @@ class SceneCorpus:
 
     def images(self):
         return iter(self._images.values())
-
-    def objects_by_id(self, image_id: str) -> dict[str, GroundedObject]:
-        return self._objects_by_id[image_id]
 
     @property
     def image_count(self) -> int:
@@ -172,12 +165,15 @@ def load_scene_corpus(path) -> SceneCorpus:
     EmptyCorpus when no records are present.
     """
     images: dict[str, ImageEntry] = {}
+    # Per image: object id -> line number of its O record.
+    object_lines: dict[str, dict[str, int]] = {}
 
     def entry_for(image_id: str) -> ImageEntry:
         entry = images.get(image_id)
         if entry is None:
             entry = ImageEntry(image_id=image_id)
             images[image_id] = entry
+            object_lines[image_id] = {}
         return entry
 
     with open(path, encoding="utf-8") as handle:
@@ -206,10 +202,12 @@ def load_scene_corpus(path) -> SceneCorpus:
                 if not name:
                     raise MalformedRecord(path, line_number, "object name is empty")
                 entry = entry_for(image_id)
-                if object_id in {o.object_id for o in entry.objects}:
+                lines = object_lines[image_id]
+                if object_id in lines:
                     raise MalformedRecord(
                         path, line_number, f"duplicate object id {object_id!r}"
                     )
+                lines[object_id] = line_number
                 entry.objects.append(
                     GroundedObject(object_id=object_id, image_id=image_id, name=name, bbox=bbox)
                 )
@@ -250,14 +248,15 @@ def load_scene_corpus(path) -> SceneCorpus:
     if not images:
         raise EmptyCorpus(f"no records in {path}")
 
-    corpus = SceneCorpus(images)
-    _validate_integrity(corpus, path)
-    return corpus
+    _validate_integrity(images, object_lines, path)
+    return SceneCorpus(images)
 
 
-def _validate_integrity(corpus: SceneCorpus, path) -> None:
-    for entry in corpus.images():
-        known = corpus.objects_by_id(entry.image_id)
+def _validate_integrity(
+    images: dict[str, ImageEntry], object_lines: dict[str, dict[str, int]], path
+) -> None:
+    for entry in images.values():
+        known = object_lines[entry.image_id]
         for triple in entry.triples:
             if triple.subject_id not in known:
                 raise DanglingReference(
@@ -275,7 +274,7 @@ def _validate_integrity(corpus: SceneCorpus, path) -> None:
                 if box.x + box.w > entry.width or box.y + box.h > entry.height:
                     raise MalformedRecord(
                         path,
-                        0,
+                        known[obj.object_id],
                         f"object {obj.object_id!r} box exceeds image "
                         f"{entry.image_id!r} dimensions",
                     )
@@ -285,17 +284,13 @@ class KbIndex:
     """Knowledge-base edges indexed by (head lemma, relation)."""
 
     def __init__(self, edges: list[KbEdge]):
-        self._edges = list(edges)
+        self._edge_count = len(edges)
         self._by_key: dict[tuple[str, str], list[KbEdge]] = {}
-        for edge in self._edges:
+        for edge in edges:
             self._by_key.setdefault((edge.head, edge.relation), []).append(edge)
 
     def __len__(self) -> int:
-        return len(self._edges)
-
-    @property
-    def edges(self) -> list[KbEdge]:
-        return list(self._edges)
+        return self._edge_count
 
     def lookup(self, head: str, relation: str) -> list[KbEdge]:
         return list(self._by_key.get((head, relation), ()))

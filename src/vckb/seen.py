@@ -11,14 +11,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import EmptyPhrase
+from .errors import EmptyPhrase, NotAnNP
 from .geometry import overlap_ratio
 from .ingest import GroundedObject, Region, SceneTriple, TripleKind
 from .lexicon import Lexicon
 from .phrase import (
     PhraseKind,
     PhraseParse,
-    Pos,
+    _provisional_pos,
     lemmatize,
     parse_region_phrase,
     simplify_np,
@@ -29,10 +29,8 @@ from .taxonomy import (
     SEEN_CAPABLE_OF,
     SEEN_HAS_PROPERTY,
     SEEN_LOCATED_NEAR,
-    SEEN_RECEIVES_ACTION,
     SEEN_RELATEDNESS,
     Visibility,
-    Voice,
     pos_to_seen_category,
 )
 
@@ -106,29 +104,12 @@ def _strip_copulas(words: list[str]) -> list[str]:
     return [w for w in words if w not in _COPULAS]
 
 
-def _classify_word(word: str, lexicon: Lexicon):
-    """Predicate-context tagging: returns (pos name, voice) or None.
-
-    Unlike region-phrase tagging there is no noun default here; scene-graph
-    relationship predicates that are none of the known classes are verbs
-    ("play", "hold"), and attribute words that classify as nothing carry no
-    mappable commonsense.
-    """
-    if word in lexicon.prepositions:
-        return "PREP", None
-    irregular = lexicon.irregular_participles.get(word)
-    if irregular is not None:
-        if word.endswith("ing"):
-            return "VBG", Voice.ACTIVE
-        return "VBN", Voice.PASSIVE
-    if word in lexicon.adjectives:
-        return "ADJ", None
-    if word in lexicon.known_nouns:
-        return None
-    if word.endswith("ing") and len(word) >= 5:
-        return "VBG", Voice.ACTIVE
-    if word.endswith("ed") and len(word) >= 5:
-        return "VBN", Voice.PASSIVE
+def _first_seen_category(words: list[str], lexicon: Lexicon) -> CategoryPath | None:
+    """Seen leaf of the first predicate word whose tag maps to one."""
+    for word in words:
+        category = pos_to_seen_category(_provisional_pos(word, lexicon))
+        if category is not None:
+            return category
     return None
 
 
@@ -137,7 +118,7 @@ def _simplify_name(name: str, lexicon: Lexicon) -> str:
     try:
         tokens = tokenize_and_tag(name, lexicon)
         return simplify_np(tokens)
-    except Exception:
+    except (EmptyPhrase, NotAnNP):
         return lemmatize(name, lexicon)
 
 
@@ -156,35 +137,19 @@ def map_scene_triple(
         words = _strip_copulas(
             (triple.predicate + " " + triple.object_slot).split()
         )
-        if not words:
-            return None
-        classified = None
-        for word in words:
-            classified = _classify_word(word, lexicon)
-            if classified is not None:
-                break
-        if classified is None:
+        category = _first_seen_category(words, lexicon)
+        if category is None:
             return None
         tail = " ".join(words)
     else:
         words = _strip_copulas(triple.predicate.split())
         if not words:
             return None
-        classified = None
-        for word in words:
-            classified = _classify_word(word, lexicon)
-            if classified is not None:
-                break
-        if classified is None:
-            # Bare verb stems ("play", "hold") look like nouns to suffix
-            # rules; relationship predicates default to active verbs.
-            classified = ("VERB", Voice.ACTIVE)
+        # Bare verb stems ("play", "hold") look like nouns to suffix
+        # rules; relationship predicates default to active verbs.
+        category = _first_seen_category(words, lexicon) or SEEN_CAPABLE_OF
         tail_object = objects_by_id[triple.object_slot]
         tail = " ".join(words) + " " + _simplify_name(tail_object.name, lexicon)
-    pos_tag, voice = classified
-    category = pos_to_seen_category(pos_tag, voice)
-    if category is None:
-        return None
     return CommonsenseTriple(
         head=head, category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE
     )
@@ -225,10 +190,7 @@ def extract_region_triples(parse: PhraseParse) -> list[tuple[str, CategoryPath, 
     if parse.kind is PhraseKind.PP_PHRASE:
         out.append((root, SEEN_RELATEDNESS, f"{parse.prep} {parse.tail_head_noun}"))
     elif parse.kind is PhraseKind.VP_PHRASE:
-        if parse.verb.pos is Pos.VBN:
-            out.append((root, SEEN_RECEIVES_ACTION, parse.verb.complement))
-        else:
-            out.append((root, SEEN_CAPABLE_OF, parse.verb.complement))
+        out.append((root, pos_to_seen_category(parse.verb.pos), parse.verb.complement))
     return out
 
 

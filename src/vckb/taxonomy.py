@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InvalidCategory
+from .phrase import Pos
 
 
 class Visibility(enum.Enum):
@@ -143,31 +144,19 @@ def kb_relation_to_category(relation_name: str) -> CategoryPath | None:
     return _KB_RELATION_TABLE.get(relation_name)
 
 
-class Voice(enum.Enum):
-    ACTIVE = "Active"
-    PASSIVE = "Passive"
+_SEEN_POS_TABLE = {
+    Pos.ADJ: SEEN_HAS_PROPERTY,
+    Pos.PREP: SEEN_RELATEDNESS,
+    Pos.VBG: SEEN_CAPABLE_OF,
+    Pos.VBN: SEEN_RECEIVES_ACTION,
+}
 
 
-_VERBAL_TAGS = {"VERB", "VBG", "VBN"}
-
-
-def pos_to_seen_category(pos_tag, voice: Voice | None = None) -> CategoryPath | None:
+def pos_to_seen_category(pos: Pos) -> CategoryPath | None:
     """Select the seen leaf for a tagged word, or None when none applies.
 
     Adjectives carry properties, prepositions spatial relations, and verbs
-    actions whose leaf depends on voice. ``pos_tag`` accepts the tagger's
-    tag names (or a Pos enum member) plus the generic "VERB"; for VBG/VBN
-    tags the voice defaults to active/passive respectively.
+    actions: active (VBG) verbs are capabilities, passive (VBN) ones
+    received actions.
     """
-    tag = pos_tag.name if hasattr(pos_tag, "name") else str(pos_tag)
-    if tag == "ADJ":
-        return SEEN_HAS_PROPERTY
-    if tag == "PREP":
-        return SEEN_RELATEDNESS
-    if tag in _VERBAL_TAGS:
-        if voice is None:
-            voice = Voice.PASSIVE if tag == "VBN" else Voice.ACTIVE
-        if voice is Voice.PASSIVE:
-            return SEEN_RECEIVES_ACTION
-        return SEEN_CAPABLE_OF
-    return None
+    return _SEEN_POS_TABLE.get(pos)

@@ -64,8 +64,9 @@ def test_bad_bbox_rejected(tmp_path):
 def test_bbox_outside_image_rejected(tmp_path):
     path = tmp_path / "scene.tsv"
     path.write_text("I\timg1\t100\t100\nO\timg1\to1\tman\t90\t90\t20\t20\n")
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord) as excinfo:
         load_scene_corpus(path)
+    assert excinfo.value.line_number == 2
 
 
 def test_duplicate_object_id_rejected(tmp_path):

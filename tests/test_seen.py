@@ -104,6 +104,22 @@ class TestMapSceneTriple:
         mapped = map_scene_triple(relationship("o1", "behind", "o2"), index(man, cars), lexicon)
         assert mapped.tail == "behind car"
 
+    def test_attribute_determiner_not_mapped(self, lexicon, two_objects):
+        # "hundred" is a determiner that ends in -ed; it is no participle.
+        man, car = two_objects
+        mapped = map_scene_triple(
+            attribute("o1", "hundred windows", predicate="has"), index(man, car), lexicon
+        )
+        assert mapped is None
+
+    def test_relationship_determiner_takes_active_default(self, lexicon, two_objects):
+        man, car = two_objects
+        for determiner in sorted(lexicon.determiners):
+            mapped = map_scene_triple(
+                relationship("o1", determiner, "o2"), index(man, car), lexicon
+            )
+            assert mapped.category.text == "/Seen/Action/CapableOf", determiner
+
 
 class TestCooccurrence:
     def test_pair_both_directions(self):

@@ -9,8 +9,8 @@ from vckb import (
     Aspect,
     CategoryPath,
     Relation,
+    Pos,
     Visibility,
-    Voice,
     kb_relation_to_category,
     parse_category,
     pos_to_seen_category,
@@ -77,18 +77,12 @@ def test_kb_relation_never_maps_to_seen():
 
 
 def test_pos_to_seen_category():
-    assert pos_to_seen_category("ADJ").text == "/Seen/Property/HasProperty"
-    assert pos_to_seen_category("PREP").text == "/Seen/Space/Relatedness"
-    assert pos_to_seen_category("VERB", Voice.ACTIVE).text == "/Seen/Action/CapableOf"
-    assert (
-        pos_to_seen_category("VERB", Voice.PASSIVE).text
-        == "/Seen/Action/ReceivesAction"
-    )
-    assert pos_to_seen_category("DET") is None
-    assert pos_to_seen_category("NOUN") is None
-    # VBG/VBN default their voice.
-    assert pos_to_seen_category("VBG").text == "/Seen/Action/CapableOf"
-    assert pos_to_seen_category("VBN").text == "/Seen/Action/ReceivesAction"
+    assert pos_to_seen_category(Pos.ADJ).text == "/Seen/Property/HasProperty"
+    assert pos_to_seen_category(Pos.PREP).text == "/Seen/Space/Relatedness"
+    assert pos_to_seen_category(Pos.VBG).text == "/Seen/Action/CapableOf"
+    assert pos_to_seen_category(Pos.VBN).text == "/Seen/Action/ReceivesAction"
+    assert pos_to_seen_category(Pos.DET) is None
+    assert pos_to_seen_category(Pos.NOUN) is None
 
 
 @given(st.text(max_size=40))
