@@ -29,7 +29,7 @@ lexicon = Lexicon.default()
 
 corpus = load_scene_corpus(data / "fixture_scene.tsv")
 kb = load_kb(data / "fixture_kb.tsv")
-print(f"loaded {corpus.image_count} images, {corpus.bbox_count} boxes, {len(kb)} KB edges")
+print(f"loaded {len(corpus)} images, {corpus.bbox_count} boxes, {len(kb)} KB edges")
 
 config = ExportConfig(m=3, k=2, j=1, seed=13)
 records, diagnostics = build_records(corpus, lexicon, kb=kb, config=config, workers=4)

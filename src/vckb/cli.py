@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ingest, build-seen, build-unseen, stats, export,
-export-instructions, query. Exit codes: 0 success, 1 input error,
-2 internal invariant violation.
+export-instructions, query. Exit codes: 0 success (or --help), 1 input or
+usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _cmd_ingest(args) -> int:
     if args.out:
         corpus.save(args.out)
     summary = {
-        "images": corpus.image_count,
+        "images": len(corpus),
         "bboxes": corpus.bbox_count,
         "unique_object_names": corpus.unique_object_names,
     }
@@ -181,7 +181,10 @@ def _cmd_query(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 means internal error here
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "ingest":
             return _cmd_ingest(args)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InvalidCategory, IoFailure, MalformedRecord
+from .errors import InvalidCategory, MalformedRecord
 from .geometry import BBox
-from .ingest import GroundedObject
+from .ingest import GroundedObject, _normalize_name, _read_lines, _write_lines
 from .lexicon import Lexicon
 from .phrase import lemmatize
 from .seen import CommonsenseTriple, Provenance
@@ -136,13 +136,7 @@ def _record_fields(record: DatasetRecord) -> list[str]:
 
 def export_dataset(records: list[DatasetRecord], path) -> None:
     """Write records one per line; byte-identical across repeat runs."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for record in records:
-                handle.write("\t".join(_record_fields(record)))
-                handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset to {path}: {exc}") from exc
+    _write_lines(path, ("\t".join(_record_fields(record)) for record in records))
 
 
 class _FieldReader:
@@ -245,18 +239,10 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
 
 def import_dataset(path) -> list[DatasetRecord]:
     """Read a dataset file written by export_dataset."""
-    records = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                reader = _FieldReader(line.split("\t"), path, line_number)
-                records.append(_parse_record(reader))
-    except OSError as exc:
-        raise IoFailure(f"cannot read dataset from {path}: {exc}") from exc
-    return records
+    return [
+        _parse_record(_FieldReader(line.split("\t"), path, line_number))
+        for line_number, line in _read_lines(path)
+    ]
 
 
 @dataclass
@@ -313,7 +299,7 @@ def query(
 
     Unseen results keep their stored object-aware order.
     """
-    target = lemmatize(object_name.strip().lower(), lexicon)
+    target = lemmatize(_normalize_name(object_name), lexicon)
     out: list[CommonsenseTriple] = []
     for record in records:
         for entry in record.entries:

@@ -15,7 +15,7 @@ class InvalidCategory(VckbError):
 
 
 class MalformedRecord(VckbError):
-    """A corpus, KB, or lexicon line violates the documented schema."""
+    """An input line violates the documented schema or is not valid UTF-8."""
 
     def __init__(self, path, line_number, message):
         super().__init__(f"{path}:{line_number}: {message}")
@@ -48,4 +48,4 @@ class InvalidConfig(VckbError):
 
 
 class IoFailure(VckbError):
-    """Reading or writing a dataset file failed."""
+    """Reading or writing a file failed."""

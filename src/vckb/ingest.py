@@ -15,9 +15,11 @@ pixel dimensions) or implicitly by their first O/T/R record. Fields cannot
 contain tabs or newlines; blank lines are skipped.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
-with an optional numeric weight column (default 1.0). Heads and tails are
-lowercased and underscores are normalized to spaces so that KB entries
-match the space-separated object names used everywhere else.
+with an optional numeric weight column (default 1.0).
+
+Every line file vckb reads or writes goes through `_read_lines` or
+`_write_lines`, and `_normalize_name` is the one normalizer of object names,
+predicates, attribute text, KB heads and tails, and query names.
 """
 
 from __future__ import annotations
@@ -25,12 +27,50 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
+from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
 
 
 def _normalize_name(text: str) -> str:
     return " ".join(text.replace("_", " ").lower().split())
+
+
+def _read_lines(path):
+    """Yield (line number, line) for each non-blank line, newline removed."""
+    try:
+        # Text mode decodes in chunks, far cheaper than per line; -sig drops a BOM.
+        with open(path, encoding="utf-8-sig") as handle:
+            for line_number, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n")
+                if line.strip():
+                    yield line_number, line
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise MalformedRecord(path, _undecodable_line(path), "not valid UTF-8") from None
+
+
+def _undecodable_line(path) -> int | None:
+    """Number of the first line that is not valid UTF-8, lines split as in `_read_lines`."""
+    # surrogateescape turns each bad byte into a lone surrogate, which cannot be encoded.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_number
+    return None
+
+
+def _write_lines(path, lines) -> None:
+    """Write each string in lines as one newline-terminated UTF-8 line."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            for line in lines:
+                handle.write(line)
+                handle.write("\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -100,10 +140,6 @@ class SceneCorpus:
         return iter(self._images.values())
 
     @property
-    def image_count(self) -> int:
-        return len(self._images)
-
-    @property
     def bbox_count(self) -> int:
         return sum(len(entry.objects) for entry in self._images.values())
 
@@ -115,31 +151,29 @@ class SceneCorpus:
 
     def save(self, path) -> None:
         """Write the corpus back out in its normalized on-disk form."""
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for entry in self._images.values():
-                if entry.width is not None:
-                    handle.write(
-                        f"I\t{entry.image_id}\t{entry.width}\t{entry.height}\n"
-                    )
-                else:
-                    handle.write(f"I\t{entry.image_id}\n")
-                for obj in entry.objects:
-                    box = obj.bbox
-                    handle.write(
-                        f"O\t{entry.image_id}\t{obj.object_id}\t{obj.name}"
-                        f"\t{box.x}\t{box.y}\t{box.w}\t{box.h}\n"
-                    )
-                for triple in entry.triples:
-                    handle.write(
-                        f"T\t{entry.image_id}\t{triple.kind.value}"
-                        f"\t{triple.subject_id}\t{triple.predicate}\t{triple.object_slot}\n"
-                    )
-                for region in entry.regions:
-                    box = region.bbox
-                    handle.write(
-                        f"R\t{entry.image_id}\t{box.x}\t{box.y}\t{box.w}\t{box.h}"
-                        f"\t{region.phrase}\n"
-                    )
+        _write_lines(path, self._record_lines())
+
+    def _record_lines(self):
+        for entry in self._images.values():
+            size = "" if entry.width is None else f"\t{entry.width}\t{entry.height}"
+            yield f"I\t{entry.image_id}{size}"
+            for obj in entry.objects:
+                box = obj.bbox
+                yield (
+                    f"O\t{entry.image_id}\t{obj.object_id}\t{obj.name}"
+                    f"\t{box.x}\t{box.y}\t{box.w}\t{box.h}"
+                )
+            for triple in entry.triples:
+                yield (
+                    f"T\t{entry.image_id}\t{triple.kind.value}"
+                    f"\t{triple.subject_id}\t{triple.predicate}\t{triple.object_slot}"
+                )
+            for region in entry.regions:
+                box = region.bbox
+                yield (
+                    f"R\t{entry.image_id}\t{box.x}\t{box.y}\t{box.w}\t{box.h}"
+                    f"\t{region.phrase}"
+                )
 
 
 def _parse_int(value: str, path, line_number, what: str) -> int:
@@ -161,8 +195,8 @@ def load_scene_corpus(path) -> SceneCorpus:
     """Load and validate a scene corpus file.
 
     Raises MalformedRecord (with line number) for schema violations,
-    DanglingReference when a triple names an unknown object, and
-    EmptyCorpus when no records are present.
+    DanglingReference when a triple names an unknown object, EmptyCorpus
+    when no records are present, and IoFailure when the file cannot be read.
     """
     images: dict[str, ImageEntry] = {}
     # Per image: object id -> line number of its O record.
@@ -176,74 +210,70 @@ def load_scene_corpus(path) -> SceneCorpus:
             object_lines[image_id] = {}
         return entry
 
-    with open(path, encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            kind = fields[0]
-            if kind == "I":
-                if len(fields) not in (2, 4):
-                    raise MalformedRecord(path, line_number, "I record needs 1 or 3 fields")
-                entry = entry_for(fields[1])
-                if len(fields) == 4:
-                    width = _parse_int(fields[2], path, line_number, "width")
-                    height = _parse_int(fields[3], path, line_number, "height")
-                    if width <= 0 or height <= 0:
-                        raise MalformedRecord(path, line_number, "image size must be positive")
-                    entry.width, entry.height = width, height
-            elif kind == "O":
-                if len(fields) != 8:
-                    raise MalformedRecord(path, line_number, "O record needs 7 fields")
-                _, image_id, object_id, name = fields[:4]
-                bbox = _parse_bbox(fields[4:8], path, line_number)
-                name = _normalize_name(name)
-                if not name:
-                    raise MalformedRecord(path, line_number, "object name is empty")
-                entry = entry_for(image_id)
-                lines = object_lines[image_id]
-                if object_id in lines:
-                    raise MalformedRecord(
-                        path, line_number, f"duplicate object id {object_id!r}"
-                    )
-                lines[object_id] = line_number
-                entry.objects.append(
-                    GroundedObject(object_id=object_id, image_id=image_id, name=name, bbox=bbox)
+    for line_number, line in _read_lines(path):
+        fields = line.split("\t")
+        kind = fields[0]
+        if kind == "I":
+            if len(fields) not in (2, 4):
+                raise MalformedRecord(path, line_number, "I record needs 1 or 3 fields")
+            entry = entry_for(fields[1])
+            if len(fields) == 4:
+                width = _parse_int(fields[2], path, line_number, "width")
+                height = _parse_int(fields[3], path, line_number, "height")
+                if width <= 0 or height <= 0:
+                    raise MalformedRecord(path, line_number, "image size must be positive")
+                entry.width, entry.height = width, height
+        elif kind == "O":
+            if len(fields) != 8:
+                raise MalformedRecord(path, line_number, "O record needs 7 fields")
+            _, image_id, object_id, name = fields[:4]
+            bbox = _parse_bbox(fields[4:8], path, line_number)
+            name = _normalize_name(name)
+            if not name:
+                raise MalformedRecord(path, line_number, "object name is empty")
+            entry = entry_for(image_id)
+            lines = object_lines[image_id]
+            if object_id in lines:
+                raise MalformedRecord(
+                    path, line_number, f"duplicate object id {object_id!r}"
                 )
-            elif kind == "T":
-                if len(fields) != 6:
-                    raise MalformedRecord(path, line_number, "T record needs 5 fields")
-                _, image_id, kind_code, subject_id, predicate, object_slot = fields
-                try:
-                    triple_kind = TripleKind(kind_code)
-                except ValueError:
-                    raise MalformedRecord(
-                        path, line_number, f"unknown triple kind {kind_code!r}"
-                    ) from None
-                entry_for(image_id).triples.append(
-                    SceneTriple(
-                        image_id=image_id,
-                        subject_id=subject_id,
-                        predicate=" ".join(predicate.lower().split()),
-                        object_slot=object_slot
-                        if triple_kind is TripleKind.RELATIONSHIP
-                        else " ".join(object_slot.lower().split()),
-                        kind=triple_kind,
-                    )
+            lines[object_id] = line_number
+            entry.objects.append(
+                GroundedObject(object_id=object_id, image_id=image_id, name=name, bbox=bbox)
+            )
+        elif kind == "T":
+            if len(fields) != 6:
+                raise MalformedRecord(path, line_number, "T record needs 5 fields")
+            _, image_id, kind_code, subject_id, predicate, object_slot = fields
+            try:
+                triple_kind = TripleKind(kind_code)
+            except ValueError:
+                raise MalformedRecord(
+                    path, line_number, f"unknown triple kind {kind_code!r}"
+                ) from None
+            entry_for(image_id).triples.append(
+                SceneTriple(
+                    image_id=image_id,
+                    subject_id=subject_id,
+                    predicate=_normalize_name(predicate),
+                    object_slot=object_slot
+                    if triple_kind is TripleKind.RELATIONSHIP
+                    else _normalize_name(object_slot),
+                    kind=triple_kind,
                 )
-            elif kind == "R":
-                if len(fields) != 7:
-                    raise MalformedRecord(path, line_number, "R record needs 6 fields")
-                _, image_id, *coords, phrase = fields
-                bbox = _parse_bbox(coords, path, line_number)
-                if not phrase.strip():
-                    raise MalformedRecord(path, line_number, "region phrase is empty")
-                entry_for(image_id).regions.append(
-                    Region(image_id=image_id, phrase=phrase.strip(), bbox=bbox)
-                )
-            else:
-                raise MalformedRecord(path, line_number, f"unknown record type {kind!r}")
+            )
+        elif kind == "R":
+            if len(fields) != 7:
+                raise MalformedRecord(path, line_number, "R record needs 6 fields")
+            _, image_id, *coords, phrase = fields
+            bbox = _parse_bbox(coords, path, line_number)
+            if not phrase.strip():
+                raise MalformedRecord(path, line_number, "region phrase is empty")
+            entry_for(image_id).regions.append(
+                Region(image_id=image_id, phrase=phrase.strip(), bbox=bbox)
+            )
+        else:
+            raise MalformedRecord(path, line_number, f"unknown record type {kind!r}")
 
     if not images:
         raise EmptyCorpus(f"no records in {path}")
@@ -300,33 +330,30 @@ def load_kb(path) -> KbIndex:
     """Load a tab-separated KB edge file.
 
     Raises MalformedRecord for rows with fewer than three columns or a
-    non-numeric weight, EmptyKb when the file holds no edges.
+    non-numeric weight, EmptyKb when the file holds no edges, and IoFailure
+    when the file cannot be read.
     """
     edges: list[KbEdge] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3 or len(fields) > 4:
-                raise MalformedRecord(path, line_number, "expected head, relation, tail[, weight]")
-            head = _normalize_name(fields[0])
-            relation = fields[1].strip()
-            tail = _normalize_name(fields[2])
-            if not head or not tail:
-                raise MalformedRecord(path, line_number, "head and tail must be non-empty")
-            weight = 1.0
-            if len(fields) == 4:
-                try:
-                    weight = float(fields[3])
-                except ValueError:
-                    raise MalformedRecord(
-                        path, line_number, f"weight is not a number: {fields[3]!r}"
-                    ) from None
-                if weight < 0:
-                    raise MalformedRecord(path, line_number, "weight must be non-negative")
-            edges.append(KbEdge(head=head, relation=relation, tail=tail, weight=weight))
+    for line_number, line in _read_lines(path):
+        fields = line.split("\t")
+        if len(fields) < 3 or len(fields) > 4:
+            raise MalformedRecord(path, line_number, "expected head, relation, tail[, weight]")
+        head = _normalize_name(fields[0])
+        relation = fields[1].strip()
+        tail = _normalize_name(fields[2])
+        if not head or not tail:
+            raise MalformedRecord(path, line_number, "head and tail must be non-empty")
+        weight = 1.0
+        if len(fields) == 4:
+            try:
+                weight = float(fields[3])
+            except ValueError:
+                raise MalformedRecord(
+                    path, line_number, f"weight is not a number: {fields[3]!r}"
+                ) from None
+            if weight < 0:
+                raise MalformedRecord(path, line_number, "weight must be non-negative")
+        edges.append(KbEdge(head=head, relation=relation, tail=tail, weight=weight))
     if not edges:
         raise EmptyKb(f"no edges in {path}")
     return KbIndex(edges)

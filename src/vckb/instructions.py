@@ -18,10 +18,22 @@ from importlib import resources
 
 from .errors import InvalidConfig, IoFailure, MalformedRecord
 from .dataset import DatasetRecord, _escape, _unescape
+from .ingest import _read_lines, _write_lines
 from .seen import DEFAULT_TAU
 from .taxonomy import ALL_CATEGORIES, Visibility
 
 DEFAULT_SEP = "[sep]"
+
+
+def _read_json(path):
+    """Parse a UTF-8 JSON file (optional byte-order mark)."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise InvalidConfig(f"bad JSON in {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -56,19 +68,10 @@ class ExportConfig:
     @classmethod
     def load(cls, config_path=None, **overrides) -> "ExportConfig":
         """Build a config from an optional JSON file plus keyword overrides."""
-        values = {}
-        if config_path is not None:
-            try:
-                with open(config_path, encoding="utf-8") as handle:
-                    values = json.load(handle)
-            except OSError as exc:
-                raise IoFailure(f"cannot read config {config_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise InvalidConfig(f"bad JSON in {config_path}: {exc}") from exc
-            known = {f.name for f in fields(cls)}
-            unknown = set(values) - known
-            if unknown:
-                raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+        values = {} if config_path is None else _read_json(config_path)
+        unknown = set(values) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         for key, value in overrides.items():
             if value is not None:
                 values[key] = value
@@ -87,20 +90,13 @@ class InstructionTemplates:
 
     @classmethod
     def load(cls, path=None) -> "InstructionTemplates":
+        """Load a template file; with no path, the one bundled with the package."""
         if path is None:
-            payload = json.loads(
-                resources.files("vckb")
-                .joinpath("data/instruction_templates.json")
-                .read_text(encoding="utf-8")
-            )
+            bundled = resources.files("vckb").joinpath("data/instruction_templates.json")
+            with resources.as_file(bundled) as bundled_path:
+                payload = _read_json(bundled_path)
         else:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except OSError as exc:
-                raise IoFailure(f"cannot read templates {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise InvalidConfig(f"bad JSON in {path}: {exc}") from exc
+            payload = _read_json(path)
         try:
             return cls(
                 template=payload["template"], descriptions=dict(payload["descriptions"])
@@ -173,27 +169,18 @@ def build_instruction_samples(
 
 def write_instruction_samples(samples: list[InstructionSample], path) -> None:
     """One `instruction <tab> target` line per sample, escaped like datasets."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for sample in samples:
-                handle.write(f"{_escape(sample.instruction)}\t{_escape(sample.target)}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write samples to {path}: {exc}") from exc
+    _write_lines(
+        path,
+        (f"{_escape(sample.instruction)}\t{_escape(sample.target)}" for sample in samples),
+    )
 
 
 def read_instruction_samples(path) -> list[tuple[str, str]]:
     """Read back (instruction, target) pairs written by write_instruction_samples."""
     pairs = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise MalformedRecord(path, line_number, "expected instruction<TAB>target")
-                pairs.append((_unescape(parts[0]), _unescape(parts[1])))
-    except OSError as exc:
-        raise IoFailure(f"cannot read samples from {path}: {exc}") from exc
+    for line_number, line in _read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedRecord(path, line_number, "expected instruction<TAB>target")
+        pairs.append((_unescape(parts[0]), _unescape(parts[1])))
     return pairs

@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import MalformedRecord, VckbError
+from .ingest import _read_lines
 
 _SET_FILES = ("determiners", "prepositions", "adjectives", "known_nouns")
 _MAP_FILES = ("irregular_participles", "irregular_plurals")
@@ -80,21 +81,18 @@ class Lexicon:
 
 def _read_entries(stem: Path, require_lemma: bool = False):
     path = stem.with_suffix(".txt")
-    if not path.exists():
-        raise VckbError(f"missing lexicon file: {path}")
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if require_lemma:
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise MalformedRecord(path, number, "expected word<TAB>lemma")
-                entries.append((parts[0].lower(), parts[1].lower()))
-            else:
-                if len(parts) != 1:
-                    raise MalformedRecord(path, number, "expected a single word")
-                entries.append((parts[0].lower(), None))
+    for number, raw in _read_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if require_lemma:
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise MalformedRecord(path, number, "expected word<TAB>lemma")
+            entries.append((parts[0].lower(), parts[1].lower()))
+        else:
+            if len(parts) != 1:
+                raise MalformedRecord(path, number, "expected a single word")
+            entries.append((parts[0].lower(), None))
     return entries

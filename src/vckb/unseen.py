@@ -31,14 +31,11 @@ class Synset:
 
 
 def make_synset(obj: GroundedObject, lexicon: Lexicon) -> Synset:
-    """Surface name, lemma, and their space/underscore variants, deduplicated."""
+    """Surface name and lemma, deduplicated (KB heads are normalized like names)."""
     surface = obj.name
     lemma = lemmatize(surface, lexicon)
-    forms: list[str] = []
-    for form in (surface, lemma, surface.replace(" ", "_"), lemma.replace(" ", "_")):
-        if form and form not in forms:
-            forms.append(form)
-    return Synset(object_id=obj.object_id, forms=tuple(forms))
+    forms = tuple(dict.fromkeys(form for form in (surface, lemma) if form))
+    return Synset(object_id=obj.object_id, forms=forms)
 
 
 def retrieve_unseen(

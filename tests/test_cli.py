@@ -104,6 +104,27 @@ def test_missing_scene_flag_is_input_error(capsys):
     assert "missing required flags" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--bogus"],
+        ["query", "--data", "x", "--category", "/Unseen/Action/UsedFor"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=["unknown-flag", "missing-name", "unknown-command", "no-command"],
+)
+def test_usage_error_is_input_error(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["export", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert (
         main(["ingest", "--scene", str(tmp_path / "nope.tsv")]) == 1
@@ -127,6 +148,23 @@ def test_malformed_corpus_is_input_error(tmp_path, capsys):
     bad.write_text("O\timg1\to1\tman\t0\t0\n")
     assert main(["ingest", "--scene", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_utf8_corpus_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"I\timg1\nO\timg1\to1\t\xffman\t0\t0\t5\t5\n")
+    assert main(["ingest", "--scene", str(bad)]) == 1
+    assert ":2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_invalid_utf8_config_is_input_error(fixture_paths, tmp_path, capsys):
+    scene, kb = fixture_paths
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"sep_token": "\xff"}')
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
+            "--config", str(config)]
+    assert main(argv) == 1
+    assert "bad JSON" in capsys.readouterr().err
 
 
 def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):

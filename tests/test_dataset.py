@@ -90,6 +90,13 @@ def test_round_trip(sample_records, tmp_path):
     assert import_dataset(path) == sample_records
 
 
+def test_import_drops_byte_order_mark(sample_records, tmp_path):
+    path = tmp_path / "dataset.tsv"
+    export_dataset(sample_records, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert [r.image_id for r in import_dataset(path)] == ["img1"]
+
+
 def test_round_trip_with_tricky_tails(tmp_path):
     obj = make_object("o1", name="back\\slash")
     record = DatasetRecord(
@@ -179,6 +186,20 @@ def test_query_by_name_and_category(sample_records, lexicon):
 def test_query_lemmatizes_argument(sample_records, lexicon):
     hits = query(sample_records, "cars", SEEN_LOCATED_NEAR, lexicon)
     assert [t.tail for t in hits] == ["man"]
+
+
+def test_query_normalizes_argument(lexicon):
+    light = make_object("o1", name="traffic light")
+    records = [
+        DatasetRecord(
+            image_id="img1",
+            entries=[group_triples(light, [triple(light, "/Seen/Space/LocatedNear", "road")])],
+        )
+    ]
+    hits = query(records, "traffic light", SEEN_LOCATED_NEAR, lexicon)
+    assert [t.tail for t in hits] == ["road"]
+    for name in ("Traffic_Light", "  traffic   LIGHTS "):
+        assert query(records, name, SEEN_LOCATED_NEAR, lexicon) == hits
 
 
 def test_query_unknown_name_empty(sample_records, lexicon):

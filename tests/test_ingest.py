@@ -1,12 +1,12 @@
 import pytest
 
-from vckb import TripleKind, load_kb, load_scene_corpus
+from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
 
 
 def test_toy_corpus_counts(toy_scene):
     corpus = load_scene_corpus(toy_scene)
-    assert corpus.image_count == 1
+    assert len(corpus) == 1
     assert corpus.bbox_count == 2
     entry = corpus.image("img1")
     assert len(entry.triples) == 2
@@ -120,7 +120,7 @@ def test_counts_match_file_rescan(data_dir):
     lines = path.read_text(encoding="utf-8").splitlines()
     image_ids = {l.split("\t")[1] for l in lines if l}
     object_lines = [l for l in lines if l.startswith("O\t")]
-    assert corpus.image_count == len(image_ids)
+    assert len(corpus) == len(image_ids)
     assert corpus.bbox_count == len(object_lines)
     assert corpus.unique_object_names == len(
         {l.split("\t")[3] for l in object_lines}
@@ -190,3 +190,43 @@ def test_kb_empty(tmp_path):
     path.write_text("\n")
     with pytest.raises(EmptyKb):
         load_kb(path)
+
+
+@pytest.mark.parametrize(
+    "loader, first_line",
+    [
+        (load_scene_corpus, b"O\timg1\to1\tman\t0\t0\t5\t5\n"),
+        (load_kb, b"car\tUsedFor\tdrive\n"),
+        (import_dataset, b"img1\t0\n"),
+    ],
+    ids=["scene", "kb", "dataset"],
+)
+def test_invalid_utf8_reports_line(tmp_path, loader, first_line):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(first_line + b"\xff\xfe broken\n")
+    with pytest.raises(MalformedRecord) as excinfo:
+        loader(path)
+    assert excinfo.value.line_number == 2
+    assert "not valid UTF-8" in str(excinfo.value)
+
+
+def test_invalid_utf8_line_counts_blank_lines_and_carriage_returns(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(b"car\tUsedFor\tdrive\r\n\ncar\tIsA\tvehicle\rdog\tIsA\t\xc3(\n")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_kb(path)
+    assert excinfo.value.line_number == 4
+
+
+def test_bom_scene_loads(tmp_path):
+    path = tmp_path / "scene.tsv"
+    path.write_text("I\timg1\nO\timg1\to1\tman\t0\t0\t5\t5\n", encoding="utf-8-sig")
+    corpus = load_scene_corpus(path)
+    assert corpus.image_ids == ["img1"]
+
+
+def test_bom_kb_keeps_first_head(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("car\tUsedFor\tdrive\ncar\tIsA\tvehicle\n", encoding="utf-8-sig")
+    (edge,) = load_kb(path).lookup("car", "UsedFor")
+    assert edge.tail == "drive"

@@ -137,6 +137,12 @@ def test_config_rejects_unknown_keys(tmp_path):
         ExportConfig.load(path)
 
 
+def test_config_with_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"m": 4}', encoding="utf-8-sig")
+    assert ExportConfig.load(path).m == 4
+
+
 def test_samples_file_round_trip(tmp_path):
     record = record_with_tails(seen_tails=("tall", "tab\there"))
     samples = build_instruction_samples(record, ExportConfig(m=2, seed=3))

@@ -13,6 +13,7 @@ from vckb import (
     build_seen,
     cooccurrence_triples,
     extract_region_triples,
+    load_scene_corpus,
     localize,
     map_scene_triple,
     parse_region_phrase,
@@ -111,6 +112,27 @@ class TestMapSceneTriple:
             attribute("o1", "hundred windows", predicate="has"), index(man, car), lexicon
         )
         assert mapped is None
+
+    @pytest.mark.parametrize(
+        "record, category, tail",
+        [
+            ("R\to1\tnext_to\to2", "/Seen/Space/Relatedness", "next to car"),
+            ("R\to2\tparked_in\to1", "/Seen/Action/ReceivesAction", "parked in man"),
+            ("A\to2\tis\tlight_blue", "/Seen/Property/HasProperty", "light blue"),
+        ],
+        ids=["next_to", "parked_in", "light_blue"],
+    )
+    def test_loaded_underscore_predicates_map(self, lexicon, tmp_path, record, category, tail):
+        path = tmp_path / "scene.tsv"
+        path.write_text(
+            "O\timg1\to1\tman\t0\t0\t5\t5\n"
+            "O\timg1\to2\tcar\t5\t5\t5\t5\n"
+            f"T\timg1\t{record}\n"
+        )
+        entry = load_scene_corpus(path).image("img1")
+        (scene_triple,) = entry.triples
+        mapped = map_scene_triple(scene_triple, index(*entry.objects), lexicon)
+        assert (mapped.category.text, mapped.tail) == (category, tail)
 
     def test_relationship_determiner_takes_active_default(self, lexicon, two_objects):
         man, car = two_objects

@@ -27,12 +27,7 @@ from conftest import make_object
 class TestSynset:
     def test_multiword_plural(self, lexicon):
         obj = make_object(name="traffic lights")
-        assert make_synset(obj, lexicon).forms == (
-            "traffic lights",
-            "traffic light",
-            "traffic_lights",
-            "traffic_light",
-        )
+        assert make_synset(obj, lexicon).forms == ("traffic lights", "traffic light")
 
     def test_identity_name(self, lexicon):
         assert make_synset(make_object(name="car"), lexicon).forms == ("car",)
