@@ -142,6 +142,7 @@ def _cmd_stats(args) -> int:
 def _cmd_export_instructions(args) -> int:
     _require(args, "out")
     config = _config_from(args)
+    templates = InstructionTemplates.load(config.template_path)
     if args.data:
         records = import_dataset(args.data)
     else:
@@ -150,7 +151,6 @@ def _cmd_export_instructions(args) -> int:
             corpus, lexicon, kb=kb, config=config, workers=args.workers
         )
         _emit_diagnostics(diagnostics)
-    templates = InstructionTemplates.load(config.template_path)
     samples = []
     for record in records:
         samples.extend(build_instruction_samples(record, config, templates))

@@ -315,15 +315,19 @@ class KbIndex:
 
     def __init__(self, edges: list[KbEdge]):
         self._edge_count = len(edges)
-        self._by_key: dict[tuple[str, str], list[KbEdge]] = {}
+        self._by_key: dict[tuple[str, str], tuple[KbEdge, ...]] = {}
         for edge in edges:
             self._by_key.setdefault((edge.head, edge.relation), []).append(edge)
+        # Freeze each bucket in place, so that the lists are freed one by one
+        # and never coexist in full with the tuples (KB load sets peak memory).
+        for key, bucket in self._by_key.items():
+            self._by_key[key] = tuple(bucket)
 
     def __len__(self) -> int:
         return self._edge_count
 
-    def lookup(self, head: str, relation: str) -> list[KbEdge]:
-        return list(self._by_key.get((head, relation), ()))
+    def lookup(self, head: str, relation: str) -> tuple[KbEdge, ...]:
+        return self._by_key.get((head, relation), ())
 
 
 def load_kb(path) -> KbIndex:

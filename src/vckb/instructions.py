@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import string
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -69,6 +70,8 @@ class ExportConfig:
     def load(cls, config_path=None, **overrides) -> "ExportConfig":
         """Build a config from an optional JSON file plus keyword overrides."""
         values = {} if config_path is None else _read_json(config_path)
+        if not isinstance(values, dict):
+            raise InvalidConfig(f"config must be a JSON object: {config_path}")
         unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
@@ -76,6 +79,24 @@ class ExportConfig:
             if value is not None:
                 values[key] = value
         return cls(**values)
+
+
+# The keyword arguments build_instruction_samples passes to template.format.
+_TEMPLATE_FIELDS = frozenset({"image_id", "description", "name", "x", "y", "w", "h"})
+
+
+def _template_fields(template: str) -> set[str]:
+    """Every replacement field a format string names, nested specs included."""
+    try:
+        parsed = list(string.Formatter().parse(template))
+    except ValueError as exc:  # unbalanced braces
+        raise InvalidConfig(f"bad template {template!r}: {exc}") from None
+    names = set()
+    for _, name, spec, _ in parsed:
+        if name is not None:
+            names.add(name)
+            names |= _template_fields(spec)
+    return names
 
 
 @dataclass(frozen=True)
@@ -87,6 +108,17 @@ class InstructionTemplates:
         missing = [c.text for c in ALL_CATEGORIES if c.text not in self.descriptions]
         if missing:
             raise InvalidConfig(f"template file lacks descriptions for: {missing}")
+        if not isinstance(self.template, str):
+            raise InvalidConfig("template must be a string")
+        unknown = sorted(_template_fields(self.template) - _TEMPLATE_FIELDS)
+        if unknown:
+            raise InvalidConfig(
+                f"unknown template fields {unknown}; allowed: {sorted(_TEMPLATE_FIELDS)}"
+            )
+        try:  # a format spec that does not fit the field's type, e.g. "{x:zz}"
+            self.template.format(image_id="", description="", name="", x=0, y=0, w=0, h=0)
+        except ValueError as exc:
+            raise InvalidConfig(f"bad template {self.template!r}: {exc}") from None
 
     @classmethod
     def load(cls, path=None) -> "InstructionTemplates":

@@ -176,47 +176,53 @@ def _split_words(phrase: str) -> list[str]:
     return cleaned
 
 
-_MULTIWORD_CACHE: "weakref.WeakKeyDictionary[Lexicon, list]" = weakref.WeakKeyDictionary()
+_MultiwordIndex = dict[str, tuple[tuple[tuple[str, ...], Pos], ...]]
+_MULTIWORD_CACHE: "weakref.WeakKeyDictionary[Lexicon, _MultiwordIndex]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def _multiword_entries(lexicon: Lexicon) -> list[tuple[tuple[str, ...], Pos]]:
+def _multiword_entries(lexicon: Lexicon) -> _MultiwordIndex:
+    """Multiword prepositions and compounds keyed by first word, longest first.
+
+    Every entry has at least two words, so a window's first word is never
+    the singularized one and only entries keyed by it can match.
+    """
     cached = _MULTIWORD_CACHE.get(lexicon)
     if cached is not None:
         return cached
-    entries = []
-    for prep in lexicon.prepositions:
-        if " " in prep:
-            entries.append((tuple(prep.split(" ")), Pos.PREP))
-    for noun in lexicon.known_nouns:
-        if " " in noun:
-            entries.append((tuple(noun.split(" ")), Pos.NOUN))
-    entries.sort(key=lambda item: (-len(item[0]), item[0]))
-    _MULTIWORD_CACHE[lexicon] = entries
-    return entries
+    buckets: dict[str, list[tuple[tuple[str, ...], Pos]]] = {}
+    for table, pos in ((lexicon.prepositions, Pos.PREP), (lexicon.known_nouns, Pos.NOUN)):
+        for entry in table:
+            if " " in entry:
+                parts = tuple(entry.split(" "))
+                buckets.setdefault(parts[0], []).append((parts, pos))
+    index = {
+        first: tuple(sorted(bucket, key=lambda item: (-len(item[0]), item[0])))
+        for first, bucket in buckets.items()
+    }
+    _MULTIWORD_CACHE[lexicon] = index
+    return index
 
 
 def _merge_multiword(words: list[str], lexicon: Lexicon):
     """Join multiword prepositions and known compounds into single tokens."""
-    entries = _multiword_entries(lexicon)
+    index = _multiword_entries(lexicon)
     merged: list[str] = []
     forced: list[Pos | None] = []
     i = 0
     while i < len(words):
         hit = None
-        for parts, pos in entries:
+        for parts, pos in index.get(words[i], ()):
             n = len(parts)
             if i + n > len(words):
                 continue
             window = words[i : i + n]
-            if pos is Pos.PREP and tuple(window) == parts:
+            if pos is Pos.NOUN:
+                window[-1] = _singularize(window[-1], lexicon)
+            if tuple(window) == parts:
                 hit = (n, pos)
                 break
-            if pos is Pos.NOUN:
-                candidate = list(window)
-                candidate[-1] = _singularize(candidate[-1], lexicon)
-                if tuple(candidate) == parts:
-                    hit = (n, pos)
-                    break
         if hit is None:
             merged.append(words[i])
             forced.append(None)

@@ -9,7 +9,7 @@ map part-of-speech tags and external-KB relation names into category paths.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidCategory
 from .phrase import Pos
@@ -60,19 +60,15 @@ class CategoryPath:
     visibility: Visibility
     aspect: Aspect
     relation: Relation
+    # Canonical slash-delimited form, e.g. "/Seen/Property/HasProperty";
+    # computed once because dedup and sort keys read it per triple.
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        leaf = (self.visibility, self.aspect, self.relation)
-        if leaf not in _VALID_LEAVES:
-            raise InvalidCategory(
-                "not a valid taxonomy leaf: /%s/%s/%s"
-                % (self.visibility.value, self.aspect.value, self.relation.value)
-            )
-
-    @property
-    def text(self) -> str:
-        """Canonical slash-delimited form, e.g. "/Seen/Property/HasProperty"."""
-        return f"/{self.visibility.value}/{self.aspect.value}/{self.relation.value}"
+        text = f"/{self.visibility.value}/{self.aspect.value}/{self.relation.value}"
+        if (self.visibility, self.aspect, self.relation) not in _VALID_LEAVES:
+            raise InvalidCategory(f"not a valid taxonomy leaf: {text}")
+        object.__setattr__(self, "text", text)
 
     def __str__(self) -> str:
         return self.text

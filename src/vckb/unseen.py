@@ -8,6 +8,7 @@ mentioning other objects of the same image rank first.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import EmptyPhrase
@@ -73,12 +74,29 @@ def dedup_against_seen(
     return [t for t in unseen if (t.category.relation, t.tail) not in seen_keys]
 
 
-def _tail_lemmas(tail: str, lexicon: Lexicon) -> set[str]:
-    try:
-        tokens = tokenize_and_tag(tail, lexicon)
-    except EmptyPhrase:
-        return set()
-    return {token.lemma for token in tokens}
+# Tail -> lemma set, per lexicon. Tails recur across objects and images, so
+# each distinct tail is tagged once; the memo holds only tails that were
+# sorted, all of which are already in memory in the KB. Threads that race on
+# a tail compute the same value.
+_TAIL_LEMMAS_CACHE: "weakref.WeakKeyDictionary[Lexicon, dict[str, frozenset[str]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
+    memo = _TAIL_LEMMAS_CACHE.get(lexicon)
+    if memo is None:
+        memo = _TAIL_LEMMAS_CACHE.setdefault(lexicon, {})
+    lemmas = memo.get(tail)
+    if lemmas is None:
+        try:
+            tokens = tokenize_and_tag(tail, lexicon)
+        except EmptyPhrase:
+            lemmas = frozenset()
+        else:
+            lemmas = frozenset(token.lemma for token in tokens)
+        memo[tail] = lemmas
+    return lemmas
 
 
 def object_aware_sort(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vckb import InstructionTemplates
 from vckb.cli import main
 
 from conftest import DATA_DIR
@@ -165,6 +166,32 @@ def test_invalid_utf8_config_is_input_error(fixture_paths, tmp_path, capsys):
             "--config", str(config)]
     assert main(argv) == 1
     assert "bad JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", ["3", "[]"], ids=["number", "list"])
+def test_non_object_config_is_input_error(fixture_paths, tmp_path, capsys, payload):
+    scene, kb = fixture_paths
+    config = tmp_path / "config.json"
+    config.write_text(payload)
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
+            "--config", str(config)]
+    assert main(argv) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_unknown_template_field_is_input_error(fixture_paths, tmp_path, capsys):
+    scene, kb = fixture_paths
+    template = tmp_path / "templates.json"
+    template.write_text(json.dumps({
+        "template": "what is {bogus} about the {name}?",
+        "descriptions": InstructionTemplates.load().descriptions,
+    }))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"template_path": str(template)}))
+    argv = ["export-instructions", "--scene", scene, "--kb", kb,
+            "--out", str(tmp_path / "x"), "--config", str(config)]
+    assert main(argv) == 1
+    assert "unknown template fields ['bogus']" in capsys.readouterr().err
 
 
 def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):

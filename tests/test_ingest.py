@@ -158,7 +158,7 @@ def test_kb_load_and_lookup(toy_kb):
     # Missing weight defaults to 1.0.
     (created,) = kb.lookup("car", "CreatedBy")
     assert created.weight == 1.0
-    assert kb.lookup("tree", "UsedFor") == []
+    assert kb.lookup("tree", "UsedFor") == ()
 
 
 def test_kb_multi_relation_lookup(toy_kb):

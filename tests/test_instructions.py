@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from vckb import (
     DatasetRecord,
     ExportConfig,
+    InstructionTemplates,
     Provenance,
     build_instruction_samples,
     group_triples,
@@ -141,6 +144,40 @@ def test_config_with_byte_order_mark_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"m": 4}', encoding="utf-8-sig")
     assert ExportConfig.load(path).m == 4
+
+
+@pytest.mark.parametrize("payload", ["3", "[]", '"m"', "null"])
+def test_config_must_be_an_object(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(payload)
+    with pytest.raises(InvalidConfig, match="config must be a JSON object"):
+        ExportConfig.load(path)
+
+
+def _template_file(tmp_path, template):
+    bundled = InstructionTemplates.load()
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps({"template": template, "descriptions": bundled.descriptions}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "{bogus}", "{name} {bogus}", "{name.upper}", "{}", "{0}", "{x:{width}}",
+        "{name", "{x:zz}", "{name:d}", 3,
+    ],
+)
+def test_template_fields_checked_at_load(tmp_path, template):
+    with pytest.raises(InvalidConfig):
+        InstructionTemplates.load(_template_file(tmp_path, template))
+
+
+def test_template_with_allowed_fields_renders(tmp_path):
+    path = _template_file(tmp_path, "{name}@{image_id} {description} {x:>4}{y}{w}{h}{{}}")
+    config = ExportConfig(m=1, template_path=str(path))
+    (sample,) = build_instruction_samples(record_with_tails(seen_tails=("tall",)), config)
+    assert sample.instruction == "man@img1 visible property   10203040{}"
 
 
 def test_samples_file_round_trip(tmp_path):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vckb import (
+    Lexicon,
     PhraseKind,
     Pos,
     lemmatize,
@@ -11,6 +12,7 @@ from vckb import (
     tokenize_and_tag,
 )
 from vckb.errors import EmptyPhrase, NotAnNP
+from vckb.phrase import _merge_multiword, _singularize
 
 from conftest import DATA_DIR
 
@@ -185,3 +187,74 @@ def test_pp_invariants_over_desk_corpus(lexicon):
         assert parse.prep in lexicon.prepositions
         assert parse.tail_head_noun
         assert "\t" not in parse.tail_head_noun
+
+
+def _brute_force_merge(words, lexicon):
+    """The multiword merge as a scan of every entry at every position."""
+    entries = sorted(
+        [(tuple(p.split(" ")), Pos.PREP) for p in lexicon.prepositions if " " in p]
+        + [(tuple(n.split(" ")), Pos.NOUN) for n in lexicon.known_nouns if " " in n],
+        key=lambda item: (-len(item[0]), item[0]),
+    )
+    merged, forced, i = [], [], 0
+    while i < len(words):
+        for parts, pos in entries:
+            window = words[i : i + len(parts)]
+            if pos is Pos.NOUN and len(window) == len(parts):
+                window = window[:-1] + [_singularize(window[-1], lexicon)]
+            if tuple(window) == parts:
+                merged.append(" ".join(words[i : i + len(parts)]))
+                forced.append(pos)
+                i += len(parts)
+                break
+        else:
+            merged.append(words[i])
+            forced.append(None)
+            i += 1
+    return merged, forced
+
+
+def _multiword_chunks(lexicon):
+    """Bundled multiword entries, their plurals, and their single words."""
+    entries = [
+        entry.split(" ")
+        for entry in sorted(lexicon.prepositions | lexicon.known_nouns)
+        if " " in entry
+    ]
+    chunks = list(entries)
+    chunks += [words[:-1] + [words[-1] + "s"] for words in entries]
+    chunks += [[word] for words in entries for word in words]
+    chunks += [[word] for word in ("a", "the", "man", "red", "cars", "is", "3")]
+    return chunks
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_indexed_merge_equals_brute_force(lexicon, data):
+    chunks = data.draw(
+        st.lists(st.sampled_from(_multiword_chunks(lexicon)), max_size=8)
+    )
+    words = [word for chunk in chunks for word in chunk]
+    assert _merge_multiword(words, lexicon) == _brute_force_merge(words, lexicon)
+
+
+def test_merge_longest_entry_sharing_first_word_wins(lexicon):
+    compounds = Lexicon(
+        determiners=lexicon.determiners,
+        prepositions=lexicon.prepositions,
+        adjectives=lexicon.adjectives,
+        irregular_plurals=lexicon.irregular_plurals,
+        known_nouns=lexicon.known_nouns | {"ice cream cone"},
+    )
+    assert _merge_multiword("an ice cream cones".split(), compounds) == (
+        ["an", "ice cream cones"],
+        [None, Pos.NOUN],
+    )
+    assert _merge_multiword("ice cream on a cone".split(), compounds) == (
+        ["ice cream", "on", "a", "cone"],
+        [Pos.NOUN, None, None, None],
+    )
+    assert _merge_multiword("in the middle of it".split(), lexicon) == (
+        ["in the middle of", "it"],
+        [Pos.PREP, None],
+    )

@@ -5,6 +5,7 @@ from vckb import (
     BBox,
     KbEdge,
     KbIndex,
+    Lexicon,
     Provenance,
     Visibility,
     dedup_against_seen,
@@ -14,7 +15,11 @@ from vckb import (
     object_aware_sort,
     retrieve_unseen,
 )
+import vckb.unseen as unseen_module
+from vckb.errors import EmptyPhrase
+from vckb.phrase import tokenize_and_tag
 from vckb.seen import CommonsenseTriple
+from vckb.unseen import _tail_lemmas
 from vckb.taxonomy import (
     SEEN_CAPABLE_OF,
     UNSEEN_CAPABLE_OF,
@@ -160,6 +165,31 @@ class TestObjectAwareSort:
         ]
         ranked = object_aware_sort(triples, {"man", "car"}, lexicon)
         assert sorted(t.tail for t in ranked) == sorted(t.tail for t in triples)
+
+    def test_tail_lemmas_tagged_once_and_match_tagger(self, monkeypatch):
+        lexicon = Lexicon.default()  # a fresh lexicon starts with an empty memo
+        calls = []
+
+        def counting_tagger(phrase, lex):
+            calls.append(phrase)
+            return tokenize_and_tag(phrase, lex)
+
+        monkeypatch.setattr(unseen_module, "tokenize_and_tag", counting_tagger)
+        tails = ("drive to work", "traffic lights on the streets", "chase dogs", "!!!", "")
+        for tail in tails:
+            cold = _tail_lemmas(tail, lexicon)
+            warm = _tail_lemmas(tail, lexicon)
+            assert warm == cold
+            try:
+                expected = {token.lemma for token in tokenize_and_tag(tail, lexicon)}
+            except EmptyPhrase:
+                expected = set()
+            assert cold == expected
+        assert _tail_lemmas("!!!", lexicon) == _tail_lemmas("", lexicon) == frozenset()
+        assert _tail_lemmas("traffic lights on the streets", lexicon) == {
+            "traffic light", "on", "the", "street"
+        }
+        assert calls == list(tails)
 
     def test_deterministic(self, lexicon):
         man = make_object(name="man")
