@@ -3,16 +3,17 @@ Touring the commonsense taxonomy
 ================================
 
 Categories are three-layer paths: visibility (Seen/Unseen), aspect
-(Property/Action/Space), and a relation leaf. Only 11 combinations exist.
+(Property/Action/Space), and a relation leaf. Only 11 combinations exist:
+they are the members of the CategoryPath enum.
 """
 
-from vckb import ALL_CATEGORIES, Pos, kb_relation_to_category, parse_category, pos_to_seen_category
+from vckb import CategoryPath, Pos, kb_relation_to_category, parse_category, pos_to_seen_category
 
 # The full set of valid leaves, in canonical order.
-for category in ALL_CATEGORIES:
+for category in CategoryPath:
     print(category.text)
 
-# Canonical strings parse back to the same value.
+# Canonical strings parse back to the same member.
 category = parse_category("/Seen/Property/HasProperty")
 print("\nparsed:", category.visibility.value, category.aspect.value, category.relation.value)
 

@@ -62,7 +62,6 @@ from .seen import (
     map_scene_triple,
 )
 from .taxonomy import (
-    ALL_CATEGORIES,
     Aspect,
     CategoryPath,
     Relation,

@@ -16,6 +16,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidCategory, MalformedRecord
@@ -24,7 +25,7 @@ from .ingest import GroundedObject, _normalize_name, _read_lines, _write_lines
 from .lexicon import Lexicon
 from .phrase import lemmatize
 from .seen import CommonsenseTriple, Provenance
-from .taxonomy import ALL_CATEGORIES, CategoryPath, parse_category
+from .taxonomy import CategoryPath, parse_category
 
 
 @dataclass
@@ -73,40 +74,32 @@ def group_triples(
         by_category.setdefault(triple.category, []).append(triple)
     groups = [
         CategoryGroup(category=category, triples=by_category[category])
-        for category in ALL_CATEGORIES
+        for category in CategoryPath
         if category in by_category
     ]
     return ObjectEntry(obj=obj, groups=groups)
 
 
+# Each character that cannot appear raw in a field, and its escape. The
+# backslash comes first so that _escape never re-escapes its own output.
+# \r must be escaped too: universal-newline reading would otherwise split a
+# record at a stray carriage return.
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {escaped: raw for raw, escaped in _ESCAPES.items()}
+_ESCAPE_SEQUENCE = re.compile("|".join(map(re.escape, _UNESCAPES)))
+
+
 def _escape(text: str) -> str:
-    # \r must be escaped too: universal-newline reading would otherwise
-    # split a record at a stray carriage return.
-    return (
-        text.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
-_UNESCAPE_MAP = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+    for raw, escaped in _ESCAPES.items():
+        text = text.replace(raw, escaped)
+    return text
 
 
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            mapped = _UNESCAPE_MAP.get(text[i + 1])
-            if mapped is not None:
-                out.append(mapped)
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    # A backslash that starts no escape sequence is kept as it is.
+    if "\\" not in text:
+        return text
+    return _ESCAPE_SEQUENCE.sub(lambda match: _UNESCAPES[match[0]], text)
 
 
 def _record_fields(record: DatasetRecord) -> list[str]:
@@ -271,7 +264,7 @@ def compute_stats(records: list[DatasetRecord]) -> Stats:
     fact attached to many boxes counts once per category.
     """
     names = set()
-    distinct: dict[str, set] = {category.text: set() for category in ALL_CATEGORIES}
+    distinct: dict[str, set] = {category.text: set() for category in CategoryPath}
     bbox_count = 0
     for record in records:
         for entry in record.entries:

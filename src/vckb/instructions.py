@@ -21,7 +21,7 @@ from .errors import InvalidConfig, IoFailure, MalformedRecord
 from .dataset import DatasetRecord, _escape, _unescape
 from .ingest import _read_lines, _write_lines
 from .seen import DEFAULT_TAU
-from .taxonomy import ALL_CATEGORIES, Visibility
+from .taxonomy import CategoryPath, Visibility
 
 DEFAULT_SEP = "[sep]"
 
@@ -57,14 +57,24 @@ class ExportConfig:
             raise InvalidConfig(f"m must be >= 1, got {self.m}")
         if self.k < 0 or self.j < 0:
             raise InvalidConfig(f"k and j must be >= 0, got k={self.k} j={self.j}")
-        if not isinstance(self.tau, (int, float)) or not 0 < self.tau <= 1:
-            raise InvalidConfig(f"tau must be in (0, 1], got {self.tau!r}")
+        if (
+            not isinstance(self.tau, (int, float))
+            or isinstance(self.tau, bool)
+            or not 0 < self.tau <= 1
+        ):
+            raise InvalidConfig(f"tau must be a number in (0, 1], got {self.tau!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         if self.seed.bit_length() > 64:
             raise InvalidConfig(f"seed must fit in 64 bits, got {self.seed}")
         if not isinstance(self.sep_token, str) or not self.sep_token:
             raise InvalidConfig("sep_token must be a non-empty string")
+        if not isinstance(self.dedup_unseen, bool):
+            raise InvalidConfig(f"dedup_unseen must be true or false, got {self.dedup_unseen!r}")
+        if self.template_path is not None and not isinstance(self.template_path, str):
+            raise InvalidConfig(
+                f"template_path must be a string or null, got {self.template_path!r}"
+            )
 
     @classmethod
     def load(cls, config_path=None, **overrides) -> "ExportConfig":
@@ -105,7 +115,7 @@ class InstructionTemplates:
     descriptions: dict[str, str]
 
     def __post_init__(self):
-        missing = [c.text for c in ALL_CATEGORIES if c.text not in self.descriptions]
+        missing = [c.text for c in CategoryPath if c.text not in self.descriptions]
         if missing:
             raise InvalidConfig(f"template file lacks descriptions for: {missing}")
         if not isinstance(self.template, str):

@@ -24,15 +24,7 @@ from .phrase import (
     simplify_np,
     tokenize_and_tag,
 )
-from .taxonomy import (
-    CategoryPath,
-    SEEN_CAPABLE_OF,
-    SEEN_HAS_PROPERTY,
-    SEEN_LOCATED_NEAR,
-    SEEN_RELATEDNESS,
-    Visibility,
-    pos_to_seen_category,
-)
+from .taxonomy import CategoryPath, Visibility, pos_to_seen_category
 
 DEFAULT_TAU = 0.5
 
@@ -147,7 +139,7 @@ def map_scene_triple(
             return None
         # Bare verb stems ("play", "hold") look like nouns to suffix
         # rules; relationship predicates default to active verbs.
-        category = _first_seen_category(words, lexicon) or SEEN_CAPABLE_OF
+        category = _first_seen_category(words, lexicon) or CategoryPath.SEEN_CAPABLE_OF
         tail_object = objects_by_id[triple.object_slot]
         tail = " ".join(words) + " " + _simplify_name(tail_object.name, lexicon)
     return CommonsenseTriple(
@@ -167,7 +159,7 @@ def cooccurrence_triples(objects: list[GroundedObject]) -> list[CommonsenseTripl
             out.append(
                 CommonsenseTriple(
                     head=a,
-                    category=SEEN_LOCATED_NEAR,
+                    category=CategoryPath.SEEN_LOCATED_NEAR,
                     tail=b.name,
                     provenance=Provenance.CO_OCCURRENCE,
                 )
@@ -184,11 +176,11 @@ def extract_region_triples(parse: PhraseParse) -> list[tuple[str, CategoryPath, 
     root = parse.root_noun
     out: list[tuple[str, CategoryPath, str]] = []
     for modifier in parse.adjectives:
-        out.append((root, SEEN_HAS_PROPERTY, modifier))
+        out.append((root, CategoryPath.SEEN_HAS_PROPERTY, modifier))
     if parse.np_participle is not None:
-        out.append((root, SEEN_CAPABLE_OF, parse.np_participle))
+        out.append((root, CategoryPath.SEEN_CAPABLE_OF, parse.np_participle))
     if parse.kind is PhraseKind.PP_PHRASE:
-        out.append((root, SEEN_RELATEDNESS, f"{parse.prep} {parse.tail_head_noun}"))
+        out.append((root, CategoryPath.SEEN_RELATEDNESS, f"{parse.prep} {parse.tail_head_noun}"))
     elif parse.kind is PhraseKind.VP_PHRASE:
         out.append((root, pos_to_seen_category(parse.verb.pos), parse.verb.complement))
     return out

@@ -1,15 +1,15 @@
 """Three-layer taxonomy of visual commonsense categories.
 
 A category path is Visibility/Aspect/Relation, written canonically as e.g.
-"/Seen/Property/HasProperty". Only eleven combinations are valid; every
-other combination is rejected at construction time. The tables at the bottom
-map part-of-speech tags and external-KB relation names into category paths.
+"/Seen/Property/HasProperty". The eleven valid leaves are the members of
+the ``CategoryPath`` enum, declared once below; no other combination can be
+built. The tables at the bottom map part-of-speech tags and external-KB
+relation names into category paths.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .errors import InvalidCategory
 from .phrase import Pos
@@ -36,39 +36,31 @@ class Relation(enum.Enum):
     RECEIVES_ACTION = "ReceivesAction"
 
 
-_VALID_LEAVES = frozenset(
-    {
-        (Visibility.SEEN, Aspect.PROPERTY, Relation.HAS_PROPERTY),
-        (Visibility.SEEN, Aspect.SPACE, Relation.LOCATED_NEAR),
-        (Visibility.SEEN, Aspect.SPACE, Relation.RELATEDNESS),
-        (Visibility.SEEN, Aspect.ACTION, Relation.CAPABLE_OF),
-        (Visibility.SEEN, Aspect.ACTION, Relation.RECEIVES_ACTION),
-        (Visibility.UNSEEN, Aspect.PROPERTY, Relation.HAS_PROPERTY),
-        (Visibility.UNSEEN, Aspect.PROPERTY, Relation.CREATED_BY),
-        (Visibility.UNSEEN, Aspect.SPACE, Relation.LOCATED_NEAR),
-        (Visibility.UNSEEN, Aspect.ACTION, Relation.CAPABLE_OF),
-        (Visibility.UNSEEN, Aspect.ACTION, Relation.USED_FOR),
-        (Visibility.UNSEEN, Aspect.ACTION, Relation.RECEIVES_ACTION),
-    }
-)
+class CategoryPath(enum.Enum):
+    """One of the 11 taxonomy leaves; its value is the canonical text.
 
+    Declaration order doubles as the canonical group order in dataset
+    records.
+    """
 
-@dataclass(frozen=True)
-class CategoryPath:
-    """One of the 11 valid taxonomy leaves."""
+    SEEN_HAS_PROPERTY = "/Seen/Property/HasProperty"
+    SEEN_LOCATED_NEAR = "/Seen/Space/LocatedNear"
+    SEEN_RELATEDNESS = "/Seen/Space/Relatedness"
+    SEEN_CAPABLE_OF = "/Seen/Action/CapableOf"
+    SEEN_RECEIVES_ACTION = "/Seen/Action/ReceivesAction"
+    UNSEEN_HAS_PROPERTY = "/Unseen/Property/HasProperty"
+    UNSEEN_CREATED_BY = "/Unseen/Property/CreatedBy"
+    UNSEEN_LOCATED_NEAR = "/Unseen/Space/LocatedNear"
+    UNSEEN_CAPABLE_OF = "/Unseen/Action/CapableOf"
+    UNSEEN_USED_FOR = "/Unseen/Action/UsedFor"
+    UNSEEN_RECEIVES_ACTION = "/Unseen/Action/ReceivesAction"
 
-    visibility: Visibility
-    aspect: Aspect
-    relation: Relation
-    # Canonical slash-delimited form, e.g. "/Seen/Property/HasProperty";
-    # computed once because dedup and sort keys read it per triple.
-    text: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        text = f"/{self.visibility.value}/{self.aspect.value}/{self.relation.value}"
-        if (self.visibility, self.aspect, self.relation) not in _VALID_LEAVES:
-            raise InvalidCategory(f"not a valid taxonomy leaf: {text}")
-        object.__setattr__(self, "text", text)
+    def __init__(self, text: str):
+        _, visibility, aspect, relation = text.split("/")
+        self.text = text
+        self.visibility = Visibility(visibility)
+        self.aspect = Aspect(aspect)
+        self.relation = Relation(relation)
 
     def __str__(self) -> str:
         return self.text
@@ -77,59 +69,20 @@ class CategoryPath:
 def parse_category(text: str) -> CategoryPath:
     """Parse a canonical category string (case-sensitive exact match).
 
-    Raises InvalidCategory for malformed strings and for combinations
-    outside the 11 valid leaves.
+    Raises InvalidCategory for anything that is not one of the 11 leaves.
     """
-    if not isinstance(text, str) or not text.startswith("/"):
-        raise InvalidCategory(f"malformed category string: {text!r}")
-    parts = text.split("/")
-    if len(parts) != 4 or parts[0] != "":
-        raise InvalidCategory(f"malformed category string: {text!r}")
+    if not isinstance(text, str):
+        raise InvalidCategory(f"category must be a string, got {text!r}")
     try:
-        visibility = Visibility(parts[1])
-        aspect = Aspect(parts[2])
-        relation = Relation(parts[3])
+        return CategoryPath(text)
     except ValueError:
-        raise InvalidCategory(f"unknown category segment in {text!r}") from None
-    return CategoryPath(visibility, aspect, relation)
+        raise InvalidCategory(f"not a taxonomy leaf: {text!r}") from None
 
-
-SEEN_HAS_PROPERTY = CategoryPath(Visibility.SEEN, Aspect.PROPERTY, Relation.HAS_PROPERTY)
-SEEN_LOCATED_NEAR = CategoryPath(Visibility.SEEN, Aspect.SPACE, Relation.LOCATED_NEAR)
-SEEN_RELATEDNESS = CategoryPath(Visibility.SEEN, Aspect.SPACE, Relation.RELATEDNESS)
-SEEN_CAPABLE_OF = CategoryPath(Visibility.SEEN, Aspect.ACTION, Relation.CAPABLE_OF)
-SEEN_RECEIVES_ACTION = CategoryPath(Visibility.SEEN, Aspect.ACTION, Relation.RECEIVES_ACTION)
-UNSEEN_HAS_PROPERTY = CategoryPath(Visibility.UNSEEN, Aspect.PROPERTY, Relation.HAS_PROPERTY)
-UNSEEN_CREATED_BY = CategoryPath(Visibility.UNSEEN, Aspect.PROPERTY, Relation.CREATED_BY)
-UNSEEN_LOCATED_NEAR = CategoryPath(Visibility.UNSEEN, Aspect.SPACE, Relation.LOCATED_NEAR)
-UNSEEN_CAPABLE_OF = CategoryPath(Visibility.UNSEEN, Aspect.ACTION, Relation.CAPABLE_OF)
-UNSEEN_USED_FOR = CategoryPath(Visibility.UNSEEN, Aspect.ACTION, Relation.USED_FOR)
-UNSEEN_RECEIVES_ACTION = CategoryPath(Visibility.UNSEEN, Aspect.ACTION, Relation.RECEIVES_ACTION)
-
-# Declaration order doubles as the canonical group order in dataset records.
-ALL_CATEGORIES: tuple[CategoryPath, ...] = (
-    SEEN_HAS_PROPERTY,
-    SEEN_LOCATED_NEAR,
-    SEEN_RELATEDNESS,
-    SEEN_CAPABLE_OF,
-    SEEN_RECEIVES_ACTION,
-    UNSEEN_HAS_PROPERTY,
-    UNSEEN_CREATED_BY,
-    UNSEEN_LOCATED_NEAR,
-    UNSEEN_CAPABLE_OF,
-    UNSEEN_USED_FOR,
-    UNSEEN_RECEIVES_ACTION,
-)
 
 # External-KB relation labels admitted into the unseen layer. All other
 # labels are ignored (mapped to None, not an error).
 _KB_RELATION_TABLE = {
-    "HasProperty": UNSEEN_HAS_PROPERTY,
-    "CreatedBy": UNSEEN_CREATED_BY,
-    "LocatedNear": UNSEEN_LOCATED_NEAR,
-    "CapableOf": UNSEEN_CAPABLE_OF,
-    "UsedFor": UNSEEN_USED_FOR,
-    "ReceivesAction": UNSEEN_RECEIVES_ACTION,
+    leaf.relation.value: leaf for leaf in CategoryPath if leaf.visibility is Visibility.UNSEEN
 }
 
 UNSEEN_KB_RELATIONS: tuple[str, ...] = tuple(_KB_RELATION_TABLE)
@@ -141,10 +94,10 @@ def kb_relation_to_category(relation_name: str) -> CategoryPath | None:
 
 
 _SEEN_POS_TABLE = {
-    Pos.ADJ: SEEN_HAS_PROPERTY,
-    Pos.PREP: SEEN_RELATEDNESS,
-    Pos.VBG: SEEN_CAPABLE_OF,
-    Pos.VBN: SEEN_RECEIVES_ACTION,
+    Pos.ADJ: CategoryPath.SEEN_HAS_PROPERTY,
+    Pos.PREP: CategoryPath.SEEN_RELATEDNESS,
+    Pos.VBG: CategoryPath.SEEN_CAPABLE_OF,
+    Pos.VBN: CategoryPath.SEEN_RECEIVES_ACTION,
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,54 @@ def test_export_instructions_from_data(fixture_paths, tmp_path, capsys):
     lines = samples.read_text(encoding="utf-8").splitlines()
     assert lines
     assert all("\t" in line for line in lines)
+
+
+# sha256 of the fixture export and of its instruction samples. A change
+# that alters either file on purpose updates these values and records why.
+FIXTURE_DATASET_SHA256 = "0d269430f3c35ff56b9d9c79cf811ddcb06ea6f6b0f3365ff09f5bceb6e76241"
+FIXTURE_SAMPLES_SHA256 = "fcdc496bcfa7da88e19f3c1d44139226d4fc4e5387dc776c667d0a6cba483857"
+
+
+@pytest.fixture(scope="module")
+def fixture_export(tmp_path_factory):
+    """The fixture corpus exported with --seed 13."""
+    data = tmp_path_factory.mktemp("export") / "dataset.tsv"
+    argv = ["export", "--scene", str(DATA_DIR / "fixture_scene.tsv"),
+            "--kb", str(DATA_DIR / "fixture_kb.tsv"), "--seed", "13", "--out", str(data)]
+    assert main(argv) == 0
+    return data
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_fixture_output_bytes_are_pinned(fixture_export, tmp_path):
+    samples = tmp_path / "samples.tsv"
+    argv = ["export-instructions", "--data", str(fixture_export), "--out", str(samples),
+            "--m", "3", "--k", "2", "--j", "1", "--seed", "13"]
+    assert main(argv) == 0
+    assert _sha256(fixture_export) == FIXTURE_DATASET_SHA256
+    assert _sha256(samples) == FIXTURE_SAMPLES_SHA256
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"template_path": 0}, "template_path must be a string or null"),
+        ({"tau": True}, "tau must be a number"),
+        ({"dedup_unseen": "no"}, "dedup_unseen must be true or false"),
+    ],
+    ids=["template-path-number", "tau-bool", "dedup-unseen-string"],
+)
+def test_mistyped_config_field_is_input_error(fixture_export, tmp_path, capsys, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    argv = ["export-instructions", "--data", str(fixture_export),
+            "--out", str(tmp_path / "samples.tsv"), "--config", str(config)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "samples.tsv").exists()
 
 
 def test_missing_scene_flag_is_input_error(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vckb import (
     BBox,
@@ -12,14 +14,10 @@ from vckb import (
     parse_category,
     query,
 )
-from vckb.dataset import ObjectEntry
+from vckb.dataset import ObjectEntry, _escape, _unescape
 from vckb.errors import MalformedRecord
 from vckb.seen import CommonsenseTriple
-from vckb.taxonomy import (
-    ALL_CATEGORIES,
-    SEEN_LOCATED_NEAR,
-    UNSEEN_CAPABLE_OF,
-)
+from vckb.taxonomy import CategoryPath
 
 from conftest import make_object
 
@@ -64,13 +62,13 @@ def sample_records():
 def test_group_order_is_canonical(sample_records):
     entry = sample_records[0].entries[0]
     texts = [group.category.text for group in entry.groups]
-    order = [c.text for c in ALL_CATEGORIES]
+    order = [c.text for c in CategoryPath]
     assert texts == sorted(texts, key=order.index)
 
 
 def test_group_preserves_triple_order(sample_records):
     entry = sample_records[0].entries[0]
-    unseen = entry.group(UNSEEN_CAPABLE_OF)
+    unseen = entry.group(CategoryPath.UNSEEN_CAPABLE_OF)
     assert [t.tail for t in unseen] == ["grow up", "read book"]
 
 
@@ -179,12 +177,12 @@ def test_stats_survive_round_trip(sample_records, tmp_path):
 
 
 def test_query_by_name_and_category(sample_records, lexicon):
-    hits = query(sample_records, "man", SEEN_LOCATED_NEAR, lexicon)
+    hits = query(sample_records, "man", CategoryPath.SEEN_LOCATED_NEAR, lexicon)
     assert [t.tail for t in hits] == ["car"]
 
 
 def test_query_lemmatizes_argument(sample_records, lexicon):
-    hits = query(sample_records, "cars", SEEN_LOCATED_NEAR, lexicon)
+    hits = query(sample_records, "cars", CategoryPath.SEEN_LOCATED_NEAR, lexicon)
     assert [t.tail for t in hits] == ["man"]
 
 
@@ -196,16 +194,49 @@ def test_query_normalizes_argument(lexicon):
             entries=[group_triples(light, [triple(light, "/Seen/Space/LocatedNear", "road")])],
         )
     ]
-    hits = query(records, "traffic light", SEEN_LOCATED_NEAR, lexicon)
+    hits = query(records, "traffic light", CategoryPath.SEEN_LOCATED_NEAR, lexicon)
     assert [t.tail for t in hits] == ["road"]
     for name in ("Traffic_Light", "  traffic   LIGHTS "):
-        assert query(records, name, SEEN_LOCATED_NEAR, lexicon) == hits
+        assert query(records, name, CategoryPath.SEEN_LOCATED_NEAR, lexicon) == hits
 
 
 def test_query_unknown_name_empty(sample_records, lexicon):
-    assert query(sample_records, "unicorn", SEEN_LOCATED_NEAR, lexicon) == []
+    assert query(sample_records, "unicorn", CategoryPath.SEEN_LOCATED_NEAR, lexicon) == []
 
 
 def test_query_preserves_unseen_order(sample_records, lexicon):
-    hits = query(sample_records, "man", UNSEEN_CAPABLE_OF, lexicon)
+    hits = query(sample_records, "man", CategoryPath.UNSEEN_CAPABLE_OF, lexicon)
     assert [t.tail for t in hits] == ["grow up", "read book"]
+
+
+def _unescape_by_loop(text):
+    """Character-by-character reference decoder for the dataset escapes."""
+    mapping = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text) and text[i + 1] in mapping:
+            out.append(mapping[text[i + 1]])
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+# Half backslashes, escape letters and the escaped characters themselves,
+# so that runs like "\\\t" and a trailing lone backslash come up often.
+_ESCAPE_HEAVY_TEXT = st.text(st.sampled_from("\\tnrx\t\n\r") | st.characters())
+
+
+@given(_ESCAPE_HEAVY_TEXT)
+def test_unescape_matches_reference_loop(text):
+    assert _unescape(text) == _unescape_by_loop(text)
+
+
+@given(_ESCAPE_HEAVY_TEXT)
+def test_escape_round_trip(text):
+    escaped = _escape(text)
+    assert not any(ch in escaped for ch in "\t\n\r")
+    assert _unescape(escaped) == text

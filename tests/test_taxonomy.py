@@ -1,11 +1,11 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vckb import (
-    ALL_CATEGORIES,
     Aspect,
     CategoryPath,
     Relation,
@@ -38,27 +38,57 @@ def test_parse_category_rejects_invalid_leaf():
 @pytest.mark.parametrize(
     "text",
     ["", "Seen/Property/HasProperty", "/Seen/Property", "/seen/property/hasproperty",
-     "/Seen/Property/HasProperty/", "/Seen/Colour/HasProperty"],
+     "/Seen/Property/HasProperty/", "/Seen/Colour/HasProperty", None, 3],
 )
 def test_parse_category_rejects_malformed(text):
     with pytest.raises(InvalidCategory):
         parse_category(text)
 
 
+CANONICAL_ORDER = [
+    "/Seen/Property/HasProperty",
+    "/Seen/Space/LocatedNear",
+    "/Seen/Space/Relatedness",
+    "/Seen/Action/CapableOf",
+    "/Seen/Action/ReceivesAction",
+    "/Unseen/Property/HasProperty",
+    "/Unseen/Property/CreatedBy",
+    "/Unseen/Space/LocatedNear",
+    "/Unseen/Action/CapableOf",
+    "/Unseen/Action/UsedFor",
+    "/Unseen/Action/ReceivesAction",
+]
+
+
+def test_canonical_order():
+    assert [category.text for category in CategoryPath] == CANONICAL_ORDER
+
+
 def test_exactly_eleven_leaves_constructible():
-    constructible = []
+    assert len(CategoryPath) == 11
     for vis, asp, rel in itertools.product(Visibility, Aspect, Relation):
-        try:
-            constructible.append(CategoryPath(vis, asp, rel))
-        except InvalidCategory:
-            pass
-    assert len(constructible) == 11
-    assert set(constructible) == set(ALL_CATEGORIES)
+        text = f"/{vis.value}/{asp.value}/{rel.value}"
+        if text in CANONICAL_ORDER:
+            leaf = parse_category(text)
+            assert (leaf.visibility, leaf.aspect, leaf.relation) == (vis, asp, rel)
+        else:
+            with pytest.raises(InvalidCategory):
+                parse_category(text)
 
 
 def test_canonical_round_trip_all_leaves():
-    for category in ALL_CATEGORIES:
-        assert parse_category(category.text) == category
+    for category in CategoryPath:
+        assert parse_category(category.text) is category
+
+
+def test_str_is_canonical_text():
+    for category in CategoryPath:
+        assert str(category) == category.text
+
+
+def test_leaf_pickles_to_itself():
+    for category in CategoryPath:
+        assert pickle.loads(pickle.dumps(category)) is category
 
 
 def test_kb_relation_mapping():
@@ -92,5 +122,5 @@ def test_parse_category_total(text):
         category = parse_category(text)
     except InvalidCategory:
         return
-    assert category in ALL_CATEGORIES
+    assert category in CategoryPath
     assert category.text == text

@@ -20,11 +20,7 @@ from vckb.errors import EmptyPhrase
 from vckb.phrase import tokenize_and_tag
 from vckb.seen import CommonsenseTriple
 from vckb.unseen import _tail_lemmas
-from vckb.taxonomy import (
-    SEEN_CAPABLE_OF,
-    UNSEEN_CAPABLE_OF,
-    UNSEEN_RECEIVES_ACTION,
-)
+from vckb.taxonomy import CategoryPath
 
 from conftest import make_object
 
@@ -75,7 +71,7 @@ class TestRetrieve:
         assert by_tail["factory"] == 1.0
 
 
-def unseen_triple(obj, tail, score=1.0, category=UNSEEN_CAPABLE_OF):
+def unseen_triple(obj, tail, score=1.0, category=CategoryPath.UNSEEN_CAPABLE_OF):
     return CommonsenseTriple(
         head=obj,
         category=category,
@@ -85,7 +81,7 @@ def unseen_triple(obj, tail, score=1.0, category=UNSEEN_CAPABLE_OF):
     )
 
 
-def seen_triple(obj, tail, category=SEEN_CAPABLE_OF):
+def seen_triple(obj, tail, category=CategoryPath.SEEN_CAPABLE_OF):
     return CommonsenseTriple(
         head=obj, category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE
     )
@@ -106,7 +102,7 @@ class TestDedupAgainstSeen:
 
     def test_same_tail_different_relation_kept(self, lexicon):
         man = make_object(name="man")
-        unseen = [unseen_triple(man, "hit", category=UNSEEN_RECEIVES_ACTION)]
+        unseen = [unseen_triple(man, "hit", category=CategoryPath.UNSEEN_RECEIVES_ACTION)]
         seen = [seen_triple(man, "hit")]  # CapableOf, not ReceivesAction
         assert dedup_against_seen(unseen, seen) == unseen
 
@@ -119,7 +115,9 @@ class TestObjectAwareSort:
         man = make_object(name="man")
         triples = [
             unseen_triple(man, "grow up", score=5.0),
-            unseen_triple(man, "hit by a car", score=1.0, category=UNSEEN_RECEIVES_ACTION),
+            unseen_triple(
+                man, "hit by a car", score=1.0, category=CategoryPath.UNSEEN_RECEIVES_ACTION
+            ),
         ]
         ranked = object_aware_sort(triples, {"man", "car"}, lexicon)
         assert ranked[0].tail == "hit by a car"
