@@ -7,6 +7,8 @@ record per line, tab-separated, with free-text fields escaped:
     image_id  n_objects  { object_id  name  x y w h  n_groups
                            { category  n_triples  { tail provenance score }* }* }*
 
+An object's groups are unique and in canonical category order (the
+declaration order of ``CategoryPath``); the reader rejects any other order.
 Backslash, tab, newline, and carriage return inside text fields are escaped
 as ``\\\\``, ``\\t``, ``\\n``, and ``\\r``. Scores are written with ``repr``
 so floats round-trip exactly; repeated runs over identical inputs are
@@ -132,6 +134,10 @@ def export_dataset(records: list[DatasetRecord], path) -> None:
     _write_lines(path, ("\t".join(_record_fields(record)) for record in records))
 
 
+# Position of each leaf in the canonical group order of a record.
+_GROUP_RANK = {category: rank for rank, category in enumerate(CategoryPath)}
+
+
 class _FieldReader:
     def __init__(self, fields: list[str], path, line_number: int):
         self.fields = fields
@@ -182,6 +188,7 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
         except ValueError as exc:
             raise MalformedRecord(reader.path, reader.line_number, str(exc)) from None
         groups = []
+        last_rank = -1
         for _ in range(reader.take_int("group count")):
             try:
                 category = parse_category(reader.take("category"))
@@ -189,6 +196,15 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
                 raise MalformedRecord(
                     reader.path, reader.line_number, str(exc)
                 ) from None
+            rank = _GROUP_RANK[category]
+            if rank <= last_rank:
+                raise MalformedRecord(
+                    reader.path,
+                    reader.line_number,
+                    f"group {category.text} of object {object_id!r} is repeated "
+                    "or out of canonical order",
+                )
+            last_rank = rank
             triples = []
             for _ in range(reader.take_int("triple count")):
                 tail = _unescape(reader.take("tail"))

@@ -15,7 +15,8 @@ pixel dimensions) or implicitly by their first O/T/R record. Fields cannot
 contain tabs or newlines; blank lines are skipped.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
-with an optional numeric weight column (default 1.0).
+with an optional weight column (default 1.0). Head, relation and tail must
+be non-empty, and the weight must be a finite, non-negative number.
 
 Every line file vckb reads or writes goes through `_read_lines` or
 `_write_lines`, and `_normalize_name` is the one normalizer of object names,
@@ -25,7 +26,10 @@ predicates, attribute text, KB heads and tails, and query names.
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
@@ -102,8 +106,9 @@ class Region:
     bbox: BBox
 
 
-@dataclass(frozen=True)
-class KbEdge:
+class KbEdge(NamedTuple):
+    """One KB row; `KbIndex` accepts any iterable of such 4-tuples."""
+
     head: str
     relation: str
     tail: str
@@ -311,42 +316,53 @@ def _validate_integrity(
 
 
 class KbIndex:
-    """Knowledge-base edges indexed by (head lemma, relation)."""
+    """KB edges as (tail, weight) pairs keyed by (normalized head name, relation)."""
 
-    def __init__(self, edges: list[KbEdge]):
-        self._edge_count = len(edges)
-        self._by_key: dict[tuple[str, str], tuple[KbEdge, ...]] = {}
-        for edge in edges:
-            self._by_key.setdefault((edge.head, edge.relation), []).append(edge)
+    def __init__(self, rows: Iterable[tuple[str, str, str, float]]):
+        self._edge_count = 0
+        self._by_key: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
+        for head, relation, tail, weight in rows:
+            self._by_key.setdefault((head, relation), []).append((tail, weight))
         # Freeze each bucket in place, so that the lists are freed one by one
         # and never coexist in full with the tuples (KB load sets peak memory).
         for key, bucket in self._by_key.items():
+            self._edge_count += len(bucket)
             self._by_key[key] = tuple(bucket)
 
     def __len__(self) -> int:
         return self._edge_count
 
-    def lookup(self, head: str, relation: str) -> tuple[KbEdge, ...]:
+    def lookup(self, head: str, relation: str) -> tuple[tuple[str, float], ...]:
+        """The (tail, weight) pairs of one key in file order, or ()."""
         return self._by_key.get((head, relation), ())
 
 
-def load_kb(path) -> KbIndex:
-    """Load a tab-separated KB edge file.
+def _shared_name(names: dict[str, str], raw: str) -> str:
+    """Normalize raw and memoize it in names, where each name maps to itself."""
+    name = _normalize_name(raw)
+    name = names[raw] = names.setdefault(name, name)
+    return name
 
-    Raises MalformedRecord for rows with fewer than three columns or a
-    non-numeric weight, EmptyKb when the file holds no edges, and IoFailure
-    when the file cannot be read.
+
+def _kb_rows(path):
+    """Yield (head, relation, tail, weight) for each line of a KB file.
+
+    Names are normalized once per distinct raw string, and equal names share
+    one string object, so the index holds each distinct head and tail once.
     """
-    edges: list[KbEdge] = []
+    # Raw string -> its name; normalizing is idempotent, so names share the dict.
+    names: dict[str, str] = {}
     for line_number, line in _read_lines(path):
         fields = line.split("\t")
-        if len(fields) < 3 or len(fields) > 4:
+        if not 3 <= len(fields) <= 4:
             raise MalformedRecord(path, line_number, "expected head, relation, tail[, weight]")
-        head = _normalize_name(fields[0])
+        head = names.get(fields[0]) or _shared_name(names, fields[0])
         relation = fields[1].strip()
-        tail = _normalize_name(fields[2])
-        if not head or not tail:
-            raise MalformedRecord(path, line_number, "head and tail must be non-empty")
+        tail = names.get(fields[2]) or _shared_name(names, fields[2])
+        if not head or not relation or not tail:
+            raise MalformedRecord(
+                path, line_number, "head, relation and tail must be non-empty"
+            )
         weight = 1.0
         if len(fields) == 4:
             try:
@@ -355,9 +371,25 @@ def load_kb(path) -> KbIndex:
                 raise MalformedRecord(
                     path, line_number, f"weight is not a number: {fields[3]!r}"
                 ) from None
-            if weight < 0:
-                raise MalformedRecord(path, line_number, "weight must be non-negative")
-        edges.append(KbEdge(head=head, relation=relation, tail=tail, weight=weight))
-    if not edges:
+            # The chained comparison is false for nan as well.
+            if not 0 <= weight < math.inf:
+                raise MalformedRecord(
+                    path,
+                    line_number,
+                    f"weight must be a finite, non-negative number: {fields[3]!r}",
+                )
+        yield head, relation, tail, weight
+
+
+def load_kb(path) -> KbIndex:
+    """Load a tab-separated KB edge file in one pass.
+
+    Raises MalformedRecord (with line number) for a row without three or four
+    columns, an empty head, relation or tail, or a weight that is not a
+    finite, non-negative number; EmptyKb when the file holds no edges; and
+    IoFailure when the file cannot be read.
+    """
+    kb = KbIndex(_kb_rows(path))
+    if len(kb) == 0:
         raise EmptyKb(f"no edges in {path}")
-    return KbIndex(edges)
+    return kb

@@ -52,16 +52,16 @@ def retrieve_unseen(
     for relation in UNSEEN_KB_RELATIONS:
         category = kb_relation_to_category(relation)
         for form in synset.forms:
-            for edge in kb.lookup(form, relation):
-                key = (category.text, edge.tail)
+            for tail, weight in kb.lookup(form, relation):
+                key = (category.text, tail)
                 current = best.get(key)
-                if current is None or edge.weight > current.score:
+                if current is None or weight > current.score:
                     best[key] = CommonsenseTriple(
                         head=obj,
                         category=category,
-                        tail=edge.tail,
+                        tail=tail,
                         provenance=Provenance.KB_RETRIEVAL,
-                        score=edge.weight,
+                        score=weight,
                     )
     return [best[key] for key in sorted(best)]
 

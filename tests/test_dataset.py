@@ -136,6 +136,26 @@ def test_import_rejects_truncated(tmp_path, sample_records):
         import_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "groups",
+    [
+        "/Seen/Property/HasProperty\t1\ttall\tscene_triple\t0.0"
+        "\t/Seen/Property/HasProperty\t1\tshort\tscene_triple\t0.0",
+        "/Unseen/Action/CapableOf\t1\tgrow up\tkb_retrieval\t1.0"
+        "\t/Seen/Property/HasProperty\t1\ttall\tscene_triple\t0.0",
+    ],
+    ids=["repeated", "out-of-order"],
+)
+def test_import_rejects_noncanonical_groups(tmp_path, groups):
+    path = tmp_path / "dataset.tsv"
+    path.write_text(
+        "img1\t0\n" f"img2\t1\to1\tman\t0\t0\t5\t5\t2\t{groups}\n", encoding="utf-8"
+    )
+    with pytest.raises(MalformedRecord) as excinfo:
+        import_dataset(path)
+    assert excinfo.value.line_number == 2
+
+
 def test_stats_empty():
     stats = compute_stats([])
     assert stats.image_count == 0

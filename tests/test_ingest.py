@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
@@ -152,19 +154,21 @@ def test_save_round_trips(toy_scene, tmp_path):
 def test_kb_load_and_lookup(toy_kb):
     kb = load_kb(toy_kb)
     assert len(kb) == 6
-    (edge,) = kb.lookup("car", "UsedFor")
-    assert edge.tail == "drive to work"
-    assert edge.weight == 2.0
+    ((tail, weight),) = kb.lookup("car", "UsedFor")
+    assert tail == "drive to work"
+    assert weight == 2.0
     # Missing weight defaults to 1.0.
-    (created,) = kb.lookup("car", "CreatedBy")
-    assert created.weight == 1.0
+    ((_, created_weight),) = kb.lookup("car", "CreatedBy")
+    assert created_weight == 1.0
     assert kb.lookup("tree", "UsedFor") == ()
 
 
 def test_kb_multi_relation_lookup(toy_kb):
     kb = load_kb(toy_kb)
-    hits = [e for rel in ("UsedFor", "CreatedBy") for e in kb.lookup("car", rel)]
-    assert {(e.relation, e.tail) for e in hits} == {
+    hits = [
+        (rel, tail) for rel in ("UsedFor", "CreatedBy") for tail, _ in kb.lookup("car", rel)
+    ]
+    assert set(hits) == {
         ("UsedFor", "drive to work"),
         ("CreatedBy", "factory"),
     }
@@ -181,8 +185,92 @@ def test_kb_underscores_normalized(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("traffic_light\tUsedFor\tcontrol_traffic\t1.0\n")
     kb = load_kb(path)
-    (edge,) = kb.lookup("traffic light", "UsedFor")
-    assert edge.tail == "control traffic"
+    ((tail, _),) = kb.lookup("traffic light", "UsedFor")
+    assert tail == "control traffic"
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_kb_non_finite_weight_rejected(tmp_path, weight):
+    path = tmp_path / "kb.tsv"
+    path.write_text(f"car\tUsedFor\tpark\t2.0\ncar\tUsedFor\tdrive\t{weight}\n")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_kb(path)
+    assert excinfo.value.line_number == 2
+
+
+def test_kb_empty_relation_rejected(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("car\tUsedFor\tdrive\ncar\t\tthing\n")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_kb(path)
+    assert excinfo.value.line_number == 2
+
+
+def test_kb_equal_tails_share_one_string(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text(
+        "car\tUsedFor\tgo to work\nbus\tUsedFor\tgo to work\ntrain\tUsedFor\tGo_To  work\n"
+    )
+    kb = load_kb(path)
+    ((car_tail, _),) = kb.lookup("car", "UsedFor")
+    ((bus_tail, _),) = kb.lookup("bus", "UsedFor")
+    ((train_tail, _),) = kb.lookup("train", "UsedFor")
+    assert car_tail is bus_tail is train_tail
+
+
+_KB_NAMES = ["car", "dog", "traffic light", "go to work", "red fire hydrant"]
+_KB_RELATIONS = ["UsedFor", "CapableOf", "IsA"]
+
+
+@st.composite
+def _raw_name(draw):
+    """A name of _KB_NAMES with mixed case, underscores and extra spaces."""
+    name = draw(st.sampled_from(_KB_NAMES))
+    words = [
+        draw(st.sampled_from([word, word.upper(), word.title()])) for word in name.split()
+    ]
+    separators = draw(
+        st.lists(st.sampled_from([" ", "_", "  ", " _"]), min_size=len(words) - 1,
+                 max_size=len(words) - 1)
+    )
+    raw = words[0] + "".join(sep + word for sep, word in zip(separators, words[1:]))
+    pad = st.sampled_from(["", " ", "  "])
+    return name, draw(pad) + raw + draw(pad)
+
+
+_raw_kb_rows = st.lists(
+    st.tuples(
+        _raw_name(),
+        st.sampled_from(_KB_RELATIONS),
+        _raw_name(),
+        st.none() | st.floats(0, 100, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(rows=_raw_kb_rows, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_kb_load_equals_scan_of_normalized_rows(tmp_path_factory, rows, data):
+    """Duplicate rows are kept; keys are normalized names; buckets keep file order."""
+    rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=5))
+    path = tmp_path_factory.mktemp("kb") / "kb.tsv"
+    lines = []
+    for (_, raw_head), relation, (_, raw_tail), weight in rows:
+        line = f"{raw_head}\t{relation}\t{raw_tail}"
+        lines.append(line if weight is None else f"{line}\t{weight!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kb = load_kb(path)
+    expected = {}
+    for (head, _), relation, (tail, _), weight in rows:
+        expected.setdefault((head, relation), []).append(
+            (tail, 1.0 if weight is None else weight)
+        )
+    assert len(kb) == len(rows)
+    for head in _KB_NAMES:
+        for relation in _KB_RELATIONS:
+            assert kb.lookup(head, relation) == tuple(expected.get((head, relation), ()))
 
 
 def test_kb_empty(tmp_path):
@@ -228,5 +316,5 @@ def test_bom_scene_loads(tmp_path):
 def test_bom_kb_keeps_first_head(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("car\tUsedFor\tdrive\ncar\tIsA\tvehicle\n", encoding="utf-8-sig")
-    (edge,) = load_kb(path).lookup("car", "UsedFor")
-    assert edge.tail == "drive"
+    ((tail, _),) = load_kb(path).lookup("car", "UsedFor")
+    assert tail == "drive"
