@@ -32,7 +32,7 @@ kb = load_kb(data / "fixture_kb.tsv")
 print(f"loaded {len(corpus)} images, {corpus.bbox_count} boxes, {len(kb)} KB edges")
 
 config = ExportConfig(m=3, k=2, j=1, seed=13)
-records, diagnostics = build_records(corpus, lexicon, kb=kb, config=config, workers=4)
+records, diagnostics = build_records(corpus, lexicon, kb=kb, config=config)
 print("diagnostics:", diagnostics.as_dict())
 
 print(compute_stats(records).to_json())

@@ -10,6 +10,7 @@ import random
 from pathlib import Path
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
+SEED = 20240517
 
 NOUNS = [
     "man", "woman", "car", "dog", "cat", "bicycle", "tree", "bench",
@@ -171,7 +172,7 @@ def make_kb(rng: random.Random) -> str:
 
 
 def main() -> None:
-    rng = random.Random(20240517)
+    rng = random.Random(SEED)
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / "fixture_scene.tsv").write_text(make_scene(rng), encoding="utf-8")
     (OUT_DIR / "fixture_kb.tsv").write_text(make_kb(rng), encoding="utf-8")

@@ -39,7 +39,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--j", type=int, help="random extra unseen tails")
     parser.add_argument("--seed", type=int, help="sampling seed")
     parser.add_argument("--sep", help="separator token for joined tails")
-    parser.add_argument("--workers", type=int, default=1, help="parallel image workers")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="ignored; output never depends on it"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,13 +87,12 @@ def _config_from(args) -> ExportConfig:
     )
 
 
-def _load_inputs(args, need_kb: bool):
-    _require(args, "scene")
-    if need_kb:
-        _require(args, "kb")
+def _load_inputs(args, with_kb: bool):
+    """Corpus, lexicon and, only when `with_kb`, the required KB."""
+    _require(args, "scene", *(["kb"] if with_kb else []))
     lexicon = Lexicon.load(args.lexicon) if args.lexicon else Lexicon.default()
     corpus = load_scene_corpus(args.scene)
-    kb = load_kb(args.kb) if args.kb else None
+    kb = load_kb(args.kb) if with_kb else None
     return corpus, kb, lexicon
 
 
@@ -100,7 +101,9 @@ def _emit_diagnostics(diagnostics) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    corpus, kb, _ = _load_inputs(args, need_kb=False)
+    _require(args, "scene")
+    corpus = load_scene_corpus(args.scene)
+    kb = load_kb(args.kb) if args.kb else None
     if args.out:
         corpus.save(args.out)
     summary = {
@@ -114,18 +117,17 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_build(args, include_seen: bool, include_unseen: bool) -> int:
-    corpus, kb, lexicon = _load_inputs(args, need_kb=include_unseen)
+def _cmd_build(args, include_seen: bool, with_kb: bool) -> int:
+    corpus, kb, lexicon = _load_inputs(args, with_kb)
     _require(args, "out")
     config = _config_from(args)
     records, diagnostics = build_records(
         corpus,
         lexicon,
-        kb=kb if include_unseen else None,
+        kb=kb,
         config=config,
         workers=args.workers,
         include_seen=include_seen,
-        include_unseen=include_unseen,
     )
     export_dataset(records, args.out)
     _emit_diagnostics(diagnostics)
@@ -146,7 +148,7 @@ def _cmd_export_instructions(args) -> int:
     if args.data:
         records = import_dataset(args.data)
     else:
-        corpus, kb, lexicon = _load_inputs(args, need_kb=True)
+        corpus, kb, lexicon = _load_inputs(args, with_kb=True)
         records, diagnostics = build_records(
             corpus, lexicon, kb=kb, config=config, workers=args.workers
         )
@@ -189,11 +191,11 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             return _cmd_ingest(args)
         if args.command == "build-seen":
-            return _cmd_build(args, include_seen=True, include_unseen=False)
+            return _cmd_build(args, include_seen=True, with_kb=False)
         if args.command == "build-unseen":
-            return _cmd_build(args, include_seen=False, include_unseen=True)
+            return _cmd_build(args, include_seen=False, with_kb=True)
         if args.command == "export":
-            return _cmd_build(args, include_seen=True, include_unseen=True)
+            return _cmd_build(args, include_seen=True, with_kb=True)
         if args.command == "stats":
             return _cmd_stats(args)
         if args.command == "export-instructions":

@@ -5,7 +5,7 @@ Seen targets sample m tails uniformly without replacement; unseen targets
 take the top-k tails of the sorted list plus j random tails from the
 remainder. Tails are joined with the separator token. Sampling is seeded
 per pair from a hash of (seed, image id, object id, category), so output
-does not depend on iteration or worker order.
+does not depend on iteration order.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ def _singularize(word: str, lexicon: Lexicon) -> str:
     if word in known or not word.endswith("s") or len(word) <= 2:
         return word
     if word.endswith(("ss", "us", "is")):
-        return word
+        return word[:-1] if word[:-1] in known else word  # skis; glass, tennis
     if word.endswith("ies") and len(word) > 4:
         if word[:-1] in known:
             return word[:-1]  # cookies, movies

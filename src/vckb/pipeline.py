@@ -1,13 +1,11 @@
 """End-to-end dataset construction over a loaded corpus.
 
-Per-image builds are pure functions, so images can be processed by any
-number of workers; results are collected in corpus order and the output is
-byte-identical regardless of worker count.
+Images are built one after another, in corpus order, in the calling thread;
+each record depends only on its image, the lexicon, the KB and the export
+configuration.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .dataset import DatasetRecord, group_triples
 from .ingest import ImageEntry, KbIndex, SceneCorpus
@@ -23,10 +21,10 @@ def build_image_record(
     kb: KbIndex | None,
     config: ExportConfig,
     include_seen: bool = True,
-    include_unseen: bool = True,
 ) -> tuple[DatasetRecord, BuildDiagnostics]:
-    """Build one image's record. Seen triples are always computed; they are
-    needed to deduplicate the unseen layer even when not exported."""
+    """Build one image's record; the unseen layer is built exactly when `kb`
+    is given. Seen triples are always computed; they are needed to
+    deduplicate the unseen layer even when not exported."""
     diagnostics = BuildDiagnostics()
     objects = entry.objects
     seen = build_seen(
@@ -37,7 +35,7 @@ def build_image_record(
         seen_by_object.setdefault(triple.head.object_id, []).append(triple)
 
     unseen_by_object: dict[str, list[CommonsenseTriple]] = {}
-    if include_unseen and kb is not None:
+    if kb is not None:
         unseen_by_object = build_unseen(
             objects, seen_by_object, kb, lexicon, dedup_seen=config.dedup_unseen
         )
@@ -59,27 +57,20 @@ def build_records(
     config: ExportConfig | None = None,
     workers: int = 1,
     include_seen: bool = True,
-    include_unseen: bool = True,
 ) -> tuple[list[DatasetRecord], BuildDiagnostics]:
-    """Build records for every image, in corpus order."""
+    """Build records for every image, in corpus order, in the calling thread.
+
+    `workers` is accepted for callers that pass a worker count; it selects
+    nothing, and the output never depends on it.
+    """
     if config is None:
         config = ExportConfig()
-    entries = list(corpus.images())
-
-    def job(entry: ImageEntry):
-        return build_image_record(
-            entry, lexicon, kb, config, include_seen, include_unseen
-        )
-
-    if workers <= 1:
-        results = [job(entry) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, entries))
-
     diagnostics = BuildDiagnostics()
     records = []
-    for record, diag in results:
+    for entry in corpus.images():
+        record, image_diagnostics = build_image_record(
+            entry, lexicon, kb, config, include_seen
+        )
         records.append(record)
-        diagnostics.merge(diag)
+        diagnostics.merge(image_diagnostics)
     return records, diagnostics

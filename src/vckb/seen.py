@@ -9,7 +9,7 @@ boxes by overlap ratio.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import EmptyPhrase, NotAnNP
 from .geometry import overlap_ratio
@@ -67,7 +67,9 @@ class CommonsenseTriple:
 
 @dataclass
 class BuildDiagnostics:
-    """Skip counts accumulated over one pipeline run."""
+    """Counts accumulated over one pipeline run: four skip reasons, and
+    `tail_unmatched`, the kept PP triples whose tail names no overlapping
+    object."""
 
     unparseable: int = 0
     no_match: int = 0
@@ -76,20 +78,12 @@ class BuildDiagnostics:
     tail_unmatched: int = 0
 
     def merge(self, other: "BuildDiagnostics") -> None:
-        self.unparseable += other.unparseable
-        self.no_match += other.no_match
-        self.ambiguous += other.ambiguous
-        self.not_mapped += other.not_mapped
-        self.tail_unmatched += other.tail_unmatched
+        for field in fields(self):
+            name = field.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "unparseable": self.unparseable,
-            "no_match": self.no_match,
-            "ambiguous": self.ambiguous,
-            "not_mapped": self.not_mapped,
-            "tail_unmatched": self.tail_unmatched,
-        }
+        return asdict(self)
 
 
 def _strip_copulas(words: list[str]) -> list[str]:

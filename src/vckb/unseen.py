@@ -76,8 +76,7 @@ def dedup_against_seen(
 
 # Tail -> lemma set, per lexicon. Tails recur across objects and images, so
 # each distinct tail is tagged once; the memo holds only tails that were
-# sorted, all of which are already in memory in the KB. Threads that race on
-# a tail compute the same value.
+# sorted, all of which are already in memory in the KB.
 _TAIL_LEMMAS_CACHE: "weakref.WeakKeyDictionary[Lexicon, dict[str, frozenset[str]]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -86,7 +85,7 @@ _TAIL_LEMMAS_CACHE: "weakref.WeakKeyDictionary[Lexicon, dict[str, frozenset[str]
 def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
     memo = _TAIL_LEMMAS_CACHE.get(lexicon)
     if memo is None:
-        memo = _TAIL_LEMMAS_CACHE.setdefault(lexicon, {})
+        memo = _TAIL_LEMMAS_CACHE[lexicon] = {}
     lemmas = memo.get(tail)
     if lemmas is None:
         try:

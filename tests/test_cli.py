@@ -30,6 +30,24 @@ def test_ingest_writes_normalized_copy(fixture_paths, tmp_path, capsys):
     assert out.exists()
 
 
+def test_ingest_does_not_read_lexicon(fixture_paths, tmp_path, capsys):
+    scene, _ = fixture_paths
+    argv = ["ingest", "--scene", scene, "--lexicon", str(tmp_path / "missing")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["images"] == 50
+
+
+def test_build_seen_does_not_read_kb(fixture_paths, tmp_path):
+    scene, _ = fixture_paths
+    bad_kb = tmp_path / "bad_kb.tsv"
+    bad_kb.write_text("not\ta kb line\n", encoding="utf-8")
+    without_kb, with_bad_kb = tmp_path / "seen.tsv", tmp_path / "seen_bad_kb.tsv"
+    assert main(["build-seen", "--scene", scene, "--out", str(without_kb)]) == 0
+    argv = ["build-seen", "--scene", scene, "--kb", str(bad_kb), "--out", str(with_bad_kb)]
+    assert main(argv) == 0
+    assert with_bad_kb.read_bytes() == without_kb.read_bytes()
+
+
 def test_export_stats_query_round_trip(fixture_paths, tmp_path, capsys):
     scene, kb = fixture_paths
     data = tmp_path / "dataset.tsv"

@@ -137,6 +137,21 @@ def test_lemmatize_examples(lexicon):
     assert lemmatize("skateboard", lexicon) == "skateboard"
 
 
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        ("skis", "ski"),
+        ("taxis", "taxi"),
+        ("tennis", "tennis"),
+        ("iris", "iris"),
+        ("axis", "axis"),
+    ],
+)
+def test_is_ending_singularizes_only_to_known_noun(lexicon, word, expected):
+    """An -is word loses its s only when the stripped form is a known noun."""
+    assert _singularize(word, lexicon) == expected
+
+
 def test_lemmatize_desk_list(lexicon):
     """100 hand-checked singularizations."""
     for line in (DATA_DIR / "lemmas_100.tsv").read_text().splitlines():

@@ -59,9 +59,7 @@ def test_layer_switches(tmp_path, lexicon):
     kb_index = load_kb(kb)
     entry = corpus.image("img1")
 
-    seen_only, _ = build_image_record(
-        entry, lexicon, kb_index, ExportConfig(), include_unseen=False
-    )
+    seen_only, _ = build_image_record(entry, lexicon, None, ExportConfig())
     assert all(
         group.category.visibility is Visibility.SEEN
         for e in seen_only.entries
