@@ -12,7 +12,7 @@ import json
 import sys
 import traceback
 
-from .dataset import compute_stats, export_dataset, import_dataset, query
+from .dataset import compute_stats, import_dataset, query
 from .errors import VckbError
 from .ingest import load_kb, load_scene_corpus
 from .instructions import (
@@ -22,8 +22,18 @@ from .instructions import (
     write_instruction_samples,
 )
 from .lexicon import Lexicon
-from .pipeline import build_records
+from .pipeline import build_records, export_records
 from .taxonomy import parse_category
+
+
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -40,7 +50,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="sampling seed")
     parser.add_argument("--sep", help="separator token for joined tails")
     parser.add_argument(
-        "--workers", type=int, default=1, help="ignored; output never depends on it"
+        "--workers",
+        type=_worker_count,
+        default=1,
+        help="processes that build images for export, build-seen and build-unseen "
+        "(at most the CPU count; export-instructions builds in one process); "
+        "the output is byte-identical for every count",
     )
 
 
@@ -56,7 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("build-unseen", "build and export the unseen layer only"),
         ("export", "build and export the full dataset"),
         ("stats", "report statistics of an exported dataset"),
-        ("export-instructions", "generate instruction-tuning samples"),
+        (
+            "export-instructions",
+            "generate instruction-tuning samples (without --data, the build "
+            "runs in one process)",
+        ),
         ("query", "look up triples by object name and category"),
     ):
         command = sub.add_parser(name, help=description)
@@ -121,15 +140,15 @@ def _cmd_build(args, include_seen: bool, with_kb: bool) -> int:
     corpus, kb, lexicon = _load_inputs(args, with_kb)
     _require(args, "out")
     config = _config_from(args)
-    records, diagnostics = build_records(
+    diagnostics = export_records(
         corpus,
         lexicon,
+        args.out,
         kb=kb,
         config=config,
         workers=args.workers,
         include_seen=include_seen,
     )
-    export_dataset(records, args.out)
     _emit_diagnostics(diagnostics)
     return 0
 

@@ -1,18 +1,31 @@
 """End-to-end dataset construction over a loaded corpus.
 
-Images are built one after another, in corpus order, in the calling thread;
-each record depends only on its image, the lexicon, the KB and the export
-configuration.
+Each record depends only on its image, the lexicon, the KB and the export
+configuration, so images can be built in any process in any order and put
+back in corpus order. `build_records` builds every image in the calling
+process and returns the records. `export_records` builds contiguous chunks
+of images, in a fork-based process pool when `workers` > 1, and writes each
+chunk's record lines as it arrives, in corpus order, so the dataset is never
+held whole; its output is byte-identical for every worker count.
 """
 
 from __future__ import annotations
 
-from .dataset import DatasetRecord, group_triples
-from .ingest import ImageEntry, KbIndex, SceneCorpus
+import os
+from collections.abc import Iterator
+from typing import NamedTuple
+
+from .dataset import DatasetRecord, _record_fields, group_triples
+from .ingest import ImageEntry, KbIndex, SceneCorpus, _write_lines
 from .instructions import ExportConfig
 from .lexicon import Lexicon
 from .seen import BuildDiagnostics, CommonsenseTriple, build_seen
 from .unseen import build_unseen
+
+# Images per chunk: small enough to balance uneven images across workers and
+# to keep few lines in flight, large enough that passing a chunk's lines back
+# costs little next to building them.
+_CHUNK_IMAGES = 8
 
 
 def build_image_record(
@@ -50,6 +63,40 @@ def build_image_record(
     return DatasetRecord(image_id=entry.image_id, entries=entries), diagnostics
 
 
+class _Job(NamedTuple):
+    """Everything a build reads besides the image range."""
+
+    entries: list[ImageEntry]
+    lexicon: Lexicon
+    kb: KbIndex | None
+    config: ExportConfig
+    include_seen: bool
+
+
+def _new_job(corpus, lexicon, kb, config, workers, include_seen) -> _Job:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return _Job(
+        list(corpus.images()),
+        lexicon,
+        kb,
+        ExportConfig() if config is None else config,
+        include_seen,
+    )
+
+
+def _build_range(
+    job: _Job, start: int, stop: int, diagnostics: BuildDiagnostics
+) -> Iterator[DatasetRecord]:
+    """Yield the records of images start..stop-1, merging their diagnostics."""
+    for entry in job.entries[start:stop]:
+        record, image_diagnostics = build_image_record(
+            entry, job.lexicon, job.kb, job.config, job.include_seen
+        )
+        diagnostics.merge(image_diagnostics)
+        yield record
+
+
 def build_records(
     corpus: SceneCorpus,
     lexicon: Lexicon,
@@ -58,19 +105,101 @@ def build_records(
     workers: int = 1,
     include_seen: bool = True,
 ) -> tuple[list[DatasetRecord], BuildDiagnostics]:
-    """Build records for every image, in corpus order, in the calling thread.
+    """Build records for every image, in corpus order, in the calling process.
 
-    `workers` is accepted for callers that pass a worker count; it selects
-    nothing, and the output never depends on it.
+    `workers` must be at least 1; this in-memory build does not use it (see
+    `export_records` for the process pool).
     """
-    if config is None:
-        config = ExportConfig()
+    job = _new_job(corpus, lexicon, kb, config, workers, include_seen)
     diagnostics = BuildDiagnostics()
-    records = []
-    for entry in corpus.images():
-        record, image_diagnostics = build_image_record(
-            entry, lexicon, kb, config, include_seen
-        )
-        records.append(record)
-        diagnostics.merge(image_diagnostics)
+    records = list(_build_range(job, 0, len(job.entries), diagnostics))
     return records, diagnostics
+
+
+def _build_chunk(
+    job: _Job, bounds: tuple[int, int]
+) -> tuple[list[str], BuildDiagnostics]:
+    """The escaped record lines of one chunk of images, and its diagnostics."""
+    diagnostics = BuildDiagnostics()
+    lines = [
+        "\t".join(_record_fields(record))
+        for record in _build_range(job, *bounds, diagnostics)
+    ]
+    return lines, diagnostics
+
+
+# The job of a pool worker. Workers are forked with the job as their
+# initializer's argument, so the corpus, lexicon and KB are inherited, never
+# pickled; each task carries only a chunk's bounds.
+_worker_job: _Job | None = None
+
+
+def _start_worker(job: _Job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _build_worker_chunk(bounds: tuple[int, int]) -> tuple[list[str], BuildDiagnostics]:
+    return _build_chunk(_worker_job, bounds)
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Processes worth starting: no more than asked, CPUs, or chunks."""
+    return min(workers, os.cpu_count() or 1, chunks)
+
+
+def _built_chunks(
+    job: _Job, workers: int
+) -> Iterator[tuple[list[str], BuildDiagnostics]]:
+    """Each chunk's lines and diagnostics, in corpus order."""
+    images = len(job.entries)
+    bounds = [
+        (start, min(start + _CHUNK_IMAGES, images))
+        for start in range(0, images, _CHUNK_IMAGES)
+    ]
+    processes = _pool_size(workers, len(bounds))
+    if processes > 1:
+        # Imported here: the import costs set-up time that serial runs
+        # should not pay.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            # Unlike multiprocessing.Pool, the executor raises
+            # BrokenProcessPool when a worker dies instead of waiting forever.
+            with ProcessPoolExecutor(processes, context, _start_worker, (job,)) as pool:
+                yield from pool.map(_build_worker_chunk, bounds)
+            return
+    for chunk in bounds:
+        yield _build_chunk(job, chunk)
+
+
+def export_records(
+    corpus: SceneCorpus,
+    lexicon: Lexicon,
+    path,
+    kb: KbIndex | None = None,
+    config: ExportConfig | None = None,
+    workers: int = 1,
+    include_seen: bool = True,
+) -> BuildDiagnostics:
+    """Build every image and write its record line to `path`, in corpus order.
+
+    With `workers` > 1 and the fork start method available, up to
+    min(workers, CPUs) forked processes build the chunks; otherwise the
+    calling process does. The bytes written never depend on `workers`, and
+    the returned diagnostics are merged in corpus order. Fork copies only
+    the calling thread, so call this with more than one worker from a
+    process that runs no other threads.
+    """
+    job = _new_job(corpus, lexicon, kb, config, workers, include_seen)
+    diagnostics = BuildDiagnostics()
+
+    def lines() -> Iterator[str]:
+        for chunk_lines, chunk_diagnostics in _built_chunks(job, workers):
+            diagnostics.merge(chunk_diagnostics)
+            yield from chunk_lines
+
+    _write_lines(path, lines())
+    return diagnostics

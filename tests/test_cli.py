@@ -1,5 +1,10 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -267,11 +272,109 @@ def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("invariant violated")
 
-    monkeypatch.setattr(cli_module, "build_records", boom)
+    monkeypatch.setattr(cli_module, "export_records", boom)
     scene, kb = fixture_paths
     rc = main(["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let a two-worker export start a pool of two even on a one-CPU host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _patch_build(monkeypatch, in_child):
+    """Call in_child() before each image built outside this process.
+
+    Pool workers are forked, so they inherit the patched function.
+    """
+    import vckb.pipeline as pipeline
+
+    parent = os.getpid()
+    build = pipeline.build_image_record
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            in_child()
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_image_record", patched)
+
+
+def test_worker_counts_give_identical_export(fixture_paths, tmp_path, capsys, two_cpus):
+    scene, kb = fixture_paths
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"dataset_w{workers}.tsv"
+        argv = ["export", "--scene", scene, "--kb", kb, "--out", str(out),
+                "--seed", "13", "--workers", workers]
+        assert main(argv) == 0
+        outputs[workers] = (out.read_bytes(), capsys.readouterr().err)
+    # 50 fixture images make seven chunks.
+    assert outputs["1"] == outputs["2"]
+    assert _sha256(tmp_path / "dataset_w2.tsv") == FIXTURE_DATASET_SHA256
+
+
+def test_export_builds_images_in_worker_processes(fixture_paths, tmp_path, monkeypatch, two_cpus):
+    log = tmp_path / "pids"
+
+    def record_pid():
+        with open(log, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()}\n")
+
+    _patch_build(monkeypatch, record_pid)
+    scene, kb = fixture_paths
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
+            "--workers", "2"]
+    assert main(argv) == 0
+    pids = log.read_text(encoding="ascii").split()
+    assert len(pids) == 50  # every fixture image, none of them in this process
+    assert str(os.getpid()) not in pids
+
+
+def _raise_in_worker():
+    raise RuntimeError("invariant violated in a worker")
+
+
+def _kill_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("in_child", [_raise_in_worker, _kill_worker])
+def test_worker_failure_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch, two_cpus, in_child):
+    _patch_build(monkeypatch, in_child)
+    scene, kb = fixture_paths
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
+            "--workers", "2"]
+    assert main(argv) == 2
+    assert "internal error" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_bad_worker_count_is_usage_error(fixture_paths, tmp_path, capsys, workers):
+    scene, kb = fixture_paths
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
+            "--workers", workers]
+    assert main(argv) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # Serial runs must not pay for importing the pool machinery.
+    code = (
+        "import sys, vckb.cli; "
+        "print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_diagnostics_summary_on_stderr(fixture_paths, tmp_path, capsys):

@@ -1,12 +1,18 @@
+import os
+
+import pytest
+
 from vckb import (
     ExportConfig,
     Visibility,
     build_image_record,
     build_records,
+    export_dataset,
     load_kb,
     load_scene_corpus,
 )
 from vckb.cli import main
+from vckb.pipeline import _pool_size, export_records
 
 
 def write_inputs(tmp_path):
@@ -95,6 +101,31 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
     four, diag_four = build_records(corpus, lexicon, kb=kb_index, config=config, workers=4)
     assert one == four
     assert diag_one.as_dict() == diag_four.as_dict()
+    # The streaming export writes exactly the in-memory build's records.
+    export_dataset(one, tmp_path / "built.tsv")
+    diag_export = export_records(
+        corpus, lexicon, tmp_path / "streamed.tsv", kb=kb_index, config=config, workers=4
+    )
+    assert (tmp_path / "streamed.tsv").read_bytes() == (tmp_path / "built.tsv").read_bytes()
+    assert diag_export.as_dict() == diag_one.as_dict()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_rejected(tmp_path, lexicon, workers):
+    scene, _ = write_inputs(tmp_path)
+    corpus = load_scene_corpus(scene)
+    with pytest.raises(ValueError, match="workers"):
+        build_records(corpus, lexicon, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        export_records(corpus, lexicon, tmp_path / "out.tsv", workers=workers)
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_pool_size_is_capped():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10_000, 10_000) == cpus
+    assert _pool_size(10_000, 1) == 1
+    assert _pool_size(1, 10_000) == 1
 
 
 def test_cli_tau_boundaries(tmp_path):
