@@ -2,22 +2,25 @@
 End-to-end: corpus to dataset to instruction samples
 ====================================================
 
-Runs the bundled 50-image fixture through the whole pipeline. The CLI does
-the same: `vckb export --scene ... --kb ... --out dataset.tsv` followed by
-`vckb export-instructions --data dataset.tsv --out samples.tsv`.
+Runs the bundled 50-image fixture through the whole pipeline the way the CLI
+does, streaming: the build writes each record's line to disk as it is done,
+and the dataset file is read back one record at a time. The CLI equivalent
+is `vckb export --scene ... --kb ... --out dataset.tsv`, then `vckb stats`,
+`vckb query` and `vckb export-instructions --data dataset.tsv`.
 """
 
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 from vckb import (
     ExportConfig,
+    InstructionTemplates,
     Lexicon,
-    build_instruction_samples,
-    build_records,
     compute_stats,
-    export_dataset,
-    import_dataset,
+    export_records,
+    instruction_lines,
+    iter_dataset,
     load_kb,
     load_scene_corpus,
     query,
@@ -32,24 +35,27 @@ kb = load_kb(data / "fixture_kb.tsv")
 print(f"loaded {len(corpus)} images, {corpus.bbox_count} boxes, {len(kb)} KB edges")
 
 config = ExportConfig(m=3, k=2, j=1, seed=13)
-records, diagnostics = build_records(corpus, lexicon, kb=kb, config=config)
-print("diagnostics:", diagnostics.as_dict())
-
-print(compute_stats(records).to_json())
+templates = InstructionTemplates.load()
 
 with tempfile.TemporaryDirectory() as tmp:
     dataset_path = Path(tmp) / "dataset.tsv"
-    export_dataset(records, dataset_path)
-    again = import_dataset(dataset_path)
-    print("round-trip intact:", again == records)
+    diagnostics = export_records(corpus, lexicon, dataset_path, kb=kb, config=config)
+    print("diagnostics:", diagnostics.as_dict())
 
-# Query the built dataset.
-hits = query(records, "car", parse_category("/Unseen/Action/UsedFor"), lexicon)
-print("\ncar is used for:", sorted({t.tail for t in hits}))
+    # Each pass reads the file again; no pass holds the whole dataset.
+    print(compute_stats(iter_dataset(dataset_path)).to_json())
 
-samples = []
-for record in records[:3]:
-    samples.extend(build_instruction_samples(record, config))
-print(f"\nfirst instruction of {len(samples)} from three images:")
-print(" ", samples[0].instruction)
-print(" ", samples[0].target)
+    category = parse_category("/Unseen/Action/UsedFor")
+    hits = query(iter_dataset(dataset_path), "car", category, lexicon)
+    print("\ncar is used for:", sorted({t.tail for t in hits}))
+
+    # The lines export-instructions writes for the first three images.
+    lines = [
+        line
+        for record in islice(iter_dataset(dataset_path), 3)
+        for line in instruction_lines(record, config, templates)
+    ]
+    instruction, target = lines[0].split("\t")
+    print(f"\nfirst instruction of {len(lines)} from three images:")
+    print(" ", instruction)
+    print(" ", target)

@@ -15,6 +15,7 @@ from .dataset import (
     export_dataset,
     group_triples,
     import_dataset,
+    iter_dataset,
     query,
 )
 from .geometry import BBox, overlap_ratio
@@ -34,6 +35,7 @@ from .instructions import (
     InstructionSample,
     InstructionTemplates,
     build_instruction_samples,
+    instruction_lines,
     read_instruction_samples,
     write_instruction_samples,
 )

@@ -11,19 +11,23 @@ import argparse
 import json
 import sys
 import traceback
+from functools import partial
+from itertools import chain
 
-from .dataset import compute_stats, import_dataset, query
-from .errors import VckbError
-from .ingest import load_kb, load_scene_corpus
-from .instructions import (
-    ExportConfig,
-    InstructionTemplates,
-    build_instruction_samples,
-    write_instruction_samples,
+from .dataset import (
+    DatasetRecord,
+    ObjectEntry,
+    compute_stats,
+    iter_dataset,
+    query,
+    record_line,
 )
+from .errors import VckbError
+from .ingest import _write_lines, load_kb, load_scene_corpus
+from .instructions import ExportConfig, InstructionTemplates, instruction_lines
 from .lexicon import Lexicon
-from .pipeline import build_records, export_records
-from .taxonomy import parse_category
+from .pipeline import _dataset_line, export_records
+from .taxonomy import Visibility, parse_category
 
 
 def _worker_count(text: str) -> int:
@@ -53,9 +57,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_worker_count,
         default=1,
-        help="processes that build images for export, build-seen and build-unseen "
-        "(at most the CPU count; export-instructions builds in one process); "
-        "the output is byte-identical for every count",
+        help="processes that build images for export, build-seen, build-unseen "
+        "and export-instructions without --data (at most the CPU count); the "
+        "output is byte-identical for every count",
     )
 
 
@@ -71,11 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("build-unseen", "build and export the unseen layer only"),
         ("export", "build and export the full dataset"),
         ("stats", "report statistics of an exported dataset"),
-        (
-            "export-instructions",
-            "generate instruction-tuning samples (without --data, the build "
-            "runs in one process)",
-        ),
+        ("export-instructions", "generate instruction-tuning samples"),
         ("query", "look up triples by object name and category"),
     ):
         command = sub.add_parser(name, help=description)
@@ -106,17 +106,8 @@ def _config_from(args) -> ExportConfig:
     )
 
 
-def _load_inputs(args, with_kb: bool):
-    """Corpus, lexicon and, only when `with_kb`, the required KB."""
-    _require(args, "scene", *(["kb"] if with_kb else []))
-    lexicon = Lexicon.load(args.lexicon) if args.lexicon else Lexicon.default()
-    corpus = load_scene_corpus(args.scene)
-    kb = load_kb(args.kb) if with_kb else None
-    return corpus, kb, lexicon
-
-
-def _emit_diagnostics(diagnostics) -> None:
-    print(json.dumps({"diagnostics": diagnostics.as_dict()}), file=sys.stderr)
+def _lexicon(args) -> Lexicon:
+    return Lexicon.load(args.lexicon) if args.lexicon else Lexicon.default()
 
 
 def _cmd_ingest(args) -> int:
@@ -136,55 +127,53 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_build(args, include_seen: bool, with_kb: bool) -> int:
-    corpus, kb, lexicon = _load_inputs(args, with_kb)
+def _unseen_line(record: DatasetRecord) -> list[str]:
+    """build-unseen's renderer: the dataset line without the seen groups."""
+    unseen = Visibility.UNSEEN
+    entries = [
+        ObjectEntry(e.obj, [g for g in e.groups if g.category.visibility is unseen])
+        for e in record.entries
+    ]
+    return [record_line(DatasetRecord(record.image_id, entries))]
+
+
+def _cmd_write(args) -> int:
+    """export, build-seen, build-unseen and export-instructions: write the
+    lines each record renders to, in order, from --data or from a build."""
     _require(args, "out")
     config = _config_from(args)
+    if args.command == "export-instructions":
+        templates = InstructionTemplates.load(config.template_path)
+        render = partial(instruction_lines, config=config, templates=templates)
+        if args.data:
+            records = iter_dataset(args.data)
+            _write_lines(args.out, chain.from_iterable(map(render, records)))
+            return 0
+    else:
+        render = _unseen_line if args.command == "build-unseen" else _dataset_line
+    with_kb = args.command != "build-seen"
+    _require(args, "scene", *(["kb"] if with_kb else []))
+    lexicon = _lexicon(args)
+    corpus = load_scene_corpus(args.scene)
+    kb = load_kb(args.kb) if with_kb else None
     diagnostics = export_records(
-        corpus,
-        lexicon,
-        args.out,
-        kb=kb,
-        config=config,
-        workers=args.workers,
-        include_seen=include_seen,
+        corpus, lexicon, args.out, kb, config, workers=args.workers, render=render
     )
-    _emit_diagnostics(diagnostics)
+    print(json.dumps({"diagnostics": diagnostics.as_dict()}), file=sys.stderr)
     return 0
 
 
 def _cmd_stats(args) -> int:
     _require(args, "data")
-    records = import_dataset(args.data)
-    print(compute_stats(records).to_json())
-    return 0
-
-
-def _cmd_export_instructions(args) -> int:
-    _require(args, "out")
-    config = _config_from(args)
-    templates = InstructionTemplates.load(config.template_path)
-    if args.data:
-        records = import_dataset(args.data)
-    else:
-        corpus, kb, lexicon = _load_inputs(args, with_kb=True)
-        records, diagnostics = build_records(
-            corpus, lexicon, kb=kb, config=config, workers=args.workers
-        )
-        _emit_diagnostics(diagnostics)
-    samples = []
-    for record in records:
-        samples.extend(build_instruction_samples(record, config, templates))
-    write_instruction_samples(samples, args.out)
+    print(compute_stats(iter_dataset(args.data)).to_json())
     return 0
 
 
 def _cmd_query(args) -> int:
     _require(args, "data")
-    lexicon = Lexicon.load(args.lexicon) if args.lexicon else Lexicon.default()
+    lexicon = _lexicon(args)
     category = parse_category(args.category)
-    records = import_dataset(args.data)
-    for triple in query(records, args.name, category, lexicon):
+    for triple in query(iter_dataset(args.data), args.name, category, lexicon):
         head = triple.head
         print(
             "\t".join(
@@ -209,16 +198,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "ingest":
             return _cmd_ingest(args)
-        if args.command == "build-seen":
-            return _cmd_build(args, include_seen=True, with_kb=False)
-        if args.command == "build-unseen":
-            return _cmd_build(args, include_seen=False, with_kb=True)
-        if args.command == "export":
-            return _cmd_build(args, include_seen=True, with_kb=True)
+        if args.command in (
+            "build-seen", "build-unseen", "export", "export-instructions"
+        ):
+            return _cmd_write(args)
         if args.command == "stats":
             return _cmd_stats(args)
-        if args.command == "export-instructions":
-            return _cmd_export_instructions(args)
         if args.command == "query":
             return _cmd_query(args)
         raise AssertionError(f"unhandled command {args.command!r}")

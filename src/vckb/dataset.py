@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import InvalidCategory, MalformedRecord
@@ -104,7 +105,8 @@ def _unescape(text: str) -> str:
     return _ESCAPE_SEQUENCE.sub(lambda match: _UNESCAPES[match[0]], text)
 
 
-def _record_fields(record: DatasetRecord) -> list[str]:
+def record_line(record: DatasetRecord) -> str:
+    """The record's line of the dataset file, without its newline."""
     fields = [record.image_id, str(len(record.entries))]
     for entry in record.entries:
         obj = entry.obj
@@ -126,12 +128,12 @@ def _record_fields(record: DatasetRecord) -> list[str]:
                 fields.extend(
                     [_escape(triple.tail), triple.provenance.value, repr(triple.score)]
                 )
-    return fields
+    return "\t".join(fields)
 
 
-def export_dataset(records: list[DatasetRecord], path) -> None:
+def export_dataset(records: Iterable[DatasetRecord], path) -> None:
     """Write records one per line; byte-identical across repeat runs."""
-    _write_lines(path, ("\t".join(_record_fields(record)) for record in records))
+    _write_lines(path, map(record_line, records))
 
 
 # Position of each leaf in the canonical group order of a record.
@@ -246,12 +248,15 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
     return DatasetRecord(image_id=image_id, entries=entries)
 
 
+def iter_dataset(path) -> Iterator[DatasetRecord]:
+    """Yield the records of a dataset file one at a time, as it is read."""
+    for line_number, line in _read_lines(path):
+        yield _parse_record(_FieldReader(line.split("\t"), path, line_number))
+
+
 def import_dataset(path) -> list[DatasetRecord]:
-    """Read a dataset file written by export_dataset."""
-    return [
-        _parse_record(_FieldReader(line.split("\t"), path, line_number))
-        for line_number, line in _read_lines(path)
-    ]
+    """Read a whole dataset file written by export_dataset."""
+    return list(iter_dataset(path))
 
 
 @dataclass
@@ -273,7 +278,7 @@ class Stats:
         return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
 
-def compute_stats(records: list[DatasetRecord]) -> Stats:
+def compute_stats(records: Iterable[DatasetRecord]) -> Stats:
     """Counts over built records; category counts are distinct triples.
 
     A distinct triple is a (head name, category, tail) tuple, so the same
@@ -281,8 +286,9 @@ def compute_stats(records: list[DatasetRecord]) -> Stats:
     """
     names = set()
     distinct: dict[str, set] = {category.text: set() for category in CategoryPath}
-    bbox_count = 0
+    image_count = bbox_count = 0
     for record in records:
+        image_count += 1
         for entry in record.entries:
             bbox_count += 1
             names.add(entry.obj.name)
@@ -291,7 +297,7 @@ def compute_stats(records: list[DatasetRecord]) -> Stats:
                 for triple in group.triples:
                     bucket.add((entry.obj.name, triple.tail))
     return Stats(
-        image_count=len(records),
+        image_count=image_count,
         bbox_count=bbox_count,
         unique_object_names=len(names),
         per_category={text: len(bucket) for text, bucket in distinct.items()},
@@ -299,7 +305,7 @@ def compute_stats(records: list[DatasetRecord]) -> Stats:
 
 
 def query(
-    records: list[DatasetRecord],
+    records: Iterable[DatasetRecord],
     object_name: str,
     category: CategoryPath,
     lexicon: Lexicon,

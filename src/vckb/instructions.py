@@ -209,12 +209,21 @@ def build_instruction_samples(
     return samples
 
 
+def _sample_line(sample: InstructionSample) -> str:
+    return f"{_escape(sample.instruction)}\t{_escape(sample.target)}"
+
+
+def instruction_lines(
+    record: DatasetRecord, config: ExportConfig, templates: InstructionTemplates
+) -> list[str]:
+    """The sample lines of one record, as write_instruction_samples writes them."""
+    samples = build_instruction_samples(record, config, templates)
+    return [_sample_line(sample) for sample in samples]
+
+
 def write_instruction_samples(samples: list[InstructionSample], path) -> None:
     """One `instruction <tab> target` line per sample, escaped like datasets."""
-    _write_lines(
-        path,
-        (f"{_escape(sample.instruction)}\t{_escape(sample.target)}" for sample in samples),
-    )
+    _write_lines(path, map(_sample_line, samples))
 
 
 def read_instruction_samples(path) -> list[tuple[str, str]]:

@@ -4,18 +4,19 @@ Each record depends only on its image, the lexicon, the KB and the export
 configuration, so images can be built in any process in any order and put
 back in corpus order. `build_records` builds every image in the calling
 process and returns the records. `export_records` builds contiguous chunks
-of images, in a fork-based process pool when `workers` > 1, and writes each
-chunk's record lines as it arrives, in corpus order, so the dataset is never
-held whole; its output is byte-identical for every worker count.
+of images, in a fork-based process pool when `workers` > 1, renders each
+record to its output lines where it was built, and writes each chunk's lines
+as it arrives, in corpus order, so the dataset is never held whole; its
+output is byte-identical for every worker count.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
-from .dataset import DatasetRecord, _record_fields, group_triples
+from .dataset import DatasetRecord, group_triples, record_line
 from .ingest import ImageEntry, KbIndex, SceneCorpus, _write_lines
 from .instructions import ExportConfig
 from .lexicon import Lexicon
@@ -33,11 +34,10 @@ def build_image_record(
     lexicon: Lexicon,
     kb: KbIndex | None,
     config: ExportConfig,
-    include_seen: bool = True,
 ) -> tuple[DatasetRecord, BuildDiagnostics]:
     """Build one image's record; the unseen layer is built exactly when `kb`
-    is given. Seen triples are always computed; they are needed to
-    deduplicate the unseen layer even when not exported."""
+    is given. Seen triples are always built; they deduplicate the unseen
+    layer even where a renderer leaves them out."""
     diagnostics = BuildDiagnostics()
     objects = entry.objects
     seen = build_seen(
@@ -55,12 +55,15 @@ def build_image_record(
 
     entries = []
     for obj in objects:
-        triples = []
-        if include_seen:
-            triples.extend(seen_by_object.get(obj.object_id, []))
-        triples.extend(unseen_by_object.get(obj.object_id, []))
+        seen_triples = seen_by_object.get(obj.object_id, [])
+        triples = seen_triples + unseen_by_object.get(obj.object_id, [])
         entries.append(group_triples(obj, triples))
     return DatasetRecord(image_id=entry.image_id, entries=entries), diagnostics
+
+
+def _dataset_line(record: DatasetRecord) -> list[str]:
+    """The default renderer: the record's dataset line."""
+    return [record_line(record)]
 
 
 class _Job(NamedTuple):
@@ -70,19 +73,12 @@ class _Job(NamedTuple):
     lexicon: Lexicon
     kb: KbIndex | None
     config: ExportConfig
-    include_seen: bool
+    render: Callable[[DatasetRecord], Iterable[str]]
 
 
-def _new_job(corpus, lexicon, kb, config, workers, include_seen) -> _Job:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return _Job(
-        list(corpus.images()),
-        lexicon,
-        kb,
-        ExportConfig() if config is None else config,
-        include_seen,
-    )
+def _new_job(corpus, lexicon, kb, config, render=_dataset_line) -> _Job:
+    config = ExportConfig() if config is None else config
+    return _Job(list(corpus.images()), lexicon, kb, config, render)
 
 
 def _build_range(
@@ -91,7 +87,7 @@ def _build_range(
     """Yield the records of images start..stop-1, merging their diagnostics."""
     for entry in job.entries[start:stop]:
         record, image_diagnostics = build_image_record(
-            entry, job.lexicon, job.kb, job.config, job.include_seen
+            entry, job.lexicon, job.kb, job.config
         )
         diagnostics.merge(image_diagnostics)
         yield record
@@ -102,15 +98,9 @@ def build_records(
     lexicon: Lexicon,
     kb: KbIndex | None = None,
     config: ExportConfig | None = None,
-    workers: int = 1,
-    include_seen: bool = True,
 ) -> tuple[list[DatasetRecord], BuildDiagnostics]:
-    """Build records for every image, in corpus order, in the calling process.
-
-    `workers` must be at least 1; this in-memory build does not use it (see
-    `export_records` for the process pool).
-    """
-    job = _new_job(corpus, lexicon, kb, config, workers, include_seen)
+    """Build records for every image, in corpus order, in the calling process."""
+    job = _new_job(corpus, lexicon, kb, config)
     diagnostics = BuildDiagnostics()
     records = list(_build_range(job, 0, len(job.entries), diagnostics))
     return records, diagnostics
@@ -119,12 +109,11 @@ def build_records(
 def _build_chunk(
     job: _Job, bounds: tuple[int, int]
 ) -> tuple[list[str], BuildDiagnostics]:
-    """The escaped record lines of one chunk of images, and its diagnostics."""
+    """The rendered lines of one chunk of images, and its diagnostics."""
     diagnostics = BuildDiagnostics()
-    lines = [
-        "\t".join(_record_fields(record))
-        for record in _build_range(job, *bounds, diagnostics)
-    ]
+    lines = []
+    for record in _build_range(job, *bounds, diagnostics):
+        lines.extend(job.render(record))
     return lines, diagnostics
 
 
@@ -182,18 +171,21 @@ def export_records(
     kb: KbIndex | None = None,
     config: ExportConfig | None = None,
     workers: int = 1,
-    include_seen: bool = True,
+    render: Callable[[DatasetRecord], Iterable[str]] = _dataset_line,
 ) -> BuildDiagnostics:
-    """Build every image and write its record line to `path`, in corpus order.
+    """Build every image and write the lines `render` makes of its record to
+    `path`, in corpus order; by default, the record's dataset line.
 
     With `workers` > 1 and the fork start method available, up to
-    min(workers, CPUs) forked processes build the chunks; otherwise the
-    calling process does. The bytes written never depend on `workers`, and
-    the returned diagnostics are merged in corpus order. Fork copies only
-    the calling thread, so call this with more than one worker from a
-    process that runs no other threads.
+    min(workers, CPUs) forked processes build and render the chunks;
+    otherwise the calling process does. The bytes written never depend on
+    `workers`, and the returned diagnostics are merged in corpus order. Fork
+    copies only the calling thread, so call this with more than one worker
+    from a process that runs no other threads.
     """
-    job = _new_job(corpus, lexicon, kb, config, workers, include_seen)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    job = _new_job(corpus, lexicon, kb, config, render)
     diagnostics = BuildDiagnostics()
 
     def lines() -> Iterator[str]:

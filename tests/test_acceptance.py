@@ -407,7 +407,7 @@ def test_criterion_8_instruction_format_property():
 # 9 ------------------------------------------------------------------------
 
 
-def test_criterion_9_large_scale_reproduction(lexicon):
+def test_criterion_9_large_scale_reproduction(lexicon, tmp_path):
     scene = os.environ.get("VCKB_FULL_SCENE")
     kb = os.environ.get("VCKB_FULL_KB")
     if not scene or not kb:
@@ -418,10 +418,13 @@ def test_criterion_9_large_scale_reproduction(lexicon):
     def check():
         corpus = vckb.load_scene_corpus(scene)
         kb_index = vckb.load_kb(kb)
-        records, _ = vckb.build_records(
-            corpus, lexicon, kb=kb_index, config=ExportConfig(), workers=8
+        # Streamed to disk and read back one record at a time, so memory stays
+        # bounded at full scale.
+        dataset = tmp_path / "dataset.tsv"
+        vckb.export_records(
+            corpus, lexicon, dataset, kb=kb_index, config=ExportConfig(), workers=8
         )
-        stats = vckb.compute_stats(records)
+        stats = vckb.compute_stats(vckb.iter_dataset(dataset))
         assert stats.image_count == 106_277
         assert stats.bbox_count == 2_449_126
         assert abs(stats.unique_object_names - 18_136) / 18_136 <= 0.02

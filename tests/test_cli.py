@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from vckb import InstructionTemplates
+from vckb import InstructionTemplates, export_dataset, import_dataset
 from vckb.cli import main
 
 from conftest import DATA_DIR
@@ -107,6 +107,38 @@ def test_build_unseen_has_no_seen(fixture_paths, tmp_path, capsys):
             assert count == 0
 
 
+def test_build_unseen_is_export_without_seen_groups(fixture_paths, tmp_path, capsys):
+    scene, kb = fixture_paths
+    full, unseen = tmp_path / "full.tsv", tmp_path / "unseen.tsv"
+    for command, out in (("export", full), ("build-unseen", unseen)):
+        argv = [command, "--scene", scene, "--kb", kb, "--seed", "13", "--out", str(out)]
+        assert main(argv) == 0
+    records = import_dataset(full)
+    for record in records:
+        for entry in record.entries:
+            entry.groups = [
+                g for g in entry.groups if not g.category.text.startswith("/Seen/")
+            ]
+    expected = tmp_path / "expected.tsv"
+    export_dataset(records, expected)
+    assert unseen.read_bytes() == expected.read_bytes() != full.read_bytes()
+    assert _sha256(unseen) == FIXTURE_UNSEEN_SHA256
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["stats"], ["query", "--name", "car", "--category", "/Unseen/Action/UsedFor"]],
+    ids=["stats", "query"],
+)
+def test_malformed_dataset_prints_nothing(tmp_path, capsys, command):
+    data = tmp_path / "dataset.tsv"
+    data.write_text("img1\t0\nimg2\t0\nimg3\tx\n", encoding="utf-8")
+    assert main([*command, "--data", str(data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ":3: object count" in err
+
+
 def test_export_instructions_from_data(fixture_paths, tmp_path, capsys):
     scene, kb = fixture_paths
     data = tmp_path / "dataset.tsv"
@@ -128,6 +160,8 @@ def test_export_instructions_from_data(fixture_paths, tmp_path, capsys):
 # that alters either file on purpose updates these values and records why.
 FIXTURE_DATASET_SHA256 = "0d269430f3c35ff56b9d9c79cf811ddcb06ea6f6b0f3365ff09f5bceb6e76241"
 FIXTURE_SAMPLES_SHA256 = "fcdc496bcfa7da88e19f3c1d44139226d4fc4e5387dc776c667d0a6cba483857"
+# sha256 of the fixture's build-unseen output with --seed 13.
+FIXTURE_UNSEEN_SHA256 = "85f2cd211ce2c2c2b7a66d2c09149b7357fb65ddc5820eb119788b218dab9aa8"
 
 
 @pytest.fixture(scope="module")
@@ -317,20 +351,43 @@ def test_worker_counts_give_identical_export(fixture_paths, tmp_path, capsys, tw
     assert _sha256(tmp_path / "dataset_w2.tsv") == FIXTURE_DATASET_SHA256
 
 
-def test_export_builds_images_in_worker_processes(fixture_paths, tmp_path, monkeypatch, two_cpus):
-    log = tmp_path / "pids"
+def _log_child_pids(monkeypatch, log):
+    """Append to log the pid of every other process that builds an image."""
 
     def record_pid():
         with open(log, "a", encoding="ascii") as handle:
             handle.write(f"{os.getpid()}\n")
 
     _patch_build(monkeypatch, record_pid)
+
+
+def test_export_builds_images_in_worker_processes(fixture_paths, tmp_path, monkeypatch, two_cpus):
+    log = tmp_path / "pids"
+    _log_child_pids(monkeypatch, log)
     scene, kb = fixture_paths
     argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
             "--workers", "2"]
     assert main(argv) == 0
     pids = log.read_text(encoding="ascii").split()
     assert len(pids) == 50  # every fixture image, none of them in this process
+    assert str(os.getpid()) not in pids
+
+
+def test_export_instructions_builds_in_worker_processes(
+    fixture_paths, tmp_path, monkeypatch, two_cpus
+):
+    log = tmp_path / "pids"
+    _log_child_pids(monkeypatch, log)
+    scene, kb = fixture_paths
+    for workers in ("1", "2"):
+        out = tmp_path / f"samples_w{workers}.tsv"
+        argv = ["export-instructions", "--scene", scene, "--kb", kb, "--out", str(out),
+                "--m", "3", "--k", "2", "--j", "1", "--seed", "13",
+                "--workers", workers]
+        assert main(argv) == 0
+        assert _sha256(out) == FIXTURE_SAMPLES_SHA256
+    pids = log.read_text(encoding="ascii").split()
+    assert len(pids) == 50  # the two-worker run built every image, none in this process
     assert str(os.getpid()) not in pids
 
 

@@ -11,6 +11,7 @@ from vckb import (
     export_dataset,
     group_triples,
     import_dataset,
+    iter_dataset,
     parse_category,
     query,
 )
@@ -85,7 +86,21 @@ def test_entry_rejects_foreign_head():
 def test_round_trip(sample_records, tmp_path):
     path = tmp_path / "dataset.tsv"
     export_dataset(sample_records, path)
-    assert import_dataset(path) == sample_records
+    records = import_dataset(path)
+    # A list, not a one-pass iterator: callers such as the benchmark's output
+    # check iterate the result more than once.
+    assert isinstance(records, list)
+    assert records == sample_records
+
+
+def test_iter_dataset_yields_records_before_a_malformed_line(tmp_path):
+    path = tmp_path / "dataset.tsv"
+    path.write_text("img1\t0\nimg2\t0\nimg3\tx\nimg4\t0\n", encoding="utf-8")
+    records = iter_dataset(path)
+    assert [next(records).image_id, next(records).image_id] == ["img1", "img2"]
+    with pytest.raises(MalformedRecord, match=":3: object count") as excinfo:
+        next(records)
+    assert excinfo.value.line_number == 3
 
 
 def test_import_drops_byte_order_mark(sample_records, tmp_path):

@@ -8,6 +8,7 @@ from vckb import (
     build_image_record,
     build_records,
     export_dataset,
+    import_dataset,
     load_kb,
     load_scene_corpus,
 )
@@ -62,7 +63,6 @@ def test_unseen_dedup_flag(tmp_path, lexicon):
 def test_layer_switches(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
     corpus = load_scene_corpus(scene)
-    kb_index = load_kb(kb)
     entry = corpus.image("img1")
 
     seen_only, _ = build_image_record(entry, lexicon, None, ExportConfig())
@@ -72,9 +72,11 @@ def test_layer_switches(tmp_path, lexicon):
         for group in e.groups
     )
 
-    unseen_only, _ = build_image_record(
-        entry, lexicon, kb_index, ExportConfig(), include_seen=False
-    )
+    # build-unseen builds the full record and writes only its unseen groups.
+    out = tmp_path / "unseen.tsv"
+    argv = ["build-unseen", "--scene", str(scene), "--kb", str(kb), "--out", str(out)]
+    assert main(argv) == 0
+    unseen_only = import_dataset(out)[0]
     assert all(
         group.category.visibility is Visibility.UNSEEN
         for e in unseen_only.entries
@@ -97,24 +99,27 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
     corpus = load_scene_corpus(scene)
     kb_index = load_kb(kb)
     config = ExportConfig(seed=3)
-    one, diag_one = build_records(corpus, lexicon, kb=kb_index, config=config, workers=1)
-    four, diag_four = build_records(corpus, lexicon, kb=kb_index, config=config, workers=4)
-    assert one == four
-    assert diag_one.as_dict() == diag_four.as_dict()
+    built, diag_built = build_records(corpus, lexicon, kb=kb_index, config=config)
+    export_dataset(built, tmp_path / "built.tsv")
+    streamed = {}
+    for workers in (1, 4):
+        path = tmp_path / f"streamed_w{workers}.tsv"
+        diagnostics = export_records(
+            corpus, lexicon, path, kb=kb_index, config=config, workers=workers
+        )
+        streamed[workers] = (import_dataset(path), diagnostics.as_dict())
+    assert streamed[1] == streamed[4]
     # The streaming export writes exactly the in-memory build's records.
-    export_dataset(one, tmp_path / "built.tsv")
-    diag_export = export_records(
-        corpus, lexicon, tmp_path / "streamed.tsv", kb=kb_index, config=config, workers=4
-    )
-    assert (tmp_path / "streamed.tsv").read_bytes() == (tmp_path / "built.tsv").read_bytes()
-    assert diag_export.as_dict() == diag_one.as_dict()
+    assert streamed[4][0] == built
+    assert (tmp_path / "streamed_w4.tsv").read_bytes() == (tmp_path / "built.tsv").read_bytes()
+    assert streamed[4][1] == diag_built.as_dict()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_is_rejected(tmp_path, lexicon, workers):
     scene, _ = write_inputs(tmp_path)
     corpus = load_scene_corpus(scene)
-    with pytest.raises(ValueError, match="workers"):
+    with pytest.raises(TypeError, match="workers"):  # only export_records takes workers
         build_records(corpus, lexicon, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         export_records(corpus, lexicon, tmp_path / "out.tsv", workers=workers)
