@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from functools import partial
-from itertools import chain
 
 from .dataset import (
     DatasetRecord,
@@ -23,10 +23,10 @@ from .dataset import (
     record_line,
 )
 from .errors import VckbError
-from .ingest import _write_lines, load_kb, load_scene_corpus
+from .ingest import load_kb, load_scene_corpus
 from .instructions import ExportConfig, InstructionTemplates, instruction_lines
 from .lexicon import Lexicon
-from .pipeline import _dataset_line, export_records
+from .pipeline import _dataset_line, export_records, render_dataset
 from .taxonomy import Visibility, parse_category
 
 
@@ -56,10 +56,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_worker_count,
-        default=1,
-        help="processes that build images for export, build-seen, build-unseen "
-        "and export-instructions without --data (at most the CPU count); the "
-        "output is byte-identical for every count",
+        default=os.cpu_count() or 1,
+        help="processes that build the images of export, build-seen, "
+        "build-unseen and export-instructions, or that read the records of "
+        "export-instructions --data (default: the CPU count, which also caps "
+        "it); the output is byte-identical for every count",
     )
 
 
@@ -146,8 +147,7 @@ def _cmd_write(args) -> int:
         templates = InstructionTemplates.load(config.template_path)
         render = partial(instruction_lines, config=config, templates=templates)
         if args.data:
-            records = iter_dataset(args.data)
-            _write_lines(args.out, chain.from_iterable(map(render, records)))
+            render_dataset(args.data, args.out, render, workers=args.workers)
             return 0
     else:
         render = _unseen_line if args.command == "build-unseen" else _dataset_line

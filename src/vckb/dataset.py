@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidCategory, MalformedRecord
 from .geometry import BBox
-from .ingest import GroundedObject, _normalize_name, _read_lines, _write_lines
+from .ingest import (
+    GroundedObject,
+    _line_chunks,
+    _normalize_name,
+    _read_lines,
+    _write_lines,
+)
 from .lexicon import Lexicon
 from .phrase import lemmatize
 from .seen import CommonsenseTriple, Provenance
@@ -248,10 +254,17 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
     return DatasetRecord(image_id=image_id, entries=entries)
 
 
+def _chunk_records(path, chunk) -> Iterator[DatasetRecord]:
+    """Yield the records of one chunk of a dataset file, a range from
+    `_line_chunks`; errors name the line's number in the whole file."""
+    for line_number, line in _read_lines(path, chunk):
+        yield _parse_record(_FieldReader(line.split("\t"), path, line_number))
+
+
 def iter_dataset(path) -> Iterator[DatasetRecord]:
     """Yield the records of a dataset file one at a time, as it is read."""
-    for line_number, line in _read_lines(path):
-        yield _parse_record(_FieldReader(line.split("\t"), path, line_number))
+    for chunk in _line_chunks(path):
+        yield from _chunk_records(path, chunk)
 
 
 def import_dataset(path) -> list[DatasetRecord]:

@@ -21,6 +21,12 @@ class MalformedRecord(VckbError):
         super().__init__(f"{path}:{line_number}: {message}")
         self.path = str(path)
         self.line_number = line_number
+        self.message = message
+
+    def __reduce__(self):
+        # Pickling rebuilds an exception from its args, here only the joined
+        # text; a worker process must hand back all three fields.
+        return type(self), (self.path, self.line_number, self.message)
 
 
 class DanglingReference(VckbError):

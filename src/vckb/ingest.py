@@ -26,6 +26,7 @@ predicates, attribute text, KB heads and tails, and query names.
 from __future__ import annotations
 
 import enum
+import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -39,26 +40,76 @@ def _normalize_name(text: str) -> str:
     return " ".join(text.replace("_", " ").lower().split())
 
 
-def _read_lines(path):
-    """Yield (line number, line) for each non-blank line, newline removed."""
+# Bytes per chunk of a line file read in parallel: enough records that a task
+# costs little next to parsing them, few enough that two workers stay balanced
+# and the lines in flight stay small.
+_CHUNK_BYTES = 1 << 18
+
+
+def _line_chunks(path) -> list[tuple[int, int, int]]:
+    """Cut a line file into (byte start, byte stop, first line number) ranges.
+
+    Each range holds about `_CHUNK_BYTES` and ends just after a newline (or
+    at the end of the file), so no line, and no CRLF pair, straddles two
+    ranges. Line numbers count line ends as universal-newline text mode does:
+    LF, CRLF and a lone CR each end one line.
+    """
+    chunks = []
+    start, first_line = 0, 1
     try:
-        # Text mode decodes in chunks, far cheaper than per line; -sig drops a BOM.
-        with open(path, encoding="utf-8-sig") as handle:
-            for line_number, raw in enumerate(handle, start=1):
+        with open(path, "rb") as handle:
+            while block := handle.read(_CHUNK_BYTES):
+                block += handle.readline()
+                stop = start + len(block)
+                chunks.append((start, stop, first_line))
+                first_line += (
+                    block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+                )
+                start = stop
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return chunks
+
+
+def _open_lines(handle, chunk, errors: str):
+    """A text reader over a binary handle's whole file, or over one chunk of it."""
+    start, stop, _ = chunk
+    if stop is not None:
+        handle.seek(start)
+        handle = io.BytesIO(handle.read(stop - start))
+    # -sig drops a BOM, which only the file's first byte can open.
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    return io.TextIOWrapper(handle, encoding=encoding, errors=errors)
+
+
+def _read_lines(path, chunk=(0, None, 1)):
+    """Yield (line number, line) for each non-blank line, newline removed.
+
+    By default the whole file is read; a chunk from `_line_chunks` reads only
+    its byte range, and line numbers stay those of the whole file.
+    """
+    try:
+        # Text mode decodes in blocks, far cheaper than per line.
+        with open(path, "rb") as handle:
+            lines = _open_lines(handle, chunk, "strict")
+            for line_number, raw in enumerate(lines, start=chunk[2]):
                 line = raw.rstrip("\n")
                 if line.strip():
                     yield line_number, line
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
-        raise MalformedRecord(path, _undecodable_line(path), "not valid UTF-8") from None
+        line_number = _undecodable_line(path, chunk)
+        raise MalformedRecord(path, line_number, "not valid UTF-8") from None
 
 
-def _undecodable_line(path) -> int | None:
-    """Number of the first line that is not valid UTF-8, lines split as in `_read_lines`."""
+def _undecodable_line(path, chunk) -> int | None:
+    """Number of the first line of chunk that is not valid UTF-8, lines split
+    as in `_read_lines`."""
     # surrogateescape turns each bad byte into a lone surrogate, which cannot be encoded.
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle, start=1):
+    with open(path, "rb") as handle:
+        lines = _open_lines(handle, chunk, "surrogateescape")
+        for line_number, line in enumerate(lines, start=chunk[2]):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:

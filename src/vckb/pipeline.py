@@ -1,23 +1,26 @@
-"""End-to-end dataset construction over a loaded corpus.
+"""End-to-end dataset construction, and the chunked stream every write uses.
 
 Each record depends only on its image, the lexicon, the KB and the export
 configuration, so images can be built in any process in any order and put
 back in corpus order. `build_records` builds every image in the calling
 process and returns the records. `export_records` builds contiguous chunks
-of images, in a fork-based process pool when `workers` > 1, renders each
-record to its output lines where it was built, and writes each chunk's lines
-as it arrives, in corpus order, so the dataset is never held whole; its
-output is byte-identical for every worker count.
+of images; `render_dataset` reads a dataset file in byte ranges of whole
+lines. Both go through one ordered map, run in a fork-based process pool
+when `workers` > 1: each chunk is turned into its output lines where it was
+built or read, and each chunk's lines are written as they arrive, in order,
+so the dataset is never held whole. The output is byte-identical for every
+worker count.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from typing import NamedTuple
 
-from .dataset import DatasetRecord, group_triples, record_line
-from .ingest import ImageEntry, KbIndex, SceneCorpus, _write_lines
+from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
+from .ingest import ImageEntry, KbIndex, SceneCorpus, _line_chunks, _write_lines
 from .instructions import ExportConfig
 from .lexicon import Lexicon
 from .seen import BuildDiagnostics, CommonsenseTriple, build_seen
@@ -117,19 +120,34 @@ def _build_chunk(
     return lines, diagnostics
 
 
-# The job of a pool worker. Workers are forked with the job as their
-# initializer's argument, so the corpus, lexicon and KB are inherited, never
-# pickled; each task carries only a chunk's bounds.
-_worker_job: _Job | None = None
+def _render_data_chunk(
+    data, render: Callable[[DatasetRecord], Iterable[str]], chunk: tuple[int, int, int]
+) -> tuple[list[str], BuildDiagnostics]:
+    """The rendered lines of one byte range of a dataset file; it builds
+    nothing, so its diagnostics are empty."""
+    lines = []
+    for record in _chunk_records(data, chunk):
+        lines.extend(render(record))
+    return lines, BuildDiagnostics()
 
 
-def _start_worker(job: _Job) -> None:
-    global _worker_job
-    _worker_job = job
+# A chunk task: a chunk's bounds to its lines and diagnostics.
+_Task = Callable[[tuple[int, ...]], tuple[list[str], BuildDiagnostics]]
+
+# The task of a pool worker. Workers are forked with the task as their
+# initializer's argument, so what it reads (the corpus, lexicon and KB, or a
+# dataset file's path and the renderer) is inherited, never pickled; each
+# task carries only a chunk's bounds.
+_worker_task: _Task | None = None
 
 
-def _build_worker_chunk(bounds: tuple[int, int]) -> tuple[list[str], BuildDiagnostics]:
-    return _build_chunk(_worker_job, bounds)
+def _start_worker(task: _Task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_worker_task(bounds: tuple[int, ...]) -> tuple[list[str], BuildDiagnostics]:
+    return _worker_task(bounds)
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -137,15 +155,10 @@ def _pool_size(workers: int, chunks: int) -> int:
     return min(workers, os.cpu_count() or 1, chunks)
 
 
-def _built_chunks(
-    job: _Job, workers: int
+def _chunk_results(
+    task: _Task, bounds: list[tuple[int, ...]], workers: int
 ) -> Iterator[tuple[list[str], BuildDiagnostics]]:
-    """Each chunk's lines and diagnostics, in corpus order."""
-    images = len(job.entries)
-    bounds = [
-        (start, min(start + _CHUNK_IMAGES, images))
-        for start in range(0, images, _CHUNK_IMAGES)
-    ]
+    """task(chunk) for each chunk in bounds, in order."""
     processes = _pool_size(workers, len(bounds))
     if processes > 1:
         # Imported here: the import costs set-up time that serial runs
@@ -157,11 +170,28 @@ def _built_chunks(
             context = multiprocessing.get_context("fork")
             # Unlike multiprocessing.Pool, the executor raises
             # BrokenProcessPool when a worker dies instead of waiting forever.
-            with ProcessPoolExecutor(processes, context, _start_worker, (job,)) as pool:
-                yield from pool.map(_build_worker_chunk, bounds)
+            with ProcessPoolExecutor(processes, context, _start_worker, (task,)) as pool:
+                yield from pool.map(_run_worker_task, bounds)
             return
     for chunk in bounds:
-        yield _build_chunk(job, chunk)
+        yield task(chunk)
+
+
+def _write_chunks(
+    path, task: _Task, bounds: list[tuple[int, ...]], workers: int
+) -> BuildDiagnostics:
+    """Write each chunk's lines to path in order; return the merged diagnostics."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    diagnostics = BuildDiagnostics()
+
+    def lines() -> Iterator[str]:
+        for chunk_lines, chunk_diagnostics in _chunk_results(task, bounds, workers):
+            diagnostics.merge(chunk_diagnostics)
+            yield from chunk_lines
+
+    _write_lines(path, lines())
+    return diagnostics
 
 
 def export_records(
@@ -183,15 +213,29 @@ def export_records(
     copies only the calling thread, so call this with more than one worker
     from a process that runs no other threads.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     job = _new_job(corpus, lexicon, kb, config, render)
-    diagnostics = BuildDiagnostics()
+    images = len(job.entries)
+    bounds = [
+        (start, min(start + _CHUNK_IMAGES, images))
+        for start in range(0, images, _CHUNK_IMAGES)
+    ]
+    return _write_chunks(path, partial(_build_chunk, job), bounds, workers)
 
-    def lines() -> Iterator[str]:
-        for chunk_lines, chunk_diagnostics in _built_chunks(job, workers):
-            diagnostics.merge(chunk_diagnostics)
-            yield from chunk_lines
 
-    _write_lines(path, lines())
-    return diagnostics
+def render_dataset(
+    data,
+    path,
+    render: Callable[[DatasetRecord], Iterable[str]],
+    workers: int = 1,
+) -> None:
+    """Write the lines `render` makes of each record of the dataset file
+    `data` to `path`, in file order.
+
+    The file is cut into byte ranges of whole lines, and with `workers` > 1
+    forked processes parse and render the ranges as `export_records` builds
+    its chunks; the bytes written never depend on `workers`. A malformed line
+    raises `MalformedRecord` naming its line once the ranges before it are
+    written.
+    """
+    task = partial(_render_data_chunk, data, render)
+    _write_chunks(path, task, _line_chunks(data), workers)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import vckb.ingest as ingest
 from vckb import InstructionTemplates, export_dataset, import_dataset
 from vckb.cli import main
 
@@ -319,22 +320,23 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
-def _patch_build(monkeypatch, in_child):
-    """Call in_child() before each image built outside this process.
+def _patch_build(monkeypatch, in_child, name="build_image_record"):
+    """Call in_child() before each image built outside this process, or,
+    with name "_chunk_records", before each dataset range read outside it.
 
     Pool workers are forked, so they inherit the patched function.
     """
     import vckb.pipeline as pipeline
 
     parent = os.getpid()
-    build = pipeline.build_image_record
+    build = getattr(pipeline, name)
 
     def patched(*args, **kwargs):
         if os.getpid() != parent:
             in_child()
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "build_image_record", patched)
+    monkeypatch.setattr(pipeline, name, patched)
 
 
 def test_worker_counts_give_identical_export(fixture_paths, tmp_path, capsys, two_cpus):
@@ -351,14 +353,15 @@ def test_worker_counts_give_identical_export(fixture_paths, tmp_path, capsys, tw
     assert _sha256(tmp_path / "dataset_w2.tsv") == FIXTURE_DATASET_SHA256
 
 
-def _log_child_pids(monkeypatch, log):
-    """Append to log the pid of every other process that builds an image."""
+def _log_child_pids(monkeypatch, log, name="build_image_record"):
+    """Append to log the pid of every other process that builds an image
+    (or reads a dataset range, as in `_patch_build`)."""
 
     def record_pid():
         with open(log, "a", encoding="ascii") as handle:
             handle.write(f"{os.getpid()}\n")
 
-    _patch_build(monkeypatch, record_pid)
+    _patch_build(monkeypatch, record_pid, name)
 
 
 def test_export_builds_images_in_worker_processes(fixture_paths, tmp_path, monkeypatch, two_cpus):
@@ -389,6 +392,52 @@ def test_export_instructions_builds_in_worker_processes(
     pids = log.read_text(encoding="ascii").split()
     assert len(pids) == 50  # the two-worker run built every image, none in this process
     assert str(os.getpid()) not in pids
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Cut the 50-line, 68 KB fixture export into 13 byte ranges."""
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 4096)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "8", None], ids=lambda w: f"workers-{w}")
+def test_export_instructions_from_data_at_every_worker_count(
+    fixture_export, tmp_path, monkeypatch, two_cpus, small_chunks, workers
+):
+    log = tmp_path / "pids"
+    _log_child_pids(monkeypatch, log, "_chunk_records")
+    samples = tmp_path / "samples.tsv"
+    argv = ["export-instructions", "--data", str(fixture_export), "--out", str(samples),
+            "--m", "3", "--k", "2", "--j", "1", "--seed", "13"]
+    if workers is not None:
+        argv += ["--workers", workers]
+    assert main(argv) == 0
+    assert _sha256(samples) == FIXTURE_SAMPLES_SHA256
+    ranges = len(ingest._line_chunks(fixture_export))
+    pids = log.read_text(encoding="ascii").split() if log.exists() else []
+    # The default is the CPU count, two here: every range is read in a worker.
+    assert len(pids) == (0 if workers == "1" else ranges)
+
+
+def test_malformed_data_line_is_input_error_at_every_worker_count(
+    fixture_export, tmp_path, capsys, two_cpus, small_chunks
+):
+    lines = fixture_export.read_bytes().splitlines(keepends=True)
+    lines[39] = lines[39].replace(b"\n", b"\textra\n")
+    data = tmp_path / "dataset.tsv"
+    data.write_bytes(b"".join(lines))
+    assert ingest._line_chunks(data)[2][2] < 40  # line 40 lies in a later range
+    results = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"samples_w{workers}.tsv"
+        argv = ["export-instructions", "--data", str(data), "--out", str(out),
+                "--m", "3", "--k", "2", "--j", "1", "--seed", "13", "--workers", workers]
+        assert main(argv) == 1
+        results[workers] = (capsys.readouterr().err, out.read_bytes())
+    assert results["1"] == results["2"]
+    err, samples = results["1"]
+    assert err == f"error: {data}:40: trailing fields after record\n"
+    assert samples  # the ranges before line 40's were written
 
 
 def _raise_in_worker():

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vckb.ingest as ingest
 from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
+from vckb.ingest import _line_chunks, _read_lines
 
 
 def test_toy_corpus_counts(toy_scene):
@@ -318,3 +320,53 @@ def test_bom_kb_keeps_first_head(tmp_path):
     path.write_text("car\tUsedFor\tdrive\ncar\tIsA\tvehicle\n", encoding="utf-8-sig")
     ((tail, _),) = load_kb(path).lookup("car", "UsedFor")
     assert tail == "drive"
+
+
+def _chunked_lines(path):
+    """Every (line number, line) of path, read one `_line_chunks` range at a time."""
+    return [pair for chunk in _line_chunks(path) for pair in _read_lines(path, chunk)]
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Cut line files into one-line chunks: each range ends at its first newline."""
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1)
+
+
+@pytest.mark.parametrize(
+    "data, lines",
+    [
+        # A BOM is dropped only at byte 0; a U+FEFF opening a later chunk stays.
+        (b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n", [(1, "a"), (2, "\ufeffb")]),
+        # CRLF and a lone CR each end one line, as in text mode.
+        (b"a\r\nb\rc\r\nd\n", [(1, "a"), (2, "b"), (3, "c"), (4, "d")]),
+        (b"a\n\n  \n\r\nb\n", [(1, "a"), (5, "b")]),
+        (b"a\nb", [(1, "a"), (2, "b")]),
+        (b"", []),
+    ],
+    ids=["bom", "crlf-and-cr", "blank-lines", "no-final-newline", "empty"],
+)
+def test_chunked_read_equals_whole_read(tmp_path, tiny_chunks, data, lines):
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(data)
+    assert list(_read_lines(path)) == lines
+    assert _chunked_lines(path) == lines
+
+
+def test_line_chunks_cut_after_newlines(tmp_path, tiny_chunks):
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(b"ab\r\ncd\ref\ngh")
+    assert _line_chunks(path) == [(0, 4, 1), (4, 10, 2), (10, 12, 4)]
+
+
+def test_invalid_utf8_in_a_later_chunk_reports_absolute_line(tmp_path, tiny_chunks):
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(b"a\r\n\nb\rc\n\xc3(\n")
+    *first, last = _line_chunks(path)
+    assert [pair for chunk in first for pair in _read_lines(path, chunk)] == [
+        (1, "a"), (3, "b"), (4, "c")
+    ]
+    with pytest.raises(MalformedRecord) as excinfo:
+        list(_read_lines(path, last))
+    assert excinfo.value.line_number == 5
+    assert "not valid UTF-8" in str(excinfo.value)
