@@ -30,7 +30,7 @@ kb = KbIndex([
     KbEdge("man", "CapableOf", "grow up", 2.0),
     KbEdge("man", "ReceivesAction", "hit by a car", 1.0),
     KbEdge("man", "LocatedNear", "sofa", 1.0),
-    KbEdge("man", "AtLocation", "office", 5.0),   # out-of-scope relation
+    KbEdge("man", "AtLocation", "office", 5.0),   # out-of-scope relation: not indexed
     KbEdge("men", "CapableOf", "vote", 1.0),      # found via the synset's plural form
 ])
 

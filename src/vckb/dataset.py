@@ -11,8 +11,9 @@ An object's groups are unique and in canonical category order (the
 declaration order of ``CategoryPath``); the reader rejects any other order.
 Backslash, tab, newline, and carriage return inside text fields are escaped
 as ``\\\\``, ``\\t``, ``\\n``, and ``\\r``. Scores are written with ``repr``
-so floats round-trip exactly; repeated runs over identical inputs are
-byte-identical.
+so floats round-trip exactly, and the reader rejects a score that is not a
+finite, non-negative number, as the KB loader rejects such a weight;
+repeated runs over identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .ingest import (
     GroundedObject,
     _line_chunks,
     _normalize_name,
+    _parse_weight,
     _read_lines,
     _write_lines,
 )
@@ -225,15 +227,9 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
                         reader.line_number,
                         f"unknown provenance {provenance_text!r}",
                     ) from None
-                score_text = reader.take("score")
-                try:
-                    score = float(score_text)
-                except ValueError:
-                    raise MalformedRecord(
-                        reader.path,
-                        reader.line_number,
-                        f"score is not a number: {score_text!r}",
-                    ) from None
+                score = _parse_weight(
+                    reader.take("score"), reader.path, reader.line_number, "score"
+                )
                 try:
                     triples.append(
                         CommonsenseTriple(

@@ -16,7 +16,9 @@ contain tabs or newlines; blank lines are skipped.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
 with an optional weight column (default 1.0). Head, relation and tail must
-be non-empty, and the weight must be a finite, non-negative number.
+be non-empty, and the weight must be a finite, non-negative number. Every
+line is validated and counted, but only edges of the six relations the
+unseen layer reads are indexed; rows of any other relation are dropped.
 
 Every line file vckb reads or writes goes through `_read_lines` or
 `_write_lines`, and `_normalize_name` is the one normalizer of object names,
@@ -158,7 +160,8 @@ class Region:
 
 
 class KbEdge(NamedTuple):
-    """One KB row; `KbIndex` accepts any iterable of such 4-tuples."""
+    """One KB row; `KbIndex` accepts any iterable of such 4-tuples, and
+    indexes those whose relation the unseen layer reads."""
 
     head: str
     relation: str
@@ -237,6 +240,20 @@ def _parse_int(value: str, path, line_number, what: str) -> int:
         return int(value)
     except ValueError:
         raise MalformedRecord(path, line_number, f"{what} is not an integer: {value!r}")
+
+
+def _parse_weight(value: str, path, line_number, what: str) -> float:
+    """A finite, non-negative number: a KB edge weight or a dataset score."""
+    try:
+        weight = float(value)
+    except ValueError:
+        raise MalformedRecord(path, line_number, f"{what} is not a number: {value!r}") from None
+    # The chained comparison is false for nan as well.
+    if not 0 <= weight < math.inf:
+        raise MalformedRecord(
+            path, line_number, f"{what} must be a finite, non-negative number: {value!r}"
+        )
+    return weight
 
 
 def _parse_bbox(fields: list[str], path, line_number) -> BBox:
@@ -367,24 +384,34 @@ def _validate_integrity(
 
 
 class KbIndex:
-    """KB edges as (tail, weight) pairs keyed by (normalized head name, relation)."""
+    """KB edges as (tail, weight) pairs keyed by (normalized head name, relation).
+
+    Only edges of the relations the unseen layer reads
+    (`taxonomy.UNSEEN_KB_RELATIONS`) are kept; `len` counts every edge given.
+    """
 
     def __init__(self, rows: Iterable[tuple[str, str, str, float]]):
-        self._edge_count = 0
+        # A local import: taxonomy -> phrase -> lexicon imports this module.
+        from .taxonomy import UNSEEN_KB_RELATIONS
+
+        admitted = frozenset(UNSEEN_KB_RELATIONS)
         self._by_key: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-        for head, relation, tail, weight in rows:
-            self._by_key.setdefault((head, relation), []).append((tail, weight))
+        count = 0
+        for count, (head, relation, tail, weight) in enumerate(rows, 1):
+            if relation in admitted:
+                self._by_key.setdefault((head, relation), []).append((tail, weight))
+        self._edge_count = count
         # Freeze each bucket in place, so that the lists are freed one by one
         # and never coexist in full with the tuples (KB load sets peak memory).
         for key, bucket in self._by_key.items():
-            self._edge_count += len(bucket)
             self._by_key[key] = tuple(bucket)
 
     def __len__(self) -> int:
         return self._edge_count
 
     def lookup(self, head: str, relation: str) -> tuple[tuple[str, float], ...]:
-        """The (tail, weight) pairs of one key in file order, or ()."""
+        """The (tail, weight) pairs of one key in file order; () for a key
+        without edges and for any relation the index does not keep."""
         return self._by_key.get((head, relation), ())
 
 
@@ -416,24 +443,15 @@ def _kb_rows(path):
             )
         weight = 1.0
         if len(fields) == 4:
-            try:
-                weight = float(fields[3])
-            except ValueError:
-                raise MalformedRecord(
-                    path, line_number, f"weight is not a number: {fields[3]!r}"
-                ) from None
-            # The chained comparison is false for nan as well.
-            if not 0 <= weight < math.inf:
-                raise MalformedRecord(
-                    path,
-                    line_number,
-                    f"weight must be a finite, non-negative number: {fields[3]!r}",
-                )
+            weight = _parse_weight(fields[3], path, line_number, "weight")
         yield head, relation, tail, weight
 
 
 def load_kb(path) -> KbIndex:
     """Load a tab-separated KB edge file in one pass.
+
+    Every row is validated and counted in `len`, whatever its relation, but
+    only rows of the unseen layer's relations are indexed.
 
     Raises MalformedRecord (with line number) for a row without three or four
     columns, an empty head, relation or tail, or a weight that is not a

@@ -80,7 +80,8 @@ def parse_category(text: str) -> CategoryPath:
 
 
 # External-KB relation labels admitted into the unseen layer. All other
-# labels are ignored (mapped to None, not an error).
+# labels are ignored (mapped to None, not an error), and `ingest.KbIndex`
+# does not index their edges.
 _KB_RELATION_TABLE = {
     leaf.relation.value: leaf for leaf in CategoryPath if leaf.visibility is Visibility.UNSEEN
 }

@@ -171,6 +171,18 @@ def test_import_rejects_noncanonical_groups(tmp_path, groups):
     assert excinfo.value.line_number == 2
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-1"])
+def test_import_rejects_score_that_is_not_a_weight(tmp_path, score):
+    path = tmp_path / "dataset.tsv"
+    group = f"/Unseen/Action/CapableOf\t1\tgrow up\tkb_retrieval\t{score}"
+    path.write_text(
+        "img1\t0\n" f"img2\t1\to1\tman\t0\t0\t5\t5\t1\t{group}\n", encoding="utf-8"
+    )
+    with pytest.raises(MalformedRecord, match="finite, non-negative") as excinfo:
+        import_dataset(path)
+    assert excinfo.value.line_number == 2
+
+
 def test_stats_empty():
     stats = compute_stats([])
     assert stats.image_count == 0

@@ -3,9 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vckb.ingest as ingest
-from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus
+from vckb import KbEdge, KbIndex, TripleKind, import_dataset, load_kb, load_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
 from vckb.ingest import _line_chunks, _read_lines
+from vckb.taxonomy import UNSEEN_KB_RELATIONS
+
+from conftest import DATA_DIR
 
 
 def test_toy_corpus_counts(toy_scene):
@@ -266,13 +269,48 @@ def test_kb_load_equals_scan_of_normalized_rows(tmp_path_factory, rows, data):
     kb = load_kb(path)
     expected = {}
     for (head, _), relation, (tail, _), weight in rows:
-        expected.setdefault((head, relation), []).append(
-            (tail, 1.0 if weight is None else weight)
-        )
+        if relation in UNSEEN_KB_RELATIONS:
+            expected.setdefault((head, relation), []).append(
+                (tail, 1.0 if weight is None else weight)
+            )
     assert len(kb) == len(rows)
     for head in _KB_NAMES:
         for relation in _KB_RELATIONS:
             assert kb.lookup(head, relation) == tuple(expected.get((head, relation), ()))
+
+
+@pytest.mark.parametrize(
+    "row", ["dog\tIsA\t_\t1.0", "dog\tIsA\tanimal\tnan"], ids=["empty-tail", "nan-weight"]
+)
+def test_kb_rows_of_other_relations_are_validated(tmp_path, row):
+    path = tmp_path / "kb.tsv"
+    path.write_text(f"car\tUsedFor\tdrive\n{row}\n")
+    with pytest.raises(MalformedRecord, match=":2: ") as excinfo:
+        load_kb(path)
+    assert excinfo.value.line_number == 2
+
+
+# The twelve relations of the benchmark's kb-heavy KB: the six the unseen
+# layer reads, and six ConceptNet relations it does not.
+_OTHER_RELATIONS = ("IsA", "AtLocation", "Desires", "PartOf", "HasA", "MadeOf")
+
+
+def test_kb_index_keeps_only_unseen_relations():
+    relations = UNSEEN_KB_RELATIONS + _OTHER_RELATIONS
+    rows = [KbEdge(head, relation, "tail") for head in ("car", "dog") for relation in relations]
+    kb = KbIndex(rows)
+    assert len(kb) == len(rows) == 24
+    assert {relation for _, relation in kb._by_key} == set(UNSEEN_KB_RELATIONS)
+    for head, relation, *_ in rows:
+        expected = (("tail", 1.0),) if relation in UNSEEN_KB_RELATIONS else ()
+        assert kb.lookup(head, relation) == expected
+
+
+def test_fixture_kb_counts_rows_of_other_relations():
+    kb = load_kb(DATA_DIR / "fixture_kb.tsv")
+    assert len(kb) == 48
+    assert kb.lookup("car", "IsA") == ()
+    assert kb.lookup("car", "UsedFor") != ()
 
 
 def test_kb_empty(tmp_path):
