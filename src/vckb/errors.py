@@ -29,8 +29,8 @@ class MalformedRecord(VckbError):
         return type(self), (self.path, self.line_number, self.message)
 
 
-class DanglingReference(VckbError):
-    """A triple refers to an object id absent from its image."""
+class DanglingReference(MalformedRecord):
+    """A triple record refers to an object id absent from its image."""
 
 
 class EmptyCorpus(VckbError):

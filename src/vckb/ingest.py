@@ -268,12 +268,15 @@ def load_scene_corpus(path) -> SceneCorpus:
     """Load and validate a scene corpus file.
 
     Raises MalformedRecord (with line number) for schema violations,
-    DanglingReference when a triple names an unknown object, EmptyCorpus
-    when no records are present, and IoFailure when the file cannot be read.
+    DanglingReference (a MalformedRecord) when a triple names an unknown
+    object, EmptyCorpus when no records are present, and IoFailure when the
+    file cannot be read.
     """
     images: dict[str, ImageEntry] = {}
-    # Per image: object id -> line number of its O record.
+    # Per image: object id -> line number of its O record, and the line
+    # number of each T record.
     object_lines: dict[str, dict[str, int]] = {}
+    triple_lines: dict[str, list[int]] = {}
 
     def entry_for(image_id: str) -> ImageEntry:
         entry = images.get(image_id)
@@ -281,6 +284,7 @@ def load_scene_corpus(path) -> SceneCorpus:
             entry = ImageEntry(image_id=image_id)
             images[image_id] = entry
             object_lines[image_id] = {}
+            triple_lines[image_id] = []
         return entry
 
     for line_number, line in _read_lines(path):
@@ -335,6 +339,7 @@ def load_scene_corpus(path) -> SceneCorpus:
                     kind=triple_kind,
                 )
             )
+            triple_lines[image_id].append(line_number)
         elif kind == "R":
             if len(fields) != 7:
                 raise MalformedRecord(path, line_number, "R record needs 6 fields")
@@ -351,25 +356,28 @@ def load_scene_corpus(path) -> SceneCorpus:
     if not images:
         raise EmptyCorpus(f"no records in {path}")
 
-    _validate_integrity(images, object_lines, path)
+    _validate_integrity(images, object_lines, triple_lines, path)
     return SceneCorpus(images)
 
 
 def _validate_integrity(
-    images: dict[str, ImageEntry], object_lines: dict[str, dict[str, int]], path
+    images: dict[str, ImageEntry],
+    object_lines: dict[str, dict[str, int]],
+    triple_lines: dict[str, list[int]],
+    path,
 ) -> None:
     for entry in images.values():
         known = object_lines[entry.image_id]
-        for triple in entry.triples:
+        for triple, line_number in zip(entry.triples, triple_lines[entry.image_id]):
             if triple.subject_id not in known:
                 raise DanglingReference(
-                    f"{path}: triple subject {triple.subject_id!r} not in image "
-                    f"{entry.image_id!r}"
+                    path, line_number,
+                    f"triple subject {triple.subject_id!r} not in image {entry.image_id!r}",
                 )
             if triple.kind is TripleKind.RELATIONSHIP and triple.object_slot not in known:
                 raise DanglingReference(
-                    f"{path}: triple object {triple.object_slot!r} not in image "
-                    f"{entry.image_id!r}"
+                    path, line_number,
+                    f"triple object {triple.object_slot!r} not in image {entry.image_id!r}",
                 )
         if entry.width is not None:
             for obj in entry.objects:

@@ -45,7 +45,6 @@ class ExportConfig:
     tau: float = DEFAULT_TAU
     seed: int = 0
     sep_token: str = DEFAULT_SEP
-    dedup_unseen: bool = True
     template_path: str | None = None
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class ExportConfig:
             raise InvalidConfig(f"seed must fit in 64 bits, got {self.seed}")
         if not isinstance(self.sep_token, str) or not self.sep_token:
             raise InvalidConfig("sep_token must be a non-empty string")
-        if not isinstance(self.dedup_unseen, bool):
-            raise InvalidConfig(f"dedup_unseen must be true or false, got {self.dedup_unseen!r}")
         if self.template_path is not None and not isinstance(self.template_path, str):
             raise InvalidConfig(
                 f"template_path must be a string or null, got {self.template_path!r}"

@@ -10,17 +10,18 @@ without any external NLP dependency. The grammar recognizes
             | NP VBN (PREP NP)?           (passive verbal phrase)
     NP     := DET* (ADJ | VBG | VBN)* NOUN+
 
-Anything else is rejected as unparseable rather than guessed. Pre-noun VBN
-participles are treated like adjectives ("a striped shirt"); suffix tagging
-makes many bare adjectives look like participles and rejecting those noun
-phrases would lose far too much.
+The four patterns are one production, NP (VBG NP? | VBN)? (PREP NP)?, which
+the parser walks once, left to right. Anything else is rejected as
+unparseable rather than guessed. Pre-noun VBN participles are treated like
+adjectives ("a striped shirt"); suffix tagging makes many bare adjectives
+look like participles and rejecting those noun phrases would lose far too
+much.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import EmptyPhrase, NotAnNP
@@ -176,19 +177,15 @@ def _split_words(phrase: str) -> list[str]:
     return cleaned
 
 
-_MultiwordIndex = dict[str, tuple[tuple[tuple[str, ...], Pos], ...]]
-_MULTIWORD_CACHE: "weakref.WeakKeyDictionary[Lexicon, _MultiwordIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _multiword_entries(lexicon: Lexicon) -> _MultiwordIndex:
+def _multiword_entries(
+    lexicon: Lexicon,
+) -> dict[str, tuple[tuple[tuple[str, ...], Pos], ...]]:
     """Multiword prepositions and compounds keyed by first word, longest first.
 
     Every entry has at least two words, so a window's first word is never
     the singularized one and only entries keyed by it can match.
     """
-    cached = _MULTIWORD_CACHE.get(lexicon)
+    cached = lexicon._memo.get("multiword")
     if cached is not None:
         return cached
     buckets: dict[str, list[tuple[tuple[str, ...], Pos]]] = {}
@@ -201,7 +198,7 @@ def _multiword_entries(lexicon: Lexicon) -> _MultiwordIndex:
         first: tuple(sorted(bucket, key=lambda item: (-len(item[0]), item[0])))
         for first, bucket in buckets.items()
     }
-    _MULTIWORD_CACHE[lexicon] = index
+    lexicon._memo["multiword"] = index
     return index
 
 
@@ -357,87 +354,50 @@ def simplify_np(tokens: list[TaggedToken]) -> str:
 def parse_region_phrase(tokens: list[TaggedToken]) -> PhraseParse | None:
     """Parse tagged tokens against the region-phrase grammar.
 
-    Returns None for token sequences outside the grammar; callers count
-    those in their diagnostics and skip the phrase.
+    One left-to-right walk of ``NP (VBG NP? | VBN)? (PREP NP)?``. Returns
+    None for token sequences outside the grammar; callers count those in
+    their diagnostics and skip the phrase.
     """
     tokens = list(tokens)
     root = _parse_np(tokens, 0)
     if root is None:
         return None
+    end = len(tokens)
+    i = root.end
+    verb = None
+    parts: list[str] = []
+    if i < end and tokens[i].pos in (Pos.VBG, Pos.VBN):
+        verb = tokens[i]
+        parts.append(verb.surface)
+        i += 1
+        if verb.pos is Pos.VBG and i < end and tokens[i].pos is not Pos.PREP:
+            obj = _parse_np(tokens, i)
+            if obj is None:
+                return None
+            parts.append(obj.head)
+            i = obj.end
+    prep = tail = None
+    if i < end:
+        if tokens[i].pos is not Pos.PREP:
+            return None
+        tail = _parse_np(tokens, i + 1)
+        if tail is None or tail.end != end:
+            return None
+        prep = tokens[i].surface
+        parts.append(prep)
+        # Passive agents keep their determiner: "hit by a car".
+        if verb is not None and verb.pos is Pos.VBN and tail.det_surface is not None:
+            parts.append(tail.det_surface)
+        parts.append(tail.head)
     base = dict(
         root_noun=root.head,
         adjectives=root.properties,
         np_participle=root.vbg_lemmas[0] if root.vbg_lemmas else None,
         tokens=tuple(tokens),
     )
-    i = root.end
-    if i == len(tokens):
-        return PhraseParse(kind=PhraseKind.NP, **base)
-    head = tokens[i]
-    if head.pos is Pos.PREP:
-        tail = _parse_np(tokens, i + 1)
-        if tail is None or tail.end != len(tokens):
-            return None
-        return PhraseParse(
-            kind=PhraseKind.PP_PHRASE,
-            prep=head.surface,
-            tail_head_noun=tail.head,
-            **base,
-        )
-    if head.pos is Pos.VBG:
-        parts = [head.surface]
-        j = i + 1
-        if j < len(tokens) and tokens[j].pos is not Pos.PREP:
-            obj = _parse_np(tokens, j)
-            if obj is None:
-                return None
-            parts.append(obj.head)
-            j = obj.end
-        if j < len(tokens):
-            if tokens[j].pos is not Pos.PREP:
-                return None
-            pp = _parse_np(tokens, j + 1)
-            if pp is None or pp.end != len(tokens):
-                return None
-            parts.extend([tokens[j].surface, pp.head])
-            j = pp.end
-        if j != len(tokens):
-            return None
-        return PhraseParse(
-            kind=PhraseKind.VP_PHRASE,
-            verb=VerbInfo(
-                lemma=head.lemma,
-                surface=head.surface,
-                pos=Pos.VBG,
-                complement=" ".join(parts),
-            ),
-            **base,
-        )
-    if head.pos is Pos.VBN:
-        parts = [head.surface]
-        j = i + 1
-        if j < len(tokens):
-            if tokens[j].pos is not Pos.PREP:
-                return None
-            agent = _parse_np(tokens, j + 1)
-            if agent is None or agent.end != len(tokens):
-                return None
-            # Passive agents keep their determiner: "hit by a car".
-            parts.append(tokens[j].surface)
-            if agent.det_surface is not None:
-                parts.append(agent.det_surface)
-            parts.append(agent.head)
-            j = agent.end
-        if j != len(tokens):
-            return None
-        return PhraseParse(
-            kind=PhraseKind.VP_PHRASE,
-            verb=VerbInfo(
-                lemma=head.lemma,
-                surface=head.surface,
-                pos=Pos.VBN,
-                complement=" ".join(parts),
-            ),
-            **base,
-        )
-    return None
+    if verb is not None:
+        info = VerbInfo(verb.lemma, verb.surface, verb.pos, complement=" ".join(parts))
+        return PhraseParse(kind=PhraseKind.VP_PHRASE, verb=info, **base)
+    if tail is not None:
+        return PhraseParse(kind=PhraseKind.PP_PHRASE, prep=prep, tail_head_noun=tail.head, **base)
+    return PhraseParse(kind=PhraseKind.NP, **base)

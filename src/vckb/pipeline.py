@@ -52,9 +52,7 @@ def build_image_record(
 
     unseen_by_object: dict[str, list[CommonsenseTriple]] = {}
     if kb is not None:
-        unseen_by_object = build_unseen(
-            objects, seen_by_object, kb, lexicon, dedup_seen=config.dedup_unseen
-        )
+        unseen_by_object = build_unseen(objects, seen_by_object, kb, lexicon)
 
     entries = []
     for obj in objects:

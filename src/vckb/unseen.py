@@ -8,7 +8,6 @@ mentioning other objects of the same image rank first.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .errors import EmptyPhrase
@@ -74,18 +73,11 @@ def dedup_against_seen(
     return [t for t in unseen if (t.category.relation, t.tail) not in seen_keys]
 
 
-# Tail -> lemma set, per lexicon. Tails recur across objects and images, so
-# each distinct tail is tagged once; the memo holds only tails that were
-# sorted, all of which are already in memory in the KB.
-_TAIL_LEMMAS_CACHE: "weakref.WeakKeyDictionary[Lexicon, dict[str, frozenset[str]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
-    memo = _TAIL_LEMMAS_CACHE.get(lexicon)
-    if memo is None:
-        memo = _TAIL_LEMMAS_CACHE[lexicon] = {}
+    # Tails recur across objects and images, so each distinct tail is tagged
+    # once; the memo holds only tails that were sorted, all of which are
+    # already in memory in the KB.
+    memo = lexicon._memo.setdefault("tail_lemmas", {})
     lemmas = memo.get(tail)
     if lemmas is None:
         try:
@@ -132,14 +124,12 @@ def build_unseen(
     seen_by_object: dict[str, list[CommonsenseTriple]],
     kb: KbIndex,
     lexicon: Lexicon,
-    dedup_seen: bool = True,
 ) -> dict[str, list[CommonsenseTriple]]:
     """Sorted unseen triples per object id for one image."""
     lemmas = image_object_lemmas(objects, lexicon)
     out: dict[str, list[CommonsenseTriple]] = {}
     for obj in objects:
         triples = retrieve_unseen(obj, kb, lexicon)
-        if dedup_seen:
-            triples = dedup_against_seen(triples, seen_by_object.get(obj.object_id, []))
+        triples = dedup_against_seen(triples, seen_by_object.get(obj.object_id, []))
         out[obj.object_id] = object_aware_sort(triples, lemmas, lexicon)
     return out

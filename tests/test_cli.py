@@ -193,7 +193,7 @@ def test_fixture_output_bytes_are_pinned(fixture_export, tmp_path):
     [
         ({"template_path": 0}, "template_path must be a string or null"),
         ({"tau": True}, "tau must be a number"),
-        ({"dedup_unseen": "no"}, "dedup_unseen must be true or false"),
+        ({"dedup_unseen": "no"}, "unknown config keys: ['dedup_unseen']"),
     ],
     ids=["template-path-number", "tau-bool", "dedup-unseen-string"],
 )

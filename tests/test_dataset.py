@@ -183,6 +183,28 @@ def test_import_rejects_score_that_is_not_a_weight(tmp_path, score):
     assert excinfo.value.line_number == 2
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("img2\t1\to1\tman\t0\t0\t5", "missing field: h"),
+        ("img2\t-1", "object count is negative"),
+        ("img2\t1\to1\tman\t0\t0\t0\t5\t0", "box needs positive size"),
+        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall\tguess\t0.0",
+         "unknown provenance 'guess'"),
+        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall"
+         "\tkb_retrieval\t0.0", "does not match category"),
+    ],
+    ids=["missing-field", "negative-count", "bad-box", "unknown-provenance",
+         "provenance-mismatch"],
+)
+def test_dataset_reader_rejects_malformed_line(tmp_path, record, message):
+    path = tmp_path / "dataset.tsv"
+    path.write_text(f"img1\t0\n{record}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=message) as excinfo:
+        import_dataset(path)
+    assert excinfo.value.line_number == 2
+
+
 def test_stats_empty():
     stats = compute_stats([])
     assert stats.image_count == 0

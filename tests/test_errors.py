@@ -15,8 +15,8 @@ ERROR_TYPES = [
 @pytest.mark.parametrize("error_type", ERROR_TYPES, ids=lambda t: t.__name__)
 def test_error_survives_pickle(error_type):
     # Errors raised in a worker process reach the parent pickled.
-    if error_type is MalformedRecord:
-        error = MalformedRecord("data.tsv", 4000, "trailing fields after record")
+    if issubclass(error_type, MalformedRecord):
+        error = error_type("data.tsv", 4000, "trailing fields after record")
     else:
         error = error_type("bad input")
     copy = pickle.loads(pickle.dumps(error))

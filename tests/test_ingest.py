@@ -40,8 +40,9 @@ def test_dangling_subject(tmp_path):
     path.write_text(
         "O\timg1\to1\tman\t0\t0\t5\t5\n" "T\timg1\tA\tmissing\tis\ttall\n"
     )
-    with pytest.raises(DanglingReference):
+    with pytest.raises(DanglingReference) as excinfo:
         load_scene_corpus(path)
+    assert excinfo.value.line_number == 2
 
 
 def test_dangling_relationship_object(tmp_path):
@@ -49,14 +50,39 @@ def test_dangling_relationship_object(tmp_path):
     path.write_text(
         "O\timg1\to1\tman\t0\t0\t5\t5\n" "T\timg1\tR\to1\ton\tmissing\n"
     )
-    with pytest.raises(DanglingReference):
+    with pytest.raises(DanglingReference) as excinfo:
         load_scene_corpus(path)
+    assert excinfo.value.line_number == 2
 
 
 def test_malformed_record_reports_line(tmp_path):
     path = tmp_path / "scene.tsv"
     path.write_text("I\timg1\n" "O\timg1\to1\tman\t0\t0\n")
     with pytest.raises(MalformedRecord) as excinfo:
+        load_scene_corpus(path)
+    assert excinfo.value.line_number == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("O\timg1\to2\tcar\t0\tx\t5\t5", "coordinate is not an integer"),
+        ("I\timg1\t640", "I record needs 1 or 3 fields"),
+        ("O\timg1\to2\t \t0\t0\t5\t5", "object name is empty"),
+        ("T\timg1\tA\to1\tis", "T record needs 5 fields"),
+        ("T\timg1\tX\to1\tis\ttall", "unknown triple kind 'X'"),
+        ("R\timg1\t0\t0\t5\t5", "R record needs 6 fields"),
+        ("R\timg1\t0\t0\t5\t5\t  ", "region phrase is empty"),
+    ],
+    ids=[
+        "coordinate-not-integer", "i-field-count", "empty-object-name",
+        "t-field-count", "unknown-triple-kind", "r-field-count", "empty-region-phrase",
+    ],
+)
+def test_scene_reader_rejects_malformed_line(tmp_path, line, message):
+    path = tmp_path / "scene.tsv"
+    path.write_text(f"O\timg1\to1\tman\t0\t0\t5\t5\n{line}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=message) as excinfo:
         load_scene_corpus(path)
     assert excinfo.value.line_number == 2
 

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from vckb import (
     Lexicon,
     PhraseKind,
+    PhraseParse,
     Pos,
+    TaggedToken,
+    VerbInfo,
     lemmatize,
     parse_region_phrase,
     simplify_np,
@@ -111,6 +114,85 @@ def test_parse_np_with_participle(lexicon):
 def test_unparseable_returns_none(lexicon):
     assert parse_region_phrase(tokenize_and_tag("the the the", lexicon)) is None
     assert parse_region_phrase(tokenize_and_tag("man and woman", lexicon)) is None
+
+
+def tagged(spec):
+    """Tokens from "surface[=lemma]/POS" words, bypassing the tagger."""
+    tokens = []
+    for word in spec.split():
+        text, pos = word.rsplit("/", 1)
+        surface, _, lemma = text.partition("=")
+        tokens.append(TaggedToken(surface, lemma or surface, Pos[pos]))
+    return tokens
+
+
+def test_parse_np_fields():
+    tokens = tagged("the/DET a/DET older=old/ADJ striped/VBN running=run/VBG dogs=dog/NOUN")
+    assert parse_region_phrase(tokens) == PhraseParse(
+        kind=PhraseKind.NP, root_noun="dog", adjectives=("old", "striped"), np_participle="run"
+    )
+
+
+def test_parse_pp_fields():
+    tokens = tagged("man/NOUN on/PREP a/DET big/ADJ horses=horse/NOUN")
+    assert parse_region_phrase(tokens) == PhraseParse(
+        kind=PhraseKind.PP_PHRASE, root_noun="man", prep="on", tail_head_noun="horse"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, complement",
+    [
+        ("man/NOUN riding=ride/VBG", "riding"),
+        ("man/NOUN riding=ride/VBG a/DET horses=horse/NOUN", "riding horse"),
+        ("man/NOUN sitting=sit/VBG on/PREP the/DET bench/NOUN", "sitting on bench"),
+        ("man/NOUN riding=ride/VBG horse/NOUN on/PREP the/DET beach/NOUN", "riding horse on beach"),
+        ("car/NOUN parked=park/VBN", "parked"),
+        ("man/NOUN hit/VBN by/PREP a/DET the/DET cars=car/NOUN", "hit by a car"),
+        ("man/NOUN hit/VBN by/PREP car/NOUN", "hit by car"),
+    ],
+    ids=["vbg", "vbg-np", "vbg-pp", "vbg-np-pp", "vbn", "vbn-pp-det", "vbn-pp"],
+)
+def test_parse_verbal_phrase_fields(spec, complement):
+    tokens = tagged(spec)
+    root, verb = tokens[:2]
+    assert parse_region_phrase(tokens) == PhraseParse(
+        kind=PhraseKind.VP_PHRASE,
+        root_noun=root.lemma,
+        verb=VerbInfo(lemma=verb.lemma, surface=verb.surface, pos=verb.pos, complement=complement),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "",
+        "on/PREP table/NOUN",
+        "the/DET big/ADJ",
+        "man/NOUN and/OTHER",
+        "man/NOUN the/DET",
+        "man/NOUN on/PREP",
+        "man/NOUN on/PREP the/DET",
+        "man/NOUN on/PREP table/NOUN near/PREP",
+        "man/NOUN riding/VBG the/DET",
+        "man/NOUN riding/VBG and/OTHER",
+        "man/NOUN riding/VBG horse/NOUN holding/VBG",
+        "man/NOUN sitting/VBG on/PREP",
+        "man/NOUN sitting/VBG on/PREP bench/NOUN near/PREP tree/NOUN",
+        "car/NOUN parked/VBN street/NOUN",
+        "car/NOUN parked/VBN on/PREP",
+        "car/NOUN parked/VBN on/PREP street/NOUN by/PREP",
+    ],
+    ids=[
+        "empty", "no-root", "root-without-noun", "root-then-other", "root-then-det",
+        "pp-no-tail", "pp-tail-without-noun", "pp-tail-not-last",
+        "vbg-object-without-noun", "vbg-object-other", "vbg-object-then-verb",
+        "vbg-pp-no-tail", "vbg-pp-tail-not-last",
+        "vbn-then-noun", "vbn-pp-no-tail", "vbn-pp-tail-not-last",
+    ],
+)
+def test_parse_rejects_outside_grammar(spec):
+    assert parse_region_phrase(tagged(spec)) is None
 
 
 def test_simplify_np(lexicon):

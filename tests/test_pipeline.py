@@ -43,21 +43,13 @@ def triples_of(record):
     ]
 
 
-def test_unseen_dedup_flag(tmp_path, lexicon):
+def test_unseen_deduplicated_against_seen(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
-    corpus = load_scene_corpus(scene)
-    kb_index = load_kb(kb)
-
-    deduped, _ = build_records(
-        corpus, lexicon, kb=kb_index, config=ExportConfig(dedup_unseen=True)
-    )
-    kept, _ = build_records(
-        corpus, lexicon, kb=kb_index, config=ExportConfig(dedup_unseen=False)
-    )
-    assert ("/Unseen/Action/CapableOf", "play car") not in triples_of(deduped[0])
-    assert ("/Unseen/Action/CapableOf", "play car") in triples_of(kept[0])
-    # The non-duplicate survives either way.
-    assert ("/Unseen/Action/CapableOf", "grow up") in triples_of(deduped[0])
+    records, _ = build_records(load_scene_corpus(scene), lexicon, kb=load_kb(kb))
+    triples = triples_of(records[0])
+    # "play car" repeats the seen triple (man, play, car); "grow up" does not.
+    assert ("/Unseen/Action/CapableOf", "play car") not in triples
+    assert ("/Unseen/Action/CapableOf", "grow up") in triples
 
 
 def test_layer_switches(tmp_path, lexicon):
