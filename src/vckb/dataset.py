@@ -98,9 +98,12 @@ def group_triples(
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {escaped: raw for raw, escaped in _ESCAPES.items()}
 _ESCAPE_SEQUENCE = re.compile("|".join(map(re.escape, _UNESCAPES)))
+_NEEDS_ESCAPE = re.compile(r"[\\\t\n\r]")
 
 
 def _escape(text: str) -> str:
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
     for raw, escaped in _ESCAPES.items():
         text = text.replace(raw, escaped)
     return text

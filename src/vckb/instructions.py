@@ -175,15 +175,23 @@ def build_instruction_samples(
             if not tails:
                 continue
             category = group.category
-            rng = _pair_rng(config.seed, record.image_id, obj.object_id, category.text)
+            # The generator is seeded only when its draw can change the
+            # target; it is discarded after each pair, so a skipped draw
+            # changes no other pair's target.
             if category.visibility is Visibility.SEEN:
-                chosen = rng.sample(tails, min(config.m, len(tails)))
+                if len(tails) == 1:
+                    chosen = tails
+                else:
+                    rng = _pair_rng(config.seed, record.image_id, obj.object_id, category.text)
+                    chosen = rng.sample(tails, min(config.m, len(tails)))
             else:
                 if config.k + config.j < 1:
                     raise InvalidConfig("unseen export needs k + j >= 1")
-                top = tails[: config.k]
+                chosen = tails[: config.k]
                 rest = tails[config.k :]
-                chosen = top + rng.sample(rest, min(config.j, len(rest)))
+                if rest and config.j:
+                    rng = _pair_rng(config.seed, record.image_id, obj.object_id, category.text)
+                    chosen += rng.sample(rest, min(config.j, len(rest)))
             box = obj.bbox
             instruction = templates.template.format(
                 image_id=record.image_id,

@@ -166,6 +166,8 @@ def _deinflect(word: str, suffix_len: int) -> str:
 
 def _split_words(phrase: str) -> list[str]:
     words = _WORD_RE.findall(phrase.lower())
+    if "'" not in phrase:
+        return words
     cleaned = []
     for word in words:
         if word.endswith("'s"):
@@ -205,6 +207,8 @@ def _multiword_entries(
 def _merge_multiword(words: list[str], lexicon: Lexicon):
     """Join multiword prepositions and known compounds into single tokens."""
     index = _multiword_entries(lexicon)
+    if index.keys().isdisjoint(words):
+        return words, [None] * len(words)
     merged: list[str] = []
     forced: list[Pos | None] = []
     i = 0
@@ -268,16 +272,24 @@ def _lemma_for(word: str, pos: Pos, lexicon: Lexicon) -> str:
 def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
     """Lowercase, strip punctuation, tag, and lemmatize a phrase.
 
+    Each distinct word is tagged once per lexicon: its provisional tag and
+    its token for each final tag are memoized on the lexicon, so the memo
+    grows with the vocabulary, not with the number of phrases. The tokens
+    are immutable and shared; the returned list is fresh.
+
     Raises EmptyPhrase when nothing tokenizable remains.
     """
     words = _split_words(phrase)
     if not words:
         raise EmptyPhrase(f"no tokens in phrase: {phrase!r}")
-    words, forced = _merge_multiword(words, lexicon)
-    tags = [
-        forced[i] if forced[i] is not None else _provisional_pos(word, lexicon)
-        for i, word in enumerate(words)
-    ]
+    words, tags = _merge_multiword(words, lexicon)
+    memo = lexicon._memo.setdefault("tokens", {})
+    for i, word in enumerate(words):
+        if tags[i] is None:
+            pos = memo.get(word)
+            if pos is None:
+                pos = memo[word] = _provisional_pos(word, lexicon)
+            tags[i] = pos
     # Adjective/noun ambiguity is positional: a word from the adjective set
     # is an adjective only when something nominal can follow it.
     for i in range(len(words) - 1, -1, -1):
@@ -289,10 +301,14 @@ def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
                 Pos.VBN,
             ):
                 tags[i] = Pos.NOUN
-    return [
-        TaggedToken(surface=word, lemma=_lemma_for(word, tag, lexicon), pos=tag)
-        for word, tag in zip(words, tags)
-    ]
+    tokens = []
+    for key in zip(words, tags):
+        token = memo.get(key)
+        if token is None:
+            word, tag = key
+            token = memo[key] = TaggedToken(word, _lemma_for(word, tag, lexicon), tag)
+        tokens.append(token)
+    return tokens
 
 
 @dataclass(frozen=True)

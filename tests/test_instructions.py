@@ -9,13 +9,16 @@ from vckb import (
     ExportConfig,
     InstructionTemplates,
     Provenance,
+    Visibility,
     build_instruction_samples,
     group_triples,
     parse_category,
     read_instruction_samples,
     write_instruction_samples,
 )
+from vckb import instructions as instructions_module
 from vckb.errors import InvalidConfig
+from vckb.instructions import _pair_rng
 from vckb.seen import CommonsenseTriple
 
 from conftest import make_object
@@ -109,6 +112,51 @@ def test_unseen_requires_k_plus_j():
     record = record_with_tails(unseen_tails=("a",))
     with pytest.raises(InvalidConfig):
         build_instruction_samples(record, ExportConfig(k=0, j=0))
+
+
+def _always_seeded_targets(record, config):
+    """Targets sampled by seeding every pair's generator, drawn from or not."""
+    targets = []
+    for entry in record.entries:
+        for group in entry.groups:
+            tails = [triple.tail for triple in group.triples]
+            if not tails:
+                continue
+            category = group.category
+            rng = _pair_rng(config.seed, record.image_id, entry.obj.object_id, category.text)
+            if category.visibility is Visibility.SEEN:
+                chosen = rng.sample(tails, min(config.m, len(tails)))
+            else:
+                rest = tails[config.k :]
+                chosen = tails[: config.k] + rng.sample(rest, min(config.j, len(rest)))
+            targets.append(config.sep_token.join(chosen))
+    return targets
+
+
+@pytest.mark.parametrize("m, k, j", [(1, 0, 1), (3, 5, 2), (2, 1, 0), (1, 3, 0)])
+def test_skipped_draws_match_always_seeded_reference(m, k, j):
+    for seed in range(3):
+        config = ExportConfig(m=m, k=k, j=j, seed=seed)
+        for size in range(k + j + 3):
+            tails = tuple(f"t{i}" for i in range(size))
+            record = record_with_tails(tails, tails, image_id=f"img{size}")
+            samples = build_instruction_samples(record, config)
+            assert [s.target for s in samples] == _always_seeded_targets(record, config)
+
+
+def test_no_generator_when_the_draw_cannot_change_the_target(monkeypatch):
+    seeded = []
+    monkeypatch.setattr(
+        instructions_module, "_pair_rng", lambda *key: seeded.append(key) or _pair_rng(*key)
+    )
+    # One seen tail; unseen tails all within the top k.
+    record = record_with_tails(seen_tails=("a",), unseen_tails=("b", "c"))
+    build_instruction_samples(record, ExportConfig(k=2, j=1))
+    assert seeded == []
+    build_instruction_samples(record, ExportConfig(k=1, j=0))
+    assert seeded == []
+    build_instruction_samples(record, ExportConfig(k=1, j=1))
+    assert [key[-1] for key in seeded] == [UNSEEN.text]
 
 
 def test_config_validation():

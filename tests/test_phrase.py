@@ -77,6 +77,40 @@ def test_adjective_noun_ambiguity_positional(lexicon):
     assert tags_of("an orange cat", lexicon)[1] == ("orange", Pos.ADJ)
 
 
+def _tagged_or_none(text, lexicon):
+    try:
+        return tokenize_and_tag(text, lexicon)
+    except EmptyPhrase:
+        return None
+
+
+def test_warm_tagger_memo_gives_cold_tokens():
+    """Tags and lemmas never depend on what the lexicon tagged before."""
+    phrases = [
+        line.split("\t")[0]
+        for line in (DATA_DIR / "region_phrases_200.tsv").read_text(encoding="utf-8").splitlines()
+    ]
+    tails = [
+        line.split("\t")[2]
+        for line in (DATA_DIR / "fixture_kb.tsv").read_text(encoding="utf-8").splitlines()
+    ]
+    # One word, two final tags: the memo holds a token for each.
+    texts = phrases + tails + ["an orange car", "an orange", "the glass", "a glass table"]
+    warm = Lexicon.default()
+    for text in reversed(texts):
+        _tagged_or_none(text, warm)
+    for text in texts:
+        assert _tagged_or_none(text, Lexicon.default()) == _tagged_or_none(text, warm), text
+
+
+def test_tagger_returns_a_fresh_list(lexicon):
+    tokens = tokenize_and_tag("a red car", lexicon)
+    expected = list(tokens)
+    tokens.reverse()
+    tokens.append(tokens[0])
+    assert tokenize_and_tag("a red car", lexicon) == expected
+
+
 def test_parse_pp_phrase(lexicon):
     parse = parse_region_phrase(
         tokenize_and_tag("a thin man behind the yellow car", lexicon)

@@ -4,6 +4,7 @@ import pytest
 
 from vckb import (
     ExportConfig,
+    Lexicon,
     Visibility,
     build_image_record,
     build_records,
@@ -105,6 +106,18 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
     assert streamed[4][0] == built
     assert (tmp_path / "streamed_w4.tsv").read_bytes() == (tmp_path / "built.tsv").read_bytes()
     assert streamed[4][1] == diag_built.as_dict()
+
+
+def test_warm_lexicon_forks_the_cold_bytes(tmp_path, data_dir, monkeypatch):
+    """Workers that inherit a warm tagger memo write what a cold build writes."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    corpus = load_scene_corpus(data_dir / "fixture_scene.tsv")
+    kb = load_kb(data_dir / "fixture_kb.tsv")
+    warm = Lexicon.default()
+    build_records(corpus, warm, kb=kb)
+    export_records(corpus, warm, tmp_path / "warm.tsv", kb=kb, workers=2)
+    export_records(corpus, Lexicon.default(), tmp_path / "cold.tsv", kb=kb, workers=1)
+    assert (tmp_path / "warm.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
