@@ -2,9 +2,9 @@
 Retrieving unseen commonsense from the KB
 =========================================
 
-Object names expand into synsets, the KB is queried over the six admitted
-relations, seen duplicates are dropped, and tails that mention other image
-objects sort first.
+Object names expand into synsets, the KB is looked up once per synset form
+(each head's edges already carry their unseen leaves), seen duplicates are
+dropped, and tails that mention other image objects sort first.
 """
 
 from vckb import (
@@ -33,6 +33,8 @@ kb = KbIndex([
     KbEdge("man", "AtLocation", "office", 5.0),   # out-of-scope relation: not indexed
     KbEdge("men", "CapableOf", "vote", 1.0),      # found via the synset's plural form
 ])
+
+print("\nedges of 'man':", [(leaf.text, tail) for leaf, tail, _ in kb.lookup("man")])
 
 triples = retrieve_unseen(man, kb, lexicon)
 print("\nretrieved:")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from functools import partial
@@ -26,7 +25,7 @@ from .errors import VckbError
 from .ingest import load_kb, load_scene_corpus
 from .instructions import ExportConfig, InstructionTemplates, instruction_lines
 from .lexicon import Lexicon
-from .pipeline import _dataset_line, export_records, render_dataset
+from .pipeline import _dataset_line, _usable_cpus, export_records, render_dataset
 from .taxonomy import Visibility, parse_category
 
 
@@ -56,11 +55,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_worker_count,
-        default=os.cpu_count() or 1,
+        default=_usable_cpus(),
         help="processes that build the images of export, build-seen, "
         "build-unseen and export-instructions, or that read the records of "
-        "export-instructions --data (default: the CPU count, which also caps "
-        "it); the output is byte-identical for every count",
+        "export-instructions --data (default: the CPUs this process may run "
+        "on, which also cap it); the output is byte-identical for every count",
     )
 
 

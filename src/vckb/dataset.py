@@ -27,7 +27,6 @@ from .errors import InvalidCategory, MalformedRecord
 from .geometry import BBox
 from .ingest import (
     GroundedObject,
-    _line_chunks,
     _normalize_name,
     _parse_weight,
     _read_lines,
@@ -255,15 +254,15 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
 
 def _chunk_records(path, chunk) -> Iterator[DatasetRecord]:
     """Yield the records of one chunk of a dataset file, a range from
-    `_line_chunks`; errors name the line's number in the whole file."""
+    `_line_chunks` or the whole file's (0, None, 1); errors name the line's
+    number in the whole file."""
     for line_number, line in _read_lines(path, chunk):
         yield _parse_record(_FieldReader(line.split("\t"), path, line_number))
 
 
 def iter_dataset(path) -> Iterator[DatasetRecord]:
     """Yield the records of a dataset file one at a time, as it is read."""
-    for chunk in _line_chunks(path):
-        yield from _chunk_records(path, chunk)
+    return _chunk_records(path, (0, None, 1))
 
 
 def import_dataset(path) -> list[DatasetRecord]:

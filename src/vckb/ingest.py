@@ -10,15 +10,16 @@ line with a one-character type prefix:
 
 For attribute triples (kind A) the object column holds the attribute text;
 for relationship triples (kind R) it holds an object id in the same image.
-Images may be declared explicitly with an I record (optionally carrying
-pixel dimensions) or implicitly by their first O/T/R record. Fields cannot
-contain tabs or newlines; blank lines are skipped.
+Images may be declared explicitly with at most one I record (optionally
+carrying pixel dimensions) or implicitly by their first O/T/R record. Fields
+cannot contain tabs or newlines; blank lines are skipped.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
 with an optional weight column (default 1.0). Head, relation and tail must
 be non-empty, and the weight must be a finite, non-negative number. Every
 line is validated and counted, but only edges of the six relations the
-unseen layer reads are indexed; rows of any other relation are dropped.
+unseen layer reads are indexed, by head and with their leaf; rows of any
+other relation are dropped.
 
 Every line file vckb reads or writes goes through `_read_lines` or
 `_write_lines`, and `_normalize_name` is the one normalizer of object names,
@@ -32,10 +33,13 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
+
+if TYPE_CHECKING:
+    from .taxonomy import CategoryPath
 
 
 def _normalize_name(text: str) -> str:
@@ -161,7 +165,7 @@ class Region:
 
 class KbEdge(NamedTuple):
     """One KB row; `KbIndex` accepts any iterable of such 4-tuples, and
-    indexes those whose relation the unseen layer reads."""
+    keeps those whose relation has an unseen leaf."""
 
     head: str
     relation: str
@@ -273,8 +277,9 @@ def load_scene_corpus(path) -> SceneCorpus:
     file cannot be read.
     """
     images: dict[str, ImageEntry] = {}
-    # Per image: object id -> line number of its O record, and the line
-    # number of each T record.
+    # Images with an I record; per image, object id -> line number of its O
+    # record, and the line number of each T record.
+    declared: set[str] = set()
     object_lines: dict[str, dict[str, int]] = {}
     triple_lines: dict[str, list[int]] = {}
 
@@ -293,7 +298,11 @@ def load_scene_corpus(path) -> SceneCorpus:
         if kind == "I":
             if len(fields) not in (2, 4):
                 raise MalformedRecord(path, line_number, "I record needs 1 or 3 fields")
-            entry = entry_for(fields[1])
+            image_id = fields[1]
+            if image_id in declared:
+                raise MalformedRecord(path, line_number, f"duplicate I record for {image_id!r}")
+            declared.add(image_id)
+            entry = entry_for(image_id)
             if len(fields) == 4:
                 width = _parse_int(fields[2], path, line_number, "width")
                 height = _parse_int(fields[3], path, line_number, "height")
@@ -392,35 +401,35 @@ def _validate_integrity(
 
 
 class KbIndex:
-    """KB edges as (tail, weight) pairs keyed by (normalized head name, relation).
-
-    Only edges of the relations the unseen layer reads
-    (`taxonomy.UNSEEN_KB_RELATIONS`) are kept; `len` counts every edge given.
-    """
+    """KB edges by normalized head name: each head's (leaf, tail, weight)
+    edges in file order, the leaf looked up once per row in
+    `taxonomy.KB_RELATION_LEAVES`. Rows of a relation without a leaf are not
+    kept, but `len` counts every edge given."""
 
     def __init__(self, rows: Iterable[tuple[str, str, str, float]]):
         # A local import: taxonomy -> phrase -> lexicon imports this module.
-        from .taxonomy import UNSEEN_KB_RELATIONS
+        from .taxonomy import KB_RELATION_LEAVES
 
-        admitted = frozenset(UNSEEN_KB_RELATIONS)
-        self._by_key: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
+        leaf_of = KB_RELATION_LEAVES.get
+        self._by_head: dict[str, tuple[tuple[CategoryPath, str, float], ...]] = {}
         count = 0
         for count, (head, relation, tail, weight) in enumerate(rows, 1):
-            if relation in admitted:
-                self._by_key.setdefault((head, relation), []).append((tail, weight))
+            leaf = leaf_of(relation)
+            if leaf is not None:
+                self._by_head.setdefault(head, []).append((leaf, tail, weight))
         self._edge_count = count
         # Freeze each bucket in place, so that the lists are freed one by one
         # and never coexist in full with the tuples (KB load sets peak memory).
-        for key, bucket in self._by_key.items():
-            self._by_key[key] = tuple(bucket)
+        for head, bucket in self._by_head.items():
+            self._by_head[head] = tuple(bucket)
 
     def __len__(self) -> int:
         return self._edge_count
 
-    def lookup(self, head: str, relation: str) -> tuple[tuple[str, float], ...]:
-        """The (tail, weight) pairs of one key in file order; () for a key
-        without edges and for any relation the index does not keep."""
-        return self._by_key.get((head, relation), ())
+    def lookup(self, head: str) -> tuple[tuple[CategoryPath, str, float], ...]:
+        """The (leaf, tail, weight) edges of one head in file order; () for a
+        head without edges of the unseen relations."""
+        return self._by_head.get(head, ())
 
 
 def _shared_name(names: dict[str, str], raw: str) -> str:

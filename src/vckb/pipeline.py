@@ -14,10 +14,10 @@ worker count.
 
 from __future__ import annotations
 
+import gc
 import os
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from typing import NamedTuple
 
 from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
 from .ingest import ImageEntry, KbIndex, SceneCorpus, _line_chunks, _write_lines
@@ -67,33 +67,6 @@ def _dataset_line(record: DatasetRecord) -> list[str]:
     return [record_line(record)]
 
 
-class _Job(NamedTuple):
-    """Everything a build reads besides the image range."""
-
-    entries: list[ImageEntry]
-    lexicon: Lexicon
-    kb: KbIndex | None
-    config: ExportConfig
-    render: Callable[[DatasetRecord], Iterable[str]]
-
-
-def _new_job(corpus, lexicon, kb, config, render=_dataset_line) -> _Job:
-    config = ExportConfig() if config is None else config
-    return _Job(list(corpus.images()), lexicon, kb, config, render)
-
-
-def _build_range(
-    job: _Job, start: int, stop: int, diagnostics: BuildDiagnostics
-) -> Iterator[DatasetRecord]:
-    """Yield the records of images start..stop-1, merging their diagnostics."""
-    for entry in job.entries[start:stop]:
-        record, image_diagnostics = build_image_record(
-            entry, job.lexicon, job.kb, job.config
-        )
-        diagnostics.merge(image_diagnostics)
-        yield record
-
-
 def build_records(
     corpus: SceneCorpus,
     lexicon: Lexicon,
@@ -101,20 +74,31 @@ def build_records(
     config: ExportConfig | None = None,
 ) -> tuple[list[DatasetRecord], BuildDiagnostics]:
     """Build records for every image, in corpus order, in the calling process."""
-    job = _new_job(corpus, lexicon, kb, config)
+    config = ExportConfig() if config is None else config
     diagnostics = BuildDiagnostics()
-    records = list(_build_range(job, 0, len(job.entries), diagnostics))
+    records = []
+    for entry in corpus.images():
+        record, image_diagnostics = build_image_record(entry, lexicon, kb, config)
+        diagnostics.merge(image_diagnostics)
+        records.append(record)
     return records, diagnostics
 
 
 def _build_chunk(
-    job: _Job, bounds: tuple[int, int]
+    entries: list[ImageEntry],
+    lexicon: Lexicon,
+    kb: KbIndex | None,
+    config: ExportConfig,
+    render: Callable[[DatasetRecord], Iterable[str]],
+    bounds: tuple[int, int],
 ) -> tuple[list[str], BuildDiagnostics]:
-    """The rendered lines of one chunk of images, and its diagnostics."""
+    """The rendered lines of images bounds[0]..bounds[1]-1, and their diagnostics."""
     diagnostics = BuildDiagnostics()
     lines = []
-    for record in _build_range(job, *bounds, diagnostics):
-        lines.extend(job.render(record))
+    for entry in entries[slice(*bounds)]:
+        record, image_diagnostics = build_image_record(entry, lexicon, kb, config)
+        diagnostics.merge(image_diagnostics)
+        lines.extend(render(record))
     return lines, diagnostics
 
 
@@ -142,15 +126,25 @@ _worker_task: _Task | None = None
 def _start_worker(task: _Task) -> None:
     global _worker_task
     _worker_task = task
+    # What a worker inherits outlives it: frozen, it is left out of the worker's
+    # full collections, which would walk (and so copy) the KB index's pages.
+    gc.freeze()
 
 
 def _run_worker_task(bounds: tuple[int, ...]) -> tuple[list[str], BuildDiagnostics]:
     return _worker_task(bounds)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(workers: int, chunks: int) -> int:
-    """Processes worth starting: no more than asked, CPUs, or chunks."""
-    return min(workers, os.cpu_count() or 1, chunks)
+    """Processes worth starting: no more than asked, usable CPUs, or chunks."""
+    return min(workers, _usable_cpus(), chunks)
 
 
 def _chunk_results(
@@ -205,19 +199,20 @@ def export_records(
     `path`, in corpus order; by default, the record's dataset line.
 
     With `workers` > 1 and the fork start method available, up to
-    min(workers, CPUs) forked processes build and render the chunks;
+    min(workers, usable CPUs) forked processes build and render the chunks;
     otherwise the calling process does. The bytes written never depend on
     `workers`, and the returned diagnostics are merged in corpus order. Fork
     copies only the calling thread, so call this with more than one worker
     from a process that runs no other threads.
     """
-    job = _new_job(corpus, lexicon, kb, config, render)
-    images = len(job.entries)
+    config = ExportConfig() if config is None else config
+    entries = list(corpus.images())
     bounds = [
-        (start, min(start + _CHUNK_IMAGES, images))
-        for start in range(0, images, _CHUNK_IMAGES)
+        (start, min(start + _CHUNK_IMAGES, len(entries)))
+        for start in range(0, len(entries), _CHUNK_IMAGES)
     ]
-    return _write_chunks(path, partial(_build_chunk, job), bounds, workers)
+    task = partial(_build_chunk, entries, lexicon, kb, config, render)
+    return _write_chunks(path, task, bounds, workers)
 
 
 def render_dataset(

@@ -3,8 +3,8 @@
 A category path is Visibility/Aspect/Relation, written canonically as e.g.
 "/Seen/Property/HasProperty". The eleven valid leaves are the members of
 the ``CategoryPath`` enum, declared once below; no other combination can be
-built. The tables at the bottom map part-of-speech tags and external-KB
-relation names into category paths.
+built. The tables at the bottom map part-of-speech tags, and the KB relation
+labels that the KB index keeps (`KB_RELATION_LEAVES`), into category paths.
 """
 
 from __future__ import annotations
@@ -79,19 +79,17 @@ def parse_category(text: str) -> CategoryPath:
         raise InvalidCategory(f"not a taxonomy leaf: {text!r}") from None
 
 
-# External-KB relation labels admitted into the unseen layer. All other
-# labels are ignored (mapped to None, not an error), and `ingest.KbIndex`
-# does not index their edges.
-_KB_RELATION_TABLE = {
+# External-KB relation labels admitted into the unseen layer, each to its
+# leaf. All other labels map to None (not an error), and `ingest.KbIndex`
+# does not keep their edges.
+KB_RELATION_LEAVES: dict[str, CategoryPath] = {
     leaf.relation.value: leaf for leaf in CategoryPath if leaf.visibility is Visibility.UNSEEN
 }
-
-UNSEEN_KB_RELATIONS: tuple[str, ...] = tuple(_KB_RELATION_TABLE)
 
 
 def kb_relation_to_category(relation_name: str) -> CategoryPath | None:
     """Map a KB relation label to its unseen leaf, or None if out of scope."""
-    return _KB_RELATION_TABLE.get(relation_name)
+    return KB_RELATION_LEAVES.get(relation_name)
 
 
 _SEEN_POS_TABLE = {

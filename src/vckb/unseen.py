@@ -1,9 +1,10 @@
 """Builders for inferred (unseen) commonsense triples of one object.
 
-Object names are expanded into synsets of surface and lemma variants,
-looked up in the external KB over the six admitted relations, deduplicated
-against the object's seen triples, and finally sorted so that tails
-mentioning other objects of the same image rank first.
+Object names are expanded into synsets of surface and lemma variants. Each
+form is looked up once in the external KB, whose index holds each head's
+edges of the six unseen relations with their leaves. The triples are
+deduplicated against the object's seen triples, and finally sorted so that
+tails mentioning other objects of the same image rank first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .ingest import GroundedObject, KbIndex
 from .lexicon import Lexicon
 from .phrase import lemmatize, tokenize_and_tag
 from .seen import CommonsenseTriple, Provenance
-from .taxonomy import UNSEEN_KB_RELATIONS, kb_relation_to_category
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,26 @@ def make_synset(obj: GroundedObject, lexicon: Lexicon) -> Synset:
 def retrieve_unseen(
     obj: GroundedObject, kb: KbIndex, lexicon: Lexicon
 ) -> list[CommonsenseTriple]:
-    """All KB triples for the object's synset over the six unseen relations.
+    """All KB triples for the object's synset: one lookup per synset form,
+    whose edges carry their unseen leaves.
 
     Duplicates on (category, tail) keep the highest edge weight. Output is
     ordered by (category, tail); callers re-rank with object_aware_sort.
     """
     synset = make_synset(obj, lexicon)
     best: dict[tuple[str, str], CommonsenseTriple] = {}
-    for relation in UNSEEN_KB_RELATIONS:
-        category = kb_relation_to_category(relation)
-        for form in synset.forms:
-            for tail, weight in kb.lookup(form, relation):
-                key = (category.text, tail)
-                current = best.get(key)
-                if current is None or weight > current.score:
-                    best[key] = CommonsenseTriple(
-                        head=obj,
-                        category=category,
-                        tail=tail,
-                        provenance=Provenance.KB_RETRIEVAL,
-                        score=weight,
-                    )
+    for form in synset.forms:
+        for category, tail, weight in kb.lookup(form):
+            key = (category.text, tail)
+            current = best.get(key)
+            if current is None or weight > current.score:
+                best[key] = CommonsenseTriple(
+                    head=obj,
+                    category=category,
+                    tail=tail,
+                    provenance=Provenance.KB_RETRIEVAL,
+                    score=weight,
+                )
     return [best[key] for key in sorted(best)]
 
 

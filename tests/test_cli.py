@@ -316,8 +316,13 @@ def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let a two-worker export start a pool of two even on a one-CPU host."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """Let a two-worker export start a pool of two even on a one-CPU host, and
+    make two the default --workers."""
+    import vckb.cli as cli
+    import vckb.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
 
 
 def _patch_build(monkeypatch, in_child, name="build_image_record"):

@@ -6,7 +6,7 @@ import vckb.ingest as ingest
 from vckb import KbEdge, KbIndex, TripleKind, import_dataset, load_kb, load_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
 from vckb.ingest import _line_chunks, _read_lines
-from vckb.taxonomy import UNSEEN_KB_RELATIONS
+from vckb.taxonomy import KB_RELATION_LEAVES, CategoryPath, Visibility
 
 from conftest import DATA_DIR
 
@@ -111,6 +111,22 @@ def test_duplicate_object_id_rejected(tmp_path):
         load_scene_corpus(path)
 
 
+def test_repeated_image_record_rejected(tmp_path):
+    path = tmp_path / "scene.tsv"
+    path.write_text("I\timg1\t100\t100\nO\timg1\to1\tcar\t0\t0\t10\t10\nI\timg1\t5\t5\n")
+    with pytest.raises(MalformedRecord, match="duplicate I record for 'img1'") as excinfo:
+        load_scene_corpus(path)
+    assert excinfo.value.line_number == 3
+
+
+def test_image_record_after_its_objects_is_legal(tmp_path):
+    path = tmp_path / "scene.tsv"
+    path.write_text("O\timg1\to1\tcar\t0\t0\t10\t10\nI\timg1\t100\t100\n")
+    entry = load_scene_corpus(path).image("img1")
+    assert (entry.width, entry.height) == (100, 100)
+    assert [obj.object_id for obj in entry.objects] == ["o1"]
+
+
 def test_unknown_record_type(tmp_path):
     path = tmp_path / "scene.tsv"
     path.write_text("X\timg1\tstuff\n")
@@ -185,21 +201,17 @@ def test_save_round_trips(toy_scene, tmp_path):
 def test_kb_load_and_lookup(toy_kb):
     kb = load_kb(toy_kb)
     assert len(kb) == 6
-    ((tail, weight),) = kb.lookup("car", "UsedFor")
-    assert tail == "drive to work"
-    assert weight == 2.0
+    used_for, created_by = kb.lookup("car")
+    assert used_for == (CategoryPath.UNSEEN_USED_FOR, "drive to work", 2.0)
     # Missing weight defaults to 1.0.
-    ((_, created_weight),) = kb.lookup("car", "CreatedBy")
-    assert created_weight == 1.0
-    assert kb.lookup("tree", "UsedFor") == ()
+    assert created_by == (CategoryPath.UNSEEN_CREATED_BY, "factory", 1.0)
+    assert kb.lookup("tree") == ()
 
 
 def test_kb_multi_relation_lookup(toy_kb):
     kb = load_kb(toy_kb)
-    hits = [
-        (rel, tail) for rel in ("UsedFor", "CreatedBy") for tail, _ in kb.lookup("car", rel)
-    ]
-    assert set(hits) == {
+    hits = {(leaf.relation.value, tail) for leaf, tail, _ in kb.lookup("car")}
+    assert hits == {
         ("UsedFor", "drive to work"),
         ("CreatedBy", "factory"),
     }
@@ -216,7 +228,7 @@ def test_kb_underscores_normalized(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("traffic_light\tUsedFor\tcontrol_traffic\t1.0\n")
     kb = load_kb(path)
-    ((tail, _),) = kb.lookup("traffic light", "UsedFor")
+    ((_, tail, _),) = kb.lookup("traffic light")
     assert tail == "control traffic"
 
 
@@ -243,9 +255,9 @@ def test_kb_equal_tails_share_one_string(tmp_path):
         "car\tUsedFor\tgo to work\nbus\tUsedFor\tgo to work\ntrain\tUsedFor\tGo_To  work\n"
     )
     kb = load_kb(path)
-    ((car_tail, _),) = kb.lookup("car", "UsedFor")
-    ((bus_tail, _),) = kb.lookup("bus", "UsedFor")
-    ((train_tail, _),) = kb.lookup("train", "UsedFor")
+    ((_, car_tail, _),) = kb.lookup("car")
+    ((_, bus_tail, _),) = kb.lookup("bus")
+    ((_, train_tail, _),) = kb.lookup("train")
     assert car_tail is bus_tail is train_tail
 
 
@@ -284,7 +296,7 @@ _raw_kb_rows = st.lists(
 @given(rows=_raw_kb_rows, data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_kb_load_equals_scan_of_normalized_rows(tmp_path_factory, rows, data):
-    """Duplicate rows are kept; keys are normalized names; buckets keep file order."""
+    """Duplicate rows are kept; keys are normalized heads; buckets keep file order."""
     rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=5))
     path = tmp_path_factory.mktemp("kb") / "kb.tsv"
     lines = []
@@ -295,14 +307,12 @@ def test_kb_load_equals_scan_of_normalized_rows(tmp_path_factory, rows, data):
     kb = load_kb(path)
     expected = {}
     for (head, _), relation, (tail, _), weight in rows:
-        if relation in UNSEEN_KB_RELATIONS:
-            expected.setdefault((head, relation), []).append(
-                (tail, 1.0 if weight is None else weight)
-            )
+        leaf = KB_RELATION_LEAVES.get(relation)
+        if leaf is not None:
+            expected.setdefault(head, []).append((leaf, tail, 1.0 if weight is None else weight))
     assert len(kb) == len(rows)
     for head in _KB_NAMES:
-        for relation in _KB_RELATIONS:
-            assert kb.lookup(head, relation) == tuple(expected.get((head, relation), ()))
+        assert kb.lookup(head) == tuple(expected.get(head, ()))
 
 
 @pytest.mark.parametrize(
@@ -322,21 +332,41 @@ _OTHER_RELATIONS = ("IsA", "AtLocation", "Desires", "PartOf", "HasA", "MadeOf")
 
 
 def test_kb_index_keeps_only_unseen_relations():
-    relations = UNSEEN_KB_RELATIONS + _OTHER_RELATIONS
+    relations = tuple(KB_RELATION_LEAVES) + _OTHER_RELATIONS
     rows = [KbEdge(head, relation, "tail") for head in ("car", "dog") for relation in relations]
     kb = KbIndex(rows)
     assert len(kb) == len(rows) == 24
-    assert {relation for _, relation in kb._by_key} == set(UNSEEN_KB_RELATIONS)
-    for head, relation, *_ in rows:
-        expected = (("tail", 1.0),) if relation in UNSEEN_KB_RELATIONS else ()
-        assert kb.lookup(head, relation) == expected
+    unseen_leaves = [leaf for leaf in CategoryPath if leaf.visibility is Visibility.UNSEEN]
+    for head in ("car", "dog"):
+        assert kb.lookup(head) == tuple((leaf, "tail", 1.0) for leaf in unseen_leaves)
+
+
+def test_kb_lookup_keeps_file_order_across_relations(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text(
+        "car\tUsedFor\tdrive\t2.0\n"
+        "car\tIsA\tvehicle\n"
+        "car\tCapableOf\tstop\n"
+        "car\tUsedFor\tpark\t0.5\n"
+        "car\tCreatedBy\tfactory\t3.0\n"
+    )
+    kb = load_kb(path)
+    assert len(kb) == 5
+    assert kb.lookup("car") == (
+        (CategoryPath.UNSEEN_USED_FOR, "drive", 2.0),
+        (CategoryPath.UNSEEN_CAPABLE_OF, "stop", 1.0),
+        (CategoryPath.UNSEEN_USED_FOR, "park", 0.5),
+        (CategoryPath.UNSEEN_CREATED_BY, "factory", 3.0),
+    )
 
 
 def test_fixture_kb_counts_rows_of_other_relations():
     kb = load_kb(DATA_DIR / "fixture_kb.tsv")
     assert len(kb) == 48
-    assert kb.lookup("car", "IsA") == ()
-    assert kb.lookup("car", "UsedFor") != ()
+    edges = kb.lookup("car")
+    assert (CategoryPath.UNSEEN_USED_FOR, "drive to work", 4.0) in edges
+    # The fixture's "car IsA vehicle" row is counted but not kept.
+    assert "vehicle" not in {tail for _, tail, _ in edges}
 
 
 def test_kb_empty(tmp_path):
@@ -382,8 +412,8 @@ def test_bom_scene_loads(tmp_path):
 def test_bom_kb_keeps_first_head(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("car\tUsedFor\tdrive\ncar\tIsA\tvehicle\n", encoding="utf-8-sig")
-    ((tail, _),) = load_kb(path).lookup("car", "UsedFor")
-    assert tail == "drive"
+    ((leaf, tail, _),) = load_kb(path).lookup("car")
+    assert (leaf, tail) == (CategoryPath.UNSEEN_USED_FOR, "drive")
 
 
 def _chunked_lines(path):

@@ -13,7 +13,8 @@ from vckb import (
     load_kb,
     load_scene_corpus,
 )
-from vckb.cli import main
+import vckb.pipeline as pipeline
+from vckb.cli import _build_parser, main
 from vckb.pipeline import _pool_size, export_records
 
 
@@ -110,7 +111,7 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
 
 def test_warm_lexicon_forks_the_cold_bytes(tmp_path, data_dir, monkeypatch):
     """Workers that inherit a warm tagger memo write what a cold build writes."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # a pool even on one CPU
     corpus = load_scene_corpus(data_dir / "fixture_scene.tsv")
     kb = load_kb(data_dir / "fixture_kb.tsv")
     warm = Lexicon.default()
@@ -131,11 +132,19 @@ def test_worker_count_below_one_is_rejected(tmp_path, lexicon, workers):
     assert not (tmp_path / "out.tsv").exists()
 
 
-def test_pool_size_is_capped():
-    cpus = os.cpu_count() or 1
-    assert _pool_size(10_000, 10_000) == cpus
+def test_pool_size_is_capped(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    assert _pool_size(10_000, 10_000) == 3
     assert _pool_size(10_000, 1) == 1
     assert _pool_size(1, 10_000) == 1
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    """A process pinned to one CPU builds serially, however many the host has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _build_parser().parse_args(["export"]).workers == 1
+    assert _pool_size(8, 10) == 1
 
 
 def test_cli_tau_boundaries(tmp_path):
