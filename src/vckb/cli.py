@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from functools import partial
@@ -137,12 +138,19 @@ def _unseen_line(record: DatasetRecord) -> list[str]:
     return [record_line(DatasetRecord(record.image_id, entries))]
 
 
+def _same_file(a: str, b: str) -> bool:
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _cmd_write(args) -> int:
     """export, build-seen, build-unseen and export-instructions: write the
     lines each record renders to, in order, from --data or from a build."""
     _require(args, "out")
     config = _config_from(args)
     if args.command == "export-instructions":
+        if args.data and _same_file(args.data, args.out):
+            # Writing --out truncates it before a single range of --data is read.
+            raise VckbError(f"--data and --out name the same file: {args.out}")
         templates = InstructionTemplates.load(config.template_path)
         render = partial(instruction_lines, config=config, templates=templates)
         if args.data:

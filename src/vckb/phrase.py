@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyPhrase, NotAnNP
 from .lexicon import Lexicon
@@ -81,7 +81,6 @@ class PhraseParse:
     prep: str | None = None
     tail_head_noun: str | None = None
     verb: VerbInfo | None = None
-    tokens: tuple[TaggedToken, ...] = field(default=(), compare=False)
 
 
 def lemmatize(name: str, lexicon: Lexicon) -> str:
@@ -313,7 +312,6 @@ def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
 
 @dataclass(frozen=True)
 class _NPSpan:
-    start: int
     end: int
     det_surface: str | None
     properties: tuple[str, ...]  # ADJ lemmas and pre-noun VBN surfaces
@@ -346,7 +344,6 @@ def _parse_np(tokens: list[TaggedToken], start: int) -> _NPSpan | None:
     if not nouns:
         return None
     return _NPSpan(
-        start=start,
         end=i,
         det_surface=det_surface,
         properties=tuple(properties),
@@ -409,7 +406,6 @@ def parse_region_phrase(tokens: list[TaggedToken]) -> PhraseParse | None:
         root_noun=root.head,
         adjectives=root.properties,
         np_participle=root.vbg_lemmas[0] if root.vbg_lemmas else None,
-        tokens=tuple(tokens),
     )
     if verb is not None:
         info = VerbInfo(verb.lemma, verb.surface, verb.pos, complement=" ".join(parts))

@@ -2,8 +2,8 @@
 
 Three sources feed the seen layer: existing scene-graph triples mapped
 through part-of-speech rules, object co-occurrence pairs, and triples
-extracted from region phrases whose heads are grounded back to object
-boxes by overlap ratio.
+extracted from region phrases whose heads are grounded to same-named object
+boxes by overlap ratio, the names compared before any box is measured.
 """
 
 from __future__ import annotations
@@ -142,23 +142,20 @@ def map_scene_triple(
 
 
 def cooccurrence_triples(objects: list[GroundedObject]) -> list[CommonsenseTriple]:
-    """Directed LocatedNear triples for every distinct-name object pair."""
-    out = []
-    for a in objects:
-        emitted = set()
-        for b in objects:
-            if b is a or b.name == a.name or b.name in emitted:
-                continue
-            emitted.add(b.name)
-            out.append(
-                CommonsenseTriple(
-                    head=a,
-                    category=CategoryPath.SEEN_LOCATED_NEAR,
-                    tail=b.name,
-                    provenance=Provenance.CO_OCCURRENCE,
-                )
-            )
-    return out
+    """Directed LocatedNear triples from each object to every distinct object
+    name of the image other than its own, names in first-seen order."""
+    names = dict.fromkeys(obj.name for obj in objects)
+    return [
+        CommonsenseTriple(
+            head=obj,
+            category=CategoryPath.SEEN_LOCATED_NEAR,
+            tail=name,
+            provenance=Provenance.CO_OCCURRENCE,
+        )
+        for obj in objects
+        for name in names
+        if name != obj.name
+    ]
 
 
 def extract_region_triples(parse: PhraseParse) -> list[tuple[str, CategoryPath, str]]:
@@ -185,12 +182,6 @@ class MatchFailure(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-def _candidates(region: Region, objects: list[GroundedObject], tau: float):
-    return [
-        obj for obj in objects if overlap_ratio(region.bbox, obj.bbox) >= tau
-    ]
-
-
 def localize(
     head_name: str,
     region: Region,
@@ -200,16 +191,17 @@ def localize(
 ) -> GroundedObject | MatchFailure:
     """Ground a phrase head to the unique matching object inside the region.
 
-    Candidates are the objects whose boxes are covered by the region box at
-    ratio >= tau; among them the head must match exactly one object name
-    (lemma comparison). Zero matches give NO_MATCH, several give AMBIGUOUS.
+    An object matches when its name's lemma is the head and the region box
+    covers its box at ratio >= tau, the name tested first. Zero matches give
+    NO_MATCH, several give AMBIGUOUS.
     """
     if not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     matches = [
         obj
-        for obj in _candidates(region, objects, tau)
+        for obj in objects
         if lemmatize(obj.name, lexicon) == head_name
+        and overlap_ratio(region.bbox, obj.bbox) >= tau
     ]
     if not matches:
         return MatchFailure.NO_MATCH
@@ -228,14 +220,18 @@ def build_seen(
 ) -> list[CommonsenseTriple]:
     """All seen triples of one image, deduplicated and deterministically ordered.
 
-    Region-derived spatial tails stay textual even when their noun names no
-    object in the region's candidate set; only head grounding can discard a
-    triple. Duplicate triples keep the first provenance encountered, with
-    sources processed in the order scene triples, co-occurrence, regions.
+    Region-derived spatial tails stay textual even when no object with the
+    tail noun's lemma lies in the region at ratio >= tau (`tail_unmatched`);
+    only head grounding can discard a triple. Duplicate triples keep the first
+    provenance encountered, with sources processed in the order scene triples,
+    co-occurrence, regions.
     """
     if diagnostics is None:
         diagnostics = BuildDiagnostics()
     objects_by_id = {obj.object_id: obj for obj in objects}
+    objects_by_lemma: dict[str, list[GroundedObject]] = {}
+    for obj in objects:
+        objects_by_lemma.setdefault(lemmatize(obj.name, lexicon), []).append(obj)
 
     collected: list[CommonsenseTriple] = []
     for triple in triples:
@@ -257,20 +253,19 @@ def build_seen(
         if parse is None:
             diagnostics.unparseable += 1
             continue
-        target = localize(parse.root_noun, region, objects, tau, lexicon)
+        named = objects_by_lemma.get(parse.root_noun, [])
+        target = localize(parse.root_noun, region, named, tau, lexicon)
         if target is MatchFailure.NO_MATCH:
             diagnostics.no_match += 1
             continue
         if target is MatchFailure.AMBIGUOUS:
             diagnostics.ambiguous += 1
             continue
-        if parse.kind is PhraseKind.PP_PHRASE:
-            candidate_names = {
-                lemmatize(obj.name, lexicon)
-                for obj in _candidates(region, objects, tau)
-            }
-            if parse.tail_head_noun not in candidate_names:
-                diagnostics.tail_unmatched += 1
+        if parse.kind is PhraseKind.PP_PHRASE and not any(
+            overlap_ratio(region.bbox, obj.bbox) >= tau
+            for obj in objects_by_lemma.get(parse.tail_head_noun, ())
+        ):
+            diagnostics.tail_unmatched += 1
         for _, category, tail in extract_region_triples(parse):
             collected.append(
                 CommonsenseTriple(

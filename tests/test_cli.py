@@ -445,6 +445,24 @@ def test_malformed_data_line_is_input_error_at_every_worker_count(
     assert samples  # the ranges before line 40's were written
 
 
+@pytest.mark.parametrize("alias", ["same-path", "symlink", "dot-segment"])
+def test_export_instructions_refuses_data_as_out(fixture_export, tmp_path, capsys, alias):
+    data = tmp_path / "dataset.tsv"
+    data.write_bytes(fixture_export.read_bytes())
+    out = {
+        "same-path": data,
+        "symlink": tmp_path / "link.tsv",
+        "dot-segment": tmp_path / "." / "dataset.tsv",
+    }[alias]
+    if alias == "symlink":
+        out.symlink_to(data)
+    argv = ["export-instructions", "--data", str(data), "--out", str(out), "--seed", "13"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--data and --out name the same file" in err
+    assert _sha256(data) == FIXTURE_DATASET_SHA256
+
+
 def _raise_in_worker():
     raise RuntimeError("invariant violated in a worker")
 

@@ -4,7 +4,11 @@ from hypothesis import strategies as st
 
 from vckb import (
     BBox,
+    CategoryPath,
+    CommonsenseTriple,
+    GroundedObject,
     MatchFailure,
+    PhraseKind,
     Provenance,
     Region,
     SceneTriple,
@@ -13,12 +17,15 @@ from vckb import (
     build_seen,
     cooccurrence_triples,
     extract_region_triples,
+    lemmatize,
     load_scene_corpus,
     localize,
     map_scene_triple,
+    overlap_ratio,
     parse_region_phrase,
     tokenize_and_tag,
 )
+from vckb.errors import EmptyPhrase
 from vckb.seen import BuildDiagnostics
 
 from conftest import make_object
@@ -329,3 +336,150 @@ class TestBuildSeen:
         assert diagnostics.not_mapped == 1
         assert diagnostics.unparseable == 1
         assert diagnostics.no_match == 1
+
+
+# Geometry-first references: grounding measures every box before it compares
+# names, and co-occurrence walks every ordered object pair. The seen layer
+# compares names first and must agree with them exactly.
+
+
+def reference_localize(head_name, region, objects, tau, lexicon):
+    candidates = [obj for obj in objects if overlap_ratio(region.bbox, obj.bbox) >= tau]
+    matches = [obj for obj in candidates if lemmatize(obj.name, lexicon) == head_name]
+    if not matches:
+        return MatchFailure.NO_MATCH
+    if len(matches) > 1:
+        return MatchFailure.AMBIGUOUS
+    return matches[0]
+
+
+def reference_cooccurrence(objects):
+    out = []
+    for a in objects:
+        emitted = set()
+        for b in objects:
+            if b is a or b.name == a.name or b.name in emitted:
+                continue
+            emitted.add(b.name)
+            out.append(
+                CommonsenseTriple(
+                    head=a,
+                    category=CategoryPath.SEEN_LOCATED_NEAR,
+                    tail=b.name,
+                    provenance=Provenance.CO_OCCURRENCE,
+                )
+            )
+    return out
+
+
+def reference_build_seen(objects, triples, regions, lexicon, tau):
+    diagnostics = BuildDiagnostics()
+    objects_by_id = {obj.object_id: obj for obj in objects}
+    collected = []
+    for triple in triples:
+        mapped = map_scene_triple(triple, objects_by_id, lexicon)
+        if mapped is None:
+            diagnostics.not_mapped += 1
+        else:
+            collected.append(mapped)
+    collected.extend(reference_cooccurrence(objects))
+    for region in regions:
+        try:
+            parse = parse_region_phrase(tokenize_and_tag(region.phrase, lexicon))
+        except EmptyPhrase:
+            parse = None
+        if parse is None:
+            diagnostics.unparseable += 1
+            continue
+        target = reference_localize(parse.root_noun, region, objects, tau, lexicon)
+        if target is MatchFailure.NO_MATCH:
+            diagnostics.no_match += 1
+            continue
+        if target is MatchFailure.AMBIGUOUS:
+            diagnostics.ambiguous += 1
+            continue
+        if parse.kind is PhraseKind.PP_PHRASE:
+            candidate_names = {
+                lemmatize(obj.name, lexicon)
+                for obj in objects
+                if overlap_ratio(region.bbox, obj.bbox) >= tau
+            }
+            if parse.tail_head_noun not in candidate_names:
+                diagnostics.tail_unmatched += 1
+        for _, category, tail in extract_region_triples(parse):
+            collected.append(
+                CommonsenseTriple(
+                    head=target, category=category, tail=tail,
+                    provenance=Provenance.REGION_PHRASE,
+                )
+            )
+    deduped = {}
+    for triple in collected:
+        deduped.setdefault(triple.key, triple)
+    return sorted(deduped.values(), key=lambda t: t.key), diagnostics
+
+
+# Plural pairs and a multiword name, so surface names and lemmas differ; "tree"
+# names no object. Small coordinates make covering, partial and disjoint boxes
+# all common.
+OBJECT_NAMES = ("man", "men", "car", "cars", "dog", "traffic light", "traffic lights")
+PHRASE_NOUNS = OBJECT_NAMES + ("tree",)
+HEAD_LEMMAS = ("man", "car", "dog", "traffic light", "tree")
+
+coords = st.integers(0, 30)
+object_boxes = st.builds(BBox, coords, coords, st.integers(1, 20), st.integers(1, 20))
+region_boxes = st.builds(BBox, coords, coords, st.integers(1, 50), st.integers(1, 50))
+taus = st.floats(min_value=0, max_value=1, exclude_min=True) | st.sampled_from([0.5, 1.0])
+nouns = st.sampled_from(PHRASE_NOUNS)
+phrases = st.one_of(
+    st.builds("a tall {}".format, nouns),
+    st.builds("{} behind the {}".format, nouns, nouns),
+    st.builds("a red {} near {}".format, nouns, nouns),
+    st.builds("the {} riding a {}".format, nouns, nouns),
+    st.just("the the"),
+    st.just("   "),
+)
+object_lists = st.lists(st.tuples(st.sampled_from(OBJECT_NAMES), object_boxes), max_size=8).map(
+    lambda drawn: [
+        GroundedObject(object_id=f"o{i}", image_id="img1", name=name, bbox=box)
+        for i, (name, box) in enumerate(drawn)
+    ]
+)
+regions = st.builds(lambda phrase, box: Region("img1", phrase, box), phrases, region_boxes)
+
+
+@st.composite
+def images(draw):
+    objects = draw(object_lists)
+    triples = []
+    if objects:
+        subjects = st.sampled_from([obj.object_id for obj in objects])
+        words = st.sampled_from(["tall", "red", "person"])
+        triples = draw(st.lists(st.builds(attribute, subjects, words), max_size=3))
+    return objects, triples, draw(st.lists(regions, max_size=6))
+
+
+class TestNamesBeforeGeometry:
+    @given(object_lists, regions, st.sampled_from(HEAD_LEMMAS), taus)
+    @settings(max_examples=300)
+    def test_localize_matches_geometry_first(self, lexicon, objects, region, head, tau):
+        assert localize(head, region, objects, tau, lexicon) == reference_localize(
+            head, region, objects, tau, lexicon
+        )
+
+    @given(object_lists)
+    @settings(max_examples=200)
+    def test_cooccurrence_matches_pairwise_loop(self, objects):
+        assert cooccurrence_triples(objects) == reference_cooccurrence(objects)
+
+    @given(images(), taus)
+    @settings(max_examples=300)
+    def test_build_seen_matches_geometry_first(self, lexicon, image, tau):
+        objects, triples, regions = image
+        diagnostics = BuildDiagnostics()
+        result = build_seen(objects, triples, regions, lexicon, tau, diagnostics)
+        expected, expected_diagnostics = reference_build_seen(
+            objects, triples, regions, lexicon, tau
+        )
+        assert result == expected
+        assert diagnostics.as_dict() == expected_diagnostics.as_dict()
