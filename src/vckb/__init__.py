@@ -47,6 +47,7 @@ from .phrase import (
     TaggedToken,
     VerbInfo,
     lemmatize,
+    name_keys,
     parse_region_phrase,
     simplify_np,
     tokenize_and_tag,
@@ -62,6 +63,7 @@ from .seen import (
     extract_region_triples,
     localize,
     map_scene_triple,
+    pos_to_seen_category,
 )
 from .taxonomy import (
     Aspect,
@@ -70,7 +72,6 @@ from .taxonomy import (
     Visibility,
     kb_relation_to_category,
     parse_category,
-    pos_to_seen_category,
 )
 from .unseen import (
     Synset,

@@ -33,7 +33,7 @@ from .ingest import (
     _write_lines,
 )
 from .lexicon import Lexicon
-from .phrase import lemmatize
+from .phrase import name_keys
 from .seen import CommonsenseTriple, Provenance
 from .taxonomy import CategoryPath, parse_category
 
@@ -325,11 +325,11 @@ def query(
 
     Unseen results keep their stored object-aware order.
     """
-    target = lemmatize(_normalize_name(object_name), lexicon)
+    target = name_keys(_normalize_name(object_name), lexicon)[0]
     out: list[CommonsenseTriple] = []
     for record in records:
         for entry in record.entries:
-            if lemmatize(entry.obj.name, lexicon) != target:
+            if name_keys(entry.obj.name, lexicon)[0] != target:
                 continue
             out.extend(entry.group(category))
     return out

@@ -33,13 +33,11 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
-
-if TYPE_CHECKING:
-    from .taxonomy import CategoryPath
+from .taxonomy import KB_RELATION_LEAVES, CategoryPath
 
 
 def _normalize_name(text: str) -> str:
@@ -407,9 +405,6 @@ class KbIndex:
     kept, but `len` counts every edge given."""
 
     def __init__(self, rows: Iterable[tuple[str, str, str, float]]):
-        # A local import: taxonomy -> phrase -> lexicon imports this module.
-        from .taxonomy import KB_RELATION_LEAVES
-
         leaf_of = KB_RELATION_LEAVES.get
         self._by_head: dict[str, tuple[tuple[CategoryPath, str, float], ...]] = {}
         count = 0

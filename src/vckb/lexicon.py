@@ -27,8 +27,8 @@ class Lexicon:
     irregular_participles: dict[str, str] = field(default_factory=dict)
     irregular_plurals: dict[str, str] = field(default_factory=dict)
     known_nouns: frozenset[str] = frozenset()
-    # Tables derived from this lexicon (multiword index, tagged words, tail
-    # lemmas), by name.
+    # Tables derived from this lexicon (multiword index, tagged words, name
+    # keys, tail lemmas), by name.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

@@ -364,6 +364,25 @@ def simplify_np(tokens: list[TaggedToken]) -> str:
     return span.head
 
 
+def name_keys(name: str, lexicon: Lexicon) -> tuple[str, str]:
+    """An object name's join keys: its lemma and its head-noun lemma.
+
+    "yellow cars" keys as ("yellow car", "car"); a name that is not one noun
+    phrase keeps its lemma as its head. Each distinct name is keyed once per
+    lexicon, and every layer that matches objects by name reads these keys.
+    """
+    memo = lexicon._memo.setdefault("names", {})
+    keys = memo.get(name)
+    if keys is None:
+        lemma = lemmatize(name, lexicon)
+        try:
+            head = simplify_np(tokenize_and_tag(name, lexicon))
+        except (EmptyPhrase, NotAnNP):
+            head = lemma
+        keys = memo[name] = (lemma, head)
+    return keys
+
+
 def parse_region_phrase(tokens: list[TaggedToken]) -> PhraseParse | None:
     """Parse tagged tokens against the region-phrase grammar.
 

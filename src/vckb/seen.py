@@ -3,7 +3,8 @@
 Three sources feed the seen layer: existing scene-graph triples mapped
 through part-of-speech rules, object co-occurrence pairs, and triples
 extracted from region phrases whose heads are grounded to same-named object
-boxes by overlap ratio, the names compared before any box is measured.
+boxes by overlap ratio, the names compared before any box is measured. Names
+are keyed by `phrase.name_keys`: lemmas ground heads, head nouns end tails.
 """
 
 from __future__ import annotations
@@ -11,20 +12,20 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, fields
 
-from .errors import EmptyPhrase, NotAnNP
+from .errors import EmptyPhrase
 from .geometry import overlap_ratio
 from .ingest import GroundedObject, Region, SceneTriple, TripleKind
 from .lexicon import Lexicon
 from .phrase import (
     PhraseKind,
     PhraseParse,
+    Pos,
     _provisional_pos,
-    lemmatize,
+    name_keys,
     parse_region_phrase,
-    simplify_np,
     tokenize_and_tag,
 )
-from .taxonomy import CategoryPath, Visibility, pos_to_seen_category
+from .taxonomy import CategoryPath, Visibility
 
 DEFAULT_TAU = 0.5
 
@@ -86,6 +87,24 @@ class BuildDiagnostics:
         return asdict(self)
 
 
+_SEEN_POS_TABLE = {
+    Pos.ADJ: CategoryPath.SEEN_HAS_PROPERTY,
+    Pos.PREP: CategoryPath.SEEN_RELATEDNESS,
+    Pos.VBG: CategoryPath.SEEN_CAPABLE_OF,
+    Pos.VBN: CategoryPath.SEEN_RECEIVES_ACTION,
+}
+
+
+def pos_to_seen_category(pos: Pos) -> CategoryPath | None:
+    """Select the seen leaf for a tagged word, or None when none applies.
+
+    Adjectives carry properties, prepositions spatial relations, and verbs
+    actions: active (VBG) verbs are capabilities, passive (VBN) ones
+    received actions.
+    """
+    return _SEEN_POS_TABLE.get(pos)
+
+
 def _strip_copulas(words: list[str]) -> list[str]:
     return [w for w in words if w not in _COPULAS]
 
@@ -97,15 +116,6 @@ def _first_seen_category(words: list[str], lexicon: Lexicon) -> CategoryPath | N
         if category is not None:
             return category
     return None
-
-
-def _simplify_name(name: str, lexicon: Lexicon) -> str:
-    """Reduce an object name to its head-noun lemma ("yellow cars" -> "car")."""
-    try:
-        tokens = tokenize_and_tag(name, lexicon)
-        return simplify_np(tokens)
-    except (EmptyPhrase, NotAnNP):
-        return lemmatize(name, lexicon)
 
 
 def map_scene_triple(
@@ -135,7 +145,7 @@ def map_scene_triple(
         # rules; relationship predicates default to active verbs.
         category = _first_seen_category(words, lexicon) or CategoryPath.SEEN_CAPABLE_OF
         tail_object = objects_by_id[triple.object_slot]
-        tail = " ".join(words) + " " + _simplify_name(tail_object.name, lexicon)
+        tail = " ".join(words) + " " + name_keys(tail_object.name, lexicon)[1]
     return CommonsenseTriple(
         head=head, category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE
     )
@@ -200,7 +210,7 @@ def localize(
     matches = [
         obj
         for obj in objects
-        if lemmatize(obj.name, lexicon) == head_name
+        if name_keys(obj.name, lexicon)[0] == head_name
         and overlap_ratio(region.bbox, obj.bbox) >= tau
     ]
     if not matches:
@@ -231,7 +241,7 @@ def build_seen(
     objects_by_id = {obj.object_id: obj for obj in objects}
     objects_by_lemma: dict[str, list[GroundedObject]] = {}
     for obj in objects:
-        objects_by_lemma.setdefault(lemmatize(obj.name, lexicon), []).append(obj)
+        objects_by_lemma.setdefault(name_keys(obj.name, lexicon)[0], []).append(obj)
 
     collected: list[CommonsenseTriple] = []
     for triple in triples:

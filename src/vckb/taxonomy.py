@@ -3,8 +3,8 @@
 A category path is Visibility/Aspect/Relation, written canonically as e.g.
 "/Seen/Property/HasProperty". The eleven valid leaves are the members of
 the ``CategoryPath`` enum, declared once below; no other combination can be
-built. The tables at the bottom map part-of-speech tags, and the KB relation
-labels that the KB index keeps (`KB_RELATION_LEAVES`), into category paths.
+built. The table at the bottom maps the KB relation labels that the KB index
+keeps (`KB_RELATION_LEAVES`) to their leaves; it imports no other layer.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 
 from .errors import InvalidCategory
-from .phrase import Pos
 
 
 class Visibility(enum.Enum):
@@ -90,21 +89,3 @@ KB_RELATION_LEAVES: dict[str, CategoryPath] = {
 def kb_relation_to_category(relation_name: str) -> CategoryPath | None:
     """Map a KB relation label to its unseen leaf, or None if out of scope."""
     return KB_RELATION_LEAVES.get(relation_name)
-
-
-_SEEN_POS_TABLE = {
-    Pos.ADJ: CategoryPath.SEEN_HAS_PROPERTY,
-    Pos.PREP: CategoryPath.SEEN_RELATEDNESS,
-    Pos.VBG: CategoryPath.SEEN_CAPABLE_OF,
-    Pos.VBN: CategoryPath.SEEN_RECEIVES_ACTION,
-}
-
-
-def pos_to_seen_category(pos: Pos) -> CategoryPath | None:
-    """Select the seen leaf for a tagged word, or None when none applies.
-
-    Adjectives carry properties, prepositions spatial relations, and verbs
-    actions: active (VBG) verbs are capabilities, passive (VBN) ones
-    received actions.
-    """
-    return _SEEN_POS_TABLE.get(pos)

@@ -1,10 +1,10 @@
 """Builders for inferred (unseen) commonsense triples of one object.
 
-Object names are expanded into synsets of surface and lemma variants. Each
-form is looked up once in the external KB, whose index holds each head's
+Object names expand into synsets of surface and lemma (`phrase.name_keys`).
+Each form is looked up once in the external KB, whose index holds each head's
 edges of the six unseen relations with their leaves. The triples are
 deduplicated against the object's seen triples, and finally sorted so that
-tails mentioning other objects of the same image rank first.
+tails mentioning other objects' lemmas in the same image rank first.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import EmptyPhrase
 from .ingest import GroundedObject, KbIndex
 from .lexicon import Lexicon
-from .phrase import lemmatize, tokenize_and_tag
+from .phrase import name_keys, tokenize_and_tag
 from .seen import CommonsenseTriple, Provenance
 
 
@@ -33,7 +33,7 @@ class Synset:
 def make_synset(obj: GroundedObject, lexicon: Lexicon) -> Synset:
     """Surface name and lemma, deduplicated (KB heads are normalized like names)."""
     surface = obj.name
-    lemma = lemmatize(surface, lexicon)
+    lemma = name_keys(surface, lexicon)[0]
     forms = tuple(dict.fromkeys(form for form in (surface, lemma) if form))
     return Synset(object_id=obj.object_id, forms=forms)
 
@@ -101,7 +101,7 @@ def object_aware_sort(
     """
     if not triples:
         return []
-    head_lemma = lemmatize(triples[0].head.name, lexicon)
+    head_lemma = name_keys(triples[0].head.name, lexicon)[0]
     relevant = image_lemmas - {head_lemma}
 
     def sort_key(triple: CommonsenseTriple):
@@ -111,13 +111,6 @@ def object_aware_sort(
     return sorted(triples, key=sort_key)
 
 
-def image_object_lemmas(
-    objects: list[GroundedObject], lexicon: Lexicon
-) -> set[str]:
-    """Lemmatized names of all objects in one image."""
-    return {lemmatize(obj.name, lexicon) for obj in objects}
-
-
 def build_unseen(
     objects: list[GroundedObject],
     seen_by_object: dict[str, list[CommonsenseTriple]],
@@ -125,7 +118,7 @@ def build_unseen(
     lexicon: Lexicon,
 ) -> dict[str, list[CommonsenseTriple]]:
     """Sorted unseen triples per object id for one image."""
-    lemmas = image_object_lemmas(objects, lexicon)
+    lemmas = {name_keys(obj.name, lexicon)[0] for obj in objects}
     out: dict[str, list[CommonsenseTriple]] = {}
     for obj in objects:
         triples = retrieve_unseen(obj, kb, lexicon)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vckb import (
@@ -18,7 +18,7 @@ from vckb import (
 from vckb.dataset import ObjectEntry, _escape, _unescape
 from vckb.errors import MalformedRecord
 from vckb.seen import CommonsenseTriple
-from vckb.taxonomy import CategoryPath
+from vckb.taxonomy import CategoryPath, Visibility
 
 from conftest import make_object
 
@@ -309,3 +309,50 @@ def test_escape_round_trip(text):
     escaped = _escape(text)
     assert not any(ch in escaped for ch in "\t\n\r")
     assert _unescape(escaped) == text
+
+
+# Names and tails with every character the format escapes, the line breaks
+# that text-mode reading does not split on (NEL, U+2028), and astral ones.
+_FIELD_TEXT = st.text(
+    st.sampled_from(["\t", "\\", "\r", "\n", "\x85", "\u2028", "\U0001f600", "t", " "])
+    | st.characters(codec="utf-8"),
+    max_size=6,
+)
+_IDS = st.text("abxyz019_-.", min_size=1, max_size=4)
+_TRIPLE_FIELDS = st.tuples(
+    st.sampled_from(CategoryPath),
+    st.sampled_from([p for p in Provenance if p is not Provenance.KB_RETRIEVAL]),
+    # Tails must not be blank: field text around a character that is not a space.
+    st.builds("{}{}{}".format, _FIELD_TEXT, st.sampled_from("t\\\U0001f600"), _FIELD_TEXT),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+_OBJECT_FIELDS = st.tuples(
+    _FIELD_TEXT,
+    st.builds(BBox, st.integers(0, 99), st.integers(0, 99), st.integers(1, 99), st.integers(1, 99)),
+    st.lists(_TRIPLE_FIELDS, max_size=3),
+)
+
+
+def _record(fields):
+    image_id, objects = fields
+    entries = []
+    for object_id, (name, box, triples) in objects.items():
+        obj = GroundedObject(object_id, image_id, name, box)
+        triples = [
+            triple(obj, category.text, tail, score=score,
+                   provenance=None if category.visibility is Visibility.UNSEEN else provenance)
+            for category, provenance, tail, score in triples
+        ]
+        entries.append(group_triples(obj, triples))
+    return DatasetRecord(image_id=image_id, entries=entries)
+
+
+_RECORDS = st.tuples(_IDS, st.dictionaries(_IDS, _OBJECT_FIELDS, max_size=3)).map(_record)
+
+
+@given(records=st.lists(_RECORDS, min_size=1, max_size=2))
+@settings(max_examples=120, deadline=None)
+def test_record_lines_read_back_unchanged(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "record-lines.tsv"
+    export_dataset(records, path)
+    assert list(iter_dataset(path)) == records

@@ -464,3 +464,68 @@ def test_invalid_utf8_in_a_later_chunk_reports_absolute_line(tmp_path, tiny_chun
         list(_read_lines(path, last))
     assert excinfo.value.line_number == 5
     assert "not valid UTF-8" in str(excinfo.value)
+
+
+# Scene field text: anything but the tab and the line ends that delimit
+# records, with underscores, case, Unicode spaces (NEL, U+2028, NBSP) and
+# astral characters common, so that normalizing and stripping have work to do.
+_SCENE_TEXT = st.text(
+    st.sampled_from(["_", " ", "A", "b", "\x85", "\u2028", "\xa0", "\U0001d538", "\u0130"])
+    | st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+    max_size=6,
+)
+# Field text that still has a word once normalized or stripped.
+_SCENE_WORDS = st.builds("{}{}{}".format, _SCENE_TEXT, st.sampled_from(["car", "Man", "x"]), _SCENE_TEXT)
+_IMAGE_FIELDS = st.tuples(
+    st.sampled_from([None, "", "\t100\t100"]),  # no I record, or one without or with a size
+    st.dictionaries(  # object id -> name, box
+        _SCENE_TEXT,
+        st.tuples(_SCENE_WORDS, st.tuples(*(st.integers(low, 50) for low in (0, 0, 1, 1)))),
+        min_size=1, max_size=3,
+    ),
+    st.lists(  # attribute?, subject, predicate, attribute text, object
+        st.tuples(st.booleans(), st.integers(0, 3), _SCENE_TEXT, _SCENE_TEXT, st.integers(0, 3)),
+        max_size=3,
+    ),
+    st.lists(st.tuples(st.integers(1, 100), _SCENE_WORDS), max_size=2),  # region width, phrase
+)
+
+
+def _scene_lines(fields):
+    """The lines of a valid scene file, shuffled, blank lines included."""
+    images, blanks, rng = fields
+    lines = list(blanks)
+    for image_id, (size, objects, triples, regions) in images.items():
+        if size is not None:
+            lines.append(f"I\t{image_id}{size}")
+        for object_id, (name, (x, y, w, h)) in objects.items():
+            lines.append(f"O\t{image_id}\t{object_id}\t{name}\t{x}\t{y}\t{w}\t{h}")
+        ids = list(objects)
+        for attribute, subject, predicate, text, obj in triples:
+            kind, slot = ("A", text) if attribute else ("R", ids[obj % len(ids)])
+            lines.append(f"T\t{image_id}\t{kind}\t{ids[subject % len(ids)]}\t{predicate}\t{slot}")
+        for width, phrase in regions:
+            lines.append(f"R\t{image_id}\t0\t0\t{width}\t9\t{phrase}")
+    rng.shuffle(lines)
+    return lines
+
+
+_SCENES = st.tuples(
+    st.dictionaries(_SCENE_TEXT, _IMAGE_FIELDS, min_size=1, max_size=2),
+    st.lists(st.sampled_from(["", "  "]), max_size=2),
+    st.randoms(use_true_random=False),
+).map(_scene_lines)
+
+
+@given(lines=_SCENES)
+@settings(max_examples=120, deadline=None)
+def test_saved_scene_is_a_fixed_point(tmp_path_factory, lines):
+    directory = tmp_path_factory.getbasetemp() / "scene-fixed-point"
+    directory.mkdir(exist_ok=True)
+    (directory / "scene.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = load_scene_corpus(directory / "scene.tsv")
+    corpus.save(directory / "first.tsv")
+    again = load_scene_corpus(directory / "first.tsv")
+    again.save(directory / "second.tsv")
+    assert list(again.images()) == list(corpus.images())
+    assert (directory / "second.tsv").read_bytes() == (directory / "first.tsv").read_bytes()

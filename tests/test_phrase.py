@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from vckb import (
     TaggedToken,
     VerbInfo,
     lemmatize,
+    name_keys,
     parse_region_phrase,
     simplify_np,
     tokenize_and_tag,
@@ -389,3 +392,57 @@ def test_merge_longest_entry_sharing_first_word_wins(lexicon):
         ["in the middle of", "it"],
         [Pos.PREP, None],
     )
+
+
+def reference_head(name, lexicon):
+    """The seen layer's head-noun rule before `name_keys`: the head noun of
+    the name's one noun phrase, else the name's lemma."""
+    try:
+        return simplify_np(tokenize_and_tag(name, lexicon))
+    except (EmptyPhrase, NotAnNP):
+        return lemmatize(name, lexicon)
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        ("cars", ("car", "car")),
+        ("men", ("man", "man")),
+        ("yellow cars", ("yellow car", "car")),
+        ("man's shirt", ("man's shirt", "shirt")),
+        ("traffic lights", ("traffic light", "traffic light")),
+        ("running", ("running", "running")),
+        ("the", ("the", "the")),
+        ("!!!", ("!!!", "!!!")),
+        ("", ("", "")),
+    ],
+)
+def test_name_keys_examples(lexicon, name, keys):
+    assert name_keys(name, lexicon) == keys
+
+
+# Plurals, an irregular plural, modifiers, a possessive, a multiword compound,
+# and words that make no noun phrase on their own; or any text at all.
+_NAME_WORDS = (
+    "car", "cars", "man", "men", "shirt", "yellow", "man's", "women's",
+    "traffic lights", "glasses", "running", "the", "!!!",
+)
+_NAMES = st.lists(st.sampled_from(_NAME_WORDS), min_size=1, max_size=3).map(" ".join) | st.text(
+    max_size=12
+)
+
+
+@settings(max_examples=400)
+@given(_NAMES)
+def test_name_keys_are_lemma_and_head_noun(lexicon, name):
+    keys = (lemmatize(name, lexicon), reference_head(name, lexicon))
+    assert name_keys(name, lexicon) == keys
+    assert name_keys(name, lexicon) == keys  # the memoized answer
+
+
+def test_name_keys_belong_to_their_lexicon(lexicon):
+    plurals = {word: lemma for word, lemma in lexicon.irregular_plurals.items() if word != "men"}
+    other = dataclasses.replace(lexicon, irregular_plurals=plurals)
+    assert name_keys("yellow men", lexicon) == ("yellow man", "man")
+    assert name_keys("yellow men", other) == ("yellow men", "men")
+    assert name_keys("yellow men", lexicon) == ("yellow man", "man")

@@ -419,12 +419,16 @@ def reference_build_seen(objects, triples, regions, lexicon, tau):
     return sorted(deduped.values(), key=lambda t: t.key), diagnostics
 
 
-# Plural pairs and a multiword name, so surface names and lemmas differ; "tree"
+# Plural pairs and a multiword name, so surface names and lemmas differ; a
+# modified and a possessive name, so lemmas and head nouns differ; "tree"
 # names no object. Small coordinates make covering, partial and disjoint boxes
 # all common.
-OBJECT_NAMES = ("man", "men", "car", "cars", "dog", "traffic light", "traffic lights")
+OBJECT_NAMES = (
+    "man", "men", "car", "cars", "dog", "traffic light", "traffic lights", "yellow car",
+    "man's shirt",
+)
 PHRASE_NOUNS = OBJECT_NAMES + ("tree",)
-HEAD_LEMMAS = ("man", "car", "dog", "traffic light", "tree")
+HEAD_LEMMAS = ("man", "car", "dog", "traffic light", "tree", "yellow car", "shirt")
 
 coords = st.integers(0, 30)
 object_boxes = st.builds(BBox, coords, coords, st.integers(1, 20), st.integers(1, 20))
