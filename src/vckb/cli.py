@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ingest, build-seen, build-unseen, stats, export,
-export-instructions, query. Exit codes: 0 success (or --help), 1 input or
-usage error, 2 internal invariant violation.
+export-instructions, query. `_COMMANDS` gives each one only the flags it
+reads, so any other flag is a usage error. Exit codes: 0 success (or
+--help), 1 input or usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -40,53 +41,26 @@ def _worker_count(text: str) -> int:
     return count
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scene", help="scene corpus file")
-    parser.add_argument("--kb", help="knowledge-base edge file")
-    parser.add_argument("--lexicon", help="lexicon directory (default: bundled tables)")
-    parser.add_argument("--data", help="previously exported dataset file")
-    parser.add_argument("--out", help="output file")
-    parser.add_argument("--config", help="JSON file with export configuration")
-    parser.add_argument("--tau", type=float, help="region overlap threshold")
-    parser.add_argument("--m", type=int, help="seen tails sampled per pair")
-    parser.add_argument("--k", type=int, help="top unseen tails kept")
-    parser.add_argument("--j", type=int, help="random extra unseen tails")
-    parser.add_argument("--seed", type=int, help="sampling seed")
-    parser.add_argument("--sep", help="separator token for joined tails")
-    parser.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=_usable_cpus(),
-        help="processes that build the images of export, build-seen, "
-        "build-unseen and export-instructions, or that read the records of "
-        "export-instructions --data (default: the CPUs this process may run "
-        "on, which also cap it); the output is byte-identical for every count",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vckb",
-        description="Build, inspect, and export a grounded visual-commonsense dataset.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in (
-        ("ingest", "validate a scene corpus (and optional KB), report counts"),
-        ("build-seen", "build and export the seen layer only"),
-        ("build-unseen", "build and export the unseen layer only"),
-        ("export", "build and export the full dataset"),
-        ("stats", "report statistics of an exported dataset"),
-        ("export-instructions", "generate instruction-tuning samples"),
-        ("query", "look up triples by object name and category"),
-    ):
-        command = sub.add_parser(name, help=description)
-        _add_common_flags(command)
-        if name == "query":
-            command.add_argument("--name", required=True, help="object name to look up")
-            command.add_argument(
-                "--category", required=True, help="canonical category path"
-            )
-    return parser
+# Each flag's argparse spec; `_COMMANDS` names the flags each command takes.
+_FLAGS = {
+    "scene": dict(help="scene corpus file"),
+    "kb": dict(help="knowledge-base edge file"),
+    "lexicon": dict(help="lexicon directory (default: bundled tables)"),
+    "data": dict(help="previously exported dataset file"),
+    "out": dict(help="output file"),
+    "config": dict(help="JSON file with export configuration"),
+    "tau": dict(type=float, help="region overlap threshold"),
+    "m": dict(type=int, help="seen tails sampled per pair"),
+    "k": dict(type=int, help="top unseen tails kept"),
+    "j": dict(type=int, help="random extra unseen tails"),
+    "seed": dict(type=int, help="sampling seed"),
+    "sep": dict(help="separator token for joined tails"),
+    "workers": dict(type=_worker_count, help="processes that build the images or read "
+                    "the dataset records (default: the CPUs this process may run on, which "
+                    "also cap it); the output is byte-identical for every count"),
+    "name": dict(required=True, help="object name to look up"),
+    "category": dict(required=True, help="canonical category path"),
+}
 
 
 def _require(args, *flags: str) -> None:
@@ -146,11 +120,12 @@ def _cmd_write(args) -> int:
     """export, build-seen, build-unseen and export-instructions: write the
     lines each record renders to, in order, from --data or from a build."""
     _require(args, "out")
+    for flag in ("scene", "kb", "data", "config"):
+        # Writing --out truncates it, so no input the command takes may be it.
+        if getattr(args, flag, None) and _same_file(getattr(args, flag), args.out):
+            raise VckbError(f"--{flag} and --out name the same file: {args.out}")
     config = _config_from(args)
     if args.command == "export-instructions":
-        if args.data and _same_file(args.data, args.out):
-            # Writing --out truncates it before a single range of --data is read.
-            raise VckbError(f"--data and --out name the same file: {args.out}")
         templates = InstructionTemplates.load(config.template_path)
         render = partial(instruction_lines, config=config, templates=templates)
         if args.data:
@@ -197,23 +172,48 @@ def _cmd_query(args) -> int:
     return 0
 
 
+# Each command's help text, the flags it reads and the function that runs it.
+# build-seen, build-unseen and export also take the sampling flags --m --k --j
+# --seed --sep without reading them, until ROADMAP item 8 settles them.
+_BUILD = ("scene", "lexicon", "out", "config", "tau", "m", "k", "j", "seed", "sep", "workers")
+_COMMANDS = {
+    "ingest": ("validate a scene corpus (and optional KB), report counts",
+               ("scene", "kb", "out"), _cmd_ingest),
+    "build-seen": ("build and export the seen layer only", _BUILD, _cmd_write),
+    "build-unseen": ("build and export the unseen layer only", ("kb", *_BUILD), _cmd_write),
+    "export": ("build and export the full dataset", ("kb", *_BUILD), _cmd_write),
+    "stats": ("report statistics of an exported dataset", ("data",), _cmd_stats),
+    "export-instructions": ("generate instruction-tuning samples",
+                            ("kb", "data", *_BUILD), _cmd_write),
+    "query": ("look up triples by object name and category",
+              ("data", "lexicon", "name", "category"), _cmd_query),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vckb",
+        description="Build, inspect, and export a grounded visual-commonsense dataset.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (description, flags, run) in _COMMANDS.items():
+        # No prefix matching: ingest must refuse --k, not read it as --kb.
+        command = sub.add_parser(name, help=description, allow_abbrev=False)
+        command.set_defaults(run=run)
+        for flag in (f for f in _FLAGS if f in flags):  # one order in every --help
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        if "workers" in flags:
+            command.set_defaults(workers=_usable_cpus())  # the CPUs usable now, not at import
+    return parser
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means internal error here
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "ingest":
-            return _cmd_ingest(args)
-        if args.command in (
-            "build-seen", "build-unseen", "export", "export-instructions"
-        ):
-            return _cmd_write(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except (VckbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

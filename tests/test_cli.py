@@ -1,16 +1,20 @@
+import argparse
 import hashlib
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import vckb.ingest as ingest
 from vckb import InstructionTemplates, export_dataset, import_dataset
-from vckb.cli import main
+from vckb.cli import _build_parser, main
 
 from conftest import DATA_DIR
 
@@ -38,20 +42,23 @@ def test_ingest_writes_normalized_copy(fixture_paths, tmp_path, capsys):
 
 def test_ingest_does_not_read_lexicon(fixture_paths, tmp_path, capsys):
     scene, _ = fixture_paths
-    argv = ["ingest", "--scene", scene, "--lexicon", str(tmp_path / "missing")]
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["images"] == 50
+    out = tmp_path / "normalized.tsv"
+    argv = ["ingest", "--scene", scene, "--out", str(out),
+            "--lexicon", str(tmp_path / "missing")]
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_build_seen_does_not_read_kb(fixture_paths, tmp_path):
+def test_build_seen_does_not_read_kb(fixture_paths, tmp_path, capsys):
     scene, _ = fixture_paths
     bad_kb = tmp_path / "bad_kb.tsv"
     bad_kb.write_text("not\ta kb line\n", encoding="utf-8")
-    without_kb, with_bad_kb = tmp_path / "seen.tsv", tmp_path / "seen_bad_kb.tsv"
-    assert main(["build-seen", "--scene", scene, "--out", str(without_kb)]) == 0
-    argv = ["build-seen", "--scene", scene, "--kb", str(bad_kb), "--out", str(with_bad_kb)]
-    assert main(argv) == 0
-    assert with_bad_kb.read_bytes() == without_kb.read_bytes()
+    out = tmp_path / "seen.tsv"
+    argv = ["build-seen", "--scene", scene, "--kb", str(bad_kb), "--out", str(out)]
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_stats_query_round_trip(fixture_paths, tmp_path, capsys):
@@ -231,6 +238,131 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["export", "--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+# The flags each command accepts: the ones it reads, plus the sampling flags
+# that build-seen, build-unseen and export keep until ROADMAP item 8 settles them.
+_SAMPLING = {"--m", "--k", "--j", "--seed", "--sep"}
+_BUILD = {"--scene", "--lexicon", "--out", "--config", "--tau", "--workers", *_SAMPLING}
+ACCEPTED_FLAGS = {
+    "ingest": {"--scene", "--kb", "--out"},
+    "build-seen": _BUILD,
+    "build-unseen": {"--kb", *_BUILD},
+    "export": {"--kb", *_BUILD},
+    "stats": {"--data"},
+    "export-instructions": {"--kb", "--data", *_BUILD},
+    "query": {"--data", "--lexicon", "--name", "--category"},
+}
+# The 13 flags that every command used to accept, read or not.
+_FORMER_COMMON = {"--scene", "--kb", "--lexicon", "--data", "--out", "--config", "--tau",
+                  "--workers", *_SAMPLING}
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, accepted in ACCEPTED_FLAGS.items()
+    for flag in sorted(_FORMER_COMMON - accepted)
+]
+FILE_FLAGS = ("--scene", "--kb", "--lexicon", "--data", "--config", "--out")
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {flag for action in command._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, command in commands.choices.items()
+    }
+    assert accepted == ACCEPTED_FLAGS
+    assert sum(len(flags) for flags in accepted.values()) == 56
+    assert len(REMOVED_FLAGS) == 93 - 56
+
+
+def _valid_args(command, tmp_path, data):
+    """Arguments with which `command` succeeds, writing its --out under tmp_path.
+    export-instructions builds from the corpus, so it reads every file flag."""
+    scene, kb = str(DATA_DIR / "fixture_scene.tsv"), str(DATA_DIR / "fixture_kb.tsv")
+    build = ["--scene", scene, "--kb", kb, "--out", str(tmp_path / "out.tsv")]
+    return {
+        "ingest": ["--scene", scene],
+        "build-seen": build[:2] + build[4:],
+        "build-unseen": build,
+        "export": build,
+        "stats": ["--data", str(data)],
+        "export-instructions": build,
+        "query": ["--data", str(data), "--name", "car", "--category", "/Unseen/Action/UsedFor"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flag_is_usage_error(fixture_export, tmp_path, capsys, command, flag):
+    numeric = {"--tau", "--m", "--k", "--j", "--seed", "--workers"}
+    value = "1" if flag in numeric else str(tmp_path / "x")
+    argv = [command, *_valid_args(command, tmp_path, fixture_export), flag, value]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, accepted in ACCEPTED_FLAGS.items() for f in FILE_FLAGS if f in accepted],
+)
+def test_kept_file_flag_is_read(fixture_export, tmp_path, capsys, command, flag):
+    missing = str(tmp_path / "missing" / "file")  # its directory does not exist either
+    # argparse keeps a repeated flag's last value.
+    argv = [command, *_valid_args(command, tmp_path, fixture_export), flag, missing]
+    assert main(argv) == 1
+    assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (c, f)
+        for c in ("build-seen", "build-unseen", "export", "export-instructions")
+        for f in ("--scene", "--kb", "--data", "--config")
+        if f in ACCEPTED_FLAGS[c]
+    ],
+)
+def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, command, flag):
+    source = {
+        "--scene": DATA_DIR / "fixture_scene.tsv",
+        "--kb": DATA_DIR / "fixture_kb.tsv",
+        "--data": fixture_export,
+    }.get(flag)
+    same = tmp_path / "input"
+    same.write_bytes(source.read_bytes() if source else b"{}")
+    before = same.read_bytes()
+    argv = [command, *_valid_args(command, tmp_path, fixture_export),
+            flag, str(same), "--out", str(same)]
+    assert main(argv) == 1
+    assert f"{flag} and --out name the same file: {same}" in capsys.readouterr().err
+    assert same.read_bytes() == before
+
+
+def _readme_cli_lines() -> list[str]:
+    """Each `vckb ...` line of README's CLI block, with continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("vckb ")]
+
+
+def test_readme_documents_every_command():
+    assert {line.split()[1] for line in _readme_cli_lines()} == set(ACCEPTED_FLAGS)
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_line_parses(line):
+    # "[--flag VALUE]" marks an optional flag. Parsing opens no file, so the
+    # README's example paths stand as they are.
+    argv = shlex.split(re.sub(r"\[(--[^\[\]]*)\]", r"\1", line))[1:]
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README documents a flag that {argv[0]} does not accept: {line}")
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
