@@ -126,6 +126,10 @@ def _cmd_write(args) -> int:
             raise VckbError(f"--{flag} and --out name the same file: {args.out}")
     config = _config_from(args)
     if args.command == "export-instructions":
+        if config.template_path and _same_file(config.template_path, args.out):
+            raise VckbError(
+                f"the config's template_path and --out name the same file: {args.out}"
+            )
         templates = InstructionTemplates.load(config.template_path)
         render = partial(instruction_lines, config=config, templates=templates)
         if args.data:

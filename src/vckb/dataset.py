@@ -14,11 +14,17 @@ as ``\\\\``, ``\\t``, ``\\n``, and ``\\r``. Scores are written with ``repr``
 so floats round-trip exactly, and the reader rejects a score that is not a
 finite, non-negative number, as the KB loader rejects such a weight;
 repeated runs over identical inputs are byte-identical.
+
+The reader takes a line in one pass over its fields and checks each group's
+triple fields at once. A malformed line raises MalformedRecord for its first
+bad field in field order: a line the one-pass reader refuses is walked again
+one field at a time to name that field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -148,6 +154,58 @@ def export_dataset(records: Iterable[DatasetRecord], path) -> None:
 
 # Position of each leaf in the canonical group order of a record.
 _GROUP_RANK = {category: rank for rank, category in enumerate(CategoryPath)}
+# Each leaf and provenance by the text that names it in a record; the leaf
+# table also gives the rank, so that reading a group hashes no enum member.
+_LEAVES = {leaf.text: (leaf, rank) for leaf, rank in _GROUP_RANK.items()}
+_PROVENANCES = {provenance.value: provenance for provenance in Provenance}
+
+
+def _read_record(fields: list[str]) -> DatasetRecord:
+    """The record on a line's fields, read in one pass with each group's
+    triple fields taken at once. Any check that fails raises ValueError or
+    LookupError, which name nothing: `_walk_record` names the bad field."""
+    end = len(fields)
+    image_id = fields[0]
+    object_count = int(fields[1])
+    if object_count < 0:
+        raise ValueError
+    i = 2
+    entries = []
+    for _ in range(object_count):
+        x, y, w, h = map(int, fields[i + 2 : i + 6])
+        obj = GroundedObject(fields[i], image_id, _unescape(fields[i + 1]), BBox(x, y, w, h))
+        group_count = int(fields[i + 6])
+        if group_count < 0:
+            raise ValueError
+        i += 7
+        groups = []
+        last_rank = -1
+        for _ in range(group_count):
+            category, rank = _LEAVES[fields[i]]
+            triple_count = int(fields[i + 1])
+            start = i + 2
+            i = start + 3 * triple_count
+            if rank <= last_rank or triple_count < 0 or i > end:
+                raise ValueError
+            last_rank = rank
+            triples = []
+            for tail, provenance, score in zip(
+                fields[start:i:3],
+                fields[start + 1 : i : 3],
+                map(float, fields[start + 2 : i : 3]),
+            ):
+                if not 0 <= score < math.inf:  # the rule of ingest._parse_weight
+                    raise ValueError
+                triples.append(
+                    CommonsenseTriple(
+                        obj, category, _unescape(tail), _PROVENANCES[provenance], score
+                    )
+                )
+            groups.append(CategoryGroup(category, triples))
+        entries.append(ObjectEntry(obj, groups))
+    if i != end:
+        raise ValueError
+    return DatasetRecord(image_id, entries)
 
 
 class _FieldReader:
@@ -183,9 +241,10 @@ class _FieldReader:
             )
 
 
-def _parse_record(reader: _FieldReader) -> DatasetRecord:
+def _walk_record(reader: _FieldReader) -> None:
+    """Check a line's fields one at a time, in field order, and raise
+    MalformedRecord for the first bad one; return if there is none."""
     image_id = reader.take("image_id")
-    entries = []
     for _ in range(reader.take_int("object count")):
         object_id = reader.take("object_id")
         name = _unescape(reader.take("name"))
@@ -199,7 +258,6 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
             )
         except ValueError as exc:
             raise MalformedRecord(reader.path, reader.line_number, str(exc)) from None
-        groups = []
         last_rank = -1
         for _ in range(reader.take_int("group count")):
             try:
@@ -217,7 +275,6 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
                     "or out of canonical order",
                 )
             last_rank = rank
-            triples = []
             for _ in range(reader.take_int("triple count")):
                 tail = _unescape(reader.take("tail"))
                 provenance_text = reader.take("provenance")
@@ -233,23 +290,32 @@ def _parse_record(reader: _FieldReader) -> DatasetRecord:
                     reader.take("score"), reader.path, reader.line_number, "score"
                 )
                 try:
-                    triples.append(
-                        CommonsenseTriple(
-                            head=obj,
-                            category=category,
-                            tail=tail,
-                            provenance=provenance,
-                            score=score,
-                        )
+                    CommonsenseTriple(
+                        head=obj,
+                        category=category,
+                        tail=tail,
+                        provenance=provenance,
+                        score=score,
                     )
                 except ValueError as exc:
                     raise MalformedRecord(
                         reader.path, reader.line_number, str(exc)
                     ) from None
-            groups.append(CategoryGroup(category=category, triples=triples))
-        entries.append(ObjectEntry(obj=obj, groups=groups))
     reader.done()
-    return DatasetRecord(image_id=image_id, entries=entries)
+
+
+def _parse_record(fields: list[str], path, line_number: int) -> DatasetRecord:
+    """The record on one line's fields. A line `_read_record` refuses is
+    walked field by field, which raises MalformedRecord for its first bad
+    field; if the walk finds none, that is an internal error."""
+    try:
+        return _read_record(fields)
+    except (ValueError, LookupError):
+        pass
+    _walk_record(_FieldReader(fields, path, line_number))
+    raise RuntimeError(
+        f"{path}:{line_number}: the one-pass reader refused a line the field walk accepts"
+    )
 
 
 def _chunk_records(path, chunk) -> Iterator[DatasetRecord]:
@@ -257,7 +323,7 @@ def _chunk_records(path, chunk) -> Iterator[DatasetRecord]:
     `_line_chunks` or the whole file's (0, None, 1); errors name the line's
     number in the whole file."""
     for line_number, line in _read_lines(path, chunk):
-        yield _parse_record(_FieldReader(line.split("\t"), path, line_number))
+        yield _parse_record(line.split("\t"), path, line_number)
 
 
 def iter_dataset(path) -> Iterator[DatasetRecord]:

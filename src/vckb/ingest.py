@@ -132,7 +132,7 @@ def _write_lines(path, lines) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundedObject:
     object_id: str
     image_id: str

@@ -39,7 +39,7 @@ class Provenance(enum.Enum):
     KB_RETRIEVAL = "kb_retrieval"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommonsenseTriple:
     """A grounded head, a taxonomy leaf, and a tail phrase."""
 

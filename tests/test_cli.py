@@ -342,6 +342,24 @@ def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, co
     assert same.read_bytes() == before
 
 
+@pytest.mark.parametrize("source", ["build", "data"])
+def test_out_naming_the_config_template_is_input_error(
+    fixture_paths, fixture_export, tmp_path, capsys, source
+):
+    template = tmp_path / "templates.json"
+    template.write_text(json.dumps(vars(InstructionTemplates.load())))
+    before = _sha256(template)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"template_path": str(template)}))
+    scene, kb = fixture_paths
+    inputs = ["--data", str(fixture_export)] if source == "data" else ["--scene", scene, "--kb", kb]
+    argv = ["export-instructions", *inputs, "--config", str(config), "--out", str(template)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"the config's template_path and --out name the same file: {template}" in err
+    assert _sha256(template) == before
+
+
 def _readme_cli_lines() -> list[str]:
     """Each `vckb ...` line of README's CLI block, with continuations joined."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -431,6 +449,21 @@ def test_unknown_template_field_is_input_error(fixture_paths, tmp_path, capsys):
             "--out", str(tmp_path / "x"), "--config", str(config)]
     assert main(argv) == 1
     assert "unknown template fields ['bogus']" in capsys.readouterr().err
+
+
+def test_line_only_the_one_pass_reader_refuses_is_internal_error(
+    fixture_export, capsys, monkeypatch
+):
+    import vckb.dataset as dataset_module
+
+    def refuse(fields):
+        raise ValueError
+
+    monkeypatch.setattr(dataset_module, "_read_record", refuse)
+    assert main(["stats", "--data", str(fixture_export)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{fixture_export}:1: the one-pass reader refused a line the field walk accepts" in err
 
 
 def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):

@@ -15,8 +15,16 @@ from vckb import (
     parse_category,
     query,
 )
-from vckb.dataset import ObjectEntry, _escape, _unescape
-from vckb.errors import MalformedRecord
+from vckb.dataset import (
+    CategoryGroup,
+    ObjectEntry,
+    _escape,
+    _parse_record,
+    _unescape,
+    record_line,
+)
+from vckb.errors import InvalidCategory, MalformedRecord
+from vckb.ingest import _parse_weight
 from vckb.seen import CommonsenseTriple
 from vckb.taxonomy import CategoryPath, Visibility
 
@@ -193,9 +201,20 @@ def test_import_rejects_score_that_is_not_a_weight(tmp_path, score):
          "unknown provenance 'guess'"),
         ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall"
          "\tkb_retrieval\t0.0", "does not match category"),
+        ("img2\t0\tmore", "trailing fields after record"),
+        ("img2\t1\to1\tman\tx\t0\t5\t5\t0", "x is not an integer: 'x'"),
+        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t-1",
+         "triple count is negative"),
+        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/Bogus\t0",
+         "not a taxonomy leaf: '/Seen/Property/Bogus'"),
+        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall",
+         "missing field: provenance"),
+        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall\tguess",
+         "unknown provenance 'guess'"),
     ],
     ids=["missing-field", "negative-count", "bad-box", "unknown-provenance",
-         "provenance-mismatch"],
+         "provenance-mismatch", "trailing-fields", "not-an-integer", "negative-triple-count",
+         "not-a-leaf", "ends-after-tail", "unknown-provenance-no-score"],
 )
 def test_dataset_reader_rejects_malformed_line(tmp_path, record, message):
     path = tmp_path / "dataset.tsv"
@@ -319,18 +338,19 @@ _FIELD_TEXT = st.text(
     max_size=6,
 )
 _IDS = st.text("abxyz019_-.", min_size=1, max_size=4)
+# `_record` gives unseen triples kb_retrieval in place of the drawn provenance.
+_SEEN_PROVENANCES = st.sampled_from([p for p in Provenance if p is not Provenance.KB_RETRIEVAL])
 _TRIPLE_FIELDS = st.tuples(
     st.sampled_from(CategoryPath),
-    st.sampled_from([p for p in Provenance if p is not Provenance.KB_RETRIEVAL]),
+    _SEEN_PROVENANCES,
     # Tails must not be blank: field text around a character that is not a space.
     st.builds("{}{}{}".format, _FIELD_TEXT, st.sampled_from("t\\\U0001f600"), _FIELD_TEXT),
     st.floats(min_value=0, allow_nan=False, allow_infinity=False),
 )
-_OBJECT_FIELDS = st.tuples(
-    _FIELD_TEXT,
-    st.builds(BBox, st.integers(0, 99), st.integers(0, 99), st.integers(1, 99), st.integers(1, 99)),
-    st.lists(_TRIPLE_FIELDS, max_size=3),
+_BOXES = st.builds(
+    BBox, st.integers(0, 99), st.integers(0, 99), st.integers(1, 99), st.integers(1, 99)
 )
+_OBJECT_FIELDS = st.tuples(_FIELD_TEXT, _BOXES, st.lists(_TRIPLE_FIELDS, max_size=3))
 
 
 def _record(fields):
@@ -356,3 +376,203 @@ def test_record_lines_read_back_unchanged(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "record-lines.tsv"
     export_dataset(records, path)
     assert list(iter_dataset(path)) == records
+
+
+class _ReferenceFields:
+    """The reference reader's cursor over a line's fields: one call per field."""
+
+    def __init__(self, fields, path, line_number):
+        self.fields = fields
+        self.path = path
+        self.line_number = line_number
+        self.index = 0
+
+    def take(self, what):
+        if self.index >= len(self.fields):
+            raise MalformedRecord(self.path, self.line_number, f"missing field: {what}")
+        value = self.fields[self.index]
+        self.index += 1
+        return value
+
+    def take_int(self, what):
+        value = self.take(what)
+        try:
+            number = int(value)
+        except ValueError:
+            raise MalformedRecord(
+                self.path, self.line_number, f"{what} is not an integer: {value!r}"
+            ) from None
+        if number < 0:
+            raise MalformedRecord(self.path, self.line_number, f"{what} is negative")
+        return number
+
+
+def _reference_record(fields, path, line_number):
+    """Per-field reference reader: builds a record one field at a time and
+    raises MalformedRecord for the first bad field, in field order."""
+    reader = _ReferenceFields(fields, path, line_number)
+
+    def malformed(message):
+        return MalformedRecord(path, line_number, message)
+
+    rank_of = {category: rank for rank, category in enumerate(CategoryPath)}
+    image_id = reader.take("image_id")
+    entries = []
+    for _ in range(reader.take_int("object count")):
+        object_id = reader.take("object_id")
+        name = _unescape(reader.take("name"))
+        x, y, w, h = (reader.take_int(what) for what in "xywh")
+        try:
+            obj = GroundedObject(object_id, image_id, name, BBox(x, y, w, h))
+        except ValueError as exc:
+            raise malformed(str(exc)) from None
+        groups = []
+        last_rank = -1
+        for _ in range(reader.take_int("group count")):
+            try:
+                category = parse_category(reader.take("category"))
+            except InvalidCategory as exc:
+                raise malformed(str(exc)) from None
+            if rank_of[category] <= last_rank:
+                raise malformed(
+                    f"group {category.text} of object {object_id!r} is repeated "
+                    "or out of canonical order"
+                )
+            last_rank = rank_of[category]
+            triples = []
+            for _ in range(reader.take_int("triple count")):
+                tail = _unescape(reader.take("tail"))
+                provenance_text = reader.take("provenance")
+                try:
+                    provenance = Provenance(provenance_text)
+                except ValueError:
+                    raise malformed(f"unknown provenance {provenance_text!r}") from None
+                score = _parse_weight(reader.take("score"), path, line_number, "score")
+                try:
+                    triples.append(CommonsenseTriple(obj, category, tail, provenance, score))
+                except ValueError as exc:
+                    raise malformed(str(exc)) from None
+            groups.append(CategoryGroup(category, triples))
+        entries.append(ObjectEntry(obj, groups))
+    if reader.index != len(fields):
+        raise malformed("trailing fields after record")
+    return DatasetRecord(image_id, entries)
+
+
+def _field_kinds(record):
+    """The kind of each field of the record's line, in field order."""
+    kinds = ["image_id", "count"]
+    for entry in record.entries:
+        kinds += ["object_id", "name", "coordinate", "coordinate", "coordinate", "coordinate",
+                  "count"]
+        for group in entry.groups:
+            kinds += ["leaf", "count"] + ["tail", "provenance", "score"] * len(group.triples)
+    return kinds
+
+
+def _off_by_one(fields, kinds, at):
+    return [str(int(fields[at]) + 1), str(int(fields[at]) - 1)] if fields[at].isdigit() else [""]
+
+
+def _leaves_of_line(fields, kinds, at):
+    return [field for field, kind in zip(fields, kinds) if kind == "leaf"]
+
+
+# Each mutation that rewrites one field: the kind of field, and the values it
+# may write there, or a function of the fields, their kinds and the place
+# that gives them. They give counts off by one, negative, zero and
+# non-integer counts and coordinates, unknown leaves and provenances, leaves
+# repeated, out of order or of the other visibility, scores that are no
+# weight, and tails that are empty or blank once unescaped.
+_REWRITES = {
+    "count off by one": ("count", _off_by_one),
+    "bad count": ("count", ["-1", "x", "1.5", ""]),
+    "bad coordinate": ("coordinate", ["-1", "0", "x", "1.5", ""]),
+    "leaf of the line": ("leaf", _leaves_of_line),
+    "other leaf": ("leaf", [leaf.text for leaf in CategoryPath]),
+    "unknown leaf": ("leaf", ["/Seen/Property/Bogus", "/Unseen/Space/Relatedness", ""]),
+    "other provenance": ("provenance", [provenance.value for provenance in Provenance]),
+    "unknown provenance": ("provenance", ["guess", ""]),
+    "negative score": ("score", ["-1", "-inf", "-1e-300"]),
+    "score not finite": ("score", ["nan", "inf", "1e400"]),
+    "not a number": ("score", ["x", "", "1,5"]),
+    "blank tail": ("tail", ["", " ", "\\t", "\\n\\r"]),
+}
+# Fields dropped, inserted, swapped or appended take one of these.
+_ANY_FIELD = st.sampled_from(
+    ["", "0", "1", "-1", "x", "nan", "0.5", "guess", "scene_triple", "kb_retrieval",
+     "/Seen/Property/HasProperty", "/Unseen/Action/UsedFor"]
+)
+# Names and tails: escapes, blanks around text, an astral character.
+_SHORT_TEXT = st.sampled_from(["man", "red car", "tab\there", "back\\slash", "new\nline",
+                               " x ", "\U0001f600"])
+# Records of up to three objects with up to five triples each.
+_RECORDS_WITH_TRIPLES = st.tuples(
+    _IDS,
+    st.dictionaries(
+        _IDS,
+        st.tuples(
+            _SHORT_TEXT,
+            _BOXES,
+            st.lists(
+                st.tuples(
+                    st.sampled_from(CategoryPath),
+                    _SEEN_PROVENANCES,
+                    _SHORT_TEXT,
+                    st.sampled_from([0.0, 0.5, 1.25, 1e300]),
+                ),
+                max_size=5,
+            ),
+        ),
+        max_size=3,
+    ),
+).map(_record)
+
+
+@st.composite
+def _mutated_fields(draw):
+    """The fields of a line of `record_line` after up to two mutations: a
+    field rewritten as in `_REWRITES`, or a field dropped, inserted, swapped
+    or appended."""
+    record = draw(_RECORDS_WITH_TRIPLES)
+    fields = record_line(record).split("\t")
+    kinds = _field_kinds(record)
+    # "none" first: Hypothesis draws the first element most often.
+    mutations = st.sampled_from(["none", *_REWRITES, "drop", "insert", "swap", "append"])
+    for mutation in draw(st.lists(mutations, min_size=1, max_size=2)):
+        at = draw(st.integers(0, len(fields) - 1))
+        if mutation in _REWRITES:
+            kind, values = _REWRITES[mutation]
+            places = [i for i, k in enumerate(kinds) if k == kind]
+            if not places:  # the line has no field of this kind
+                continue
+            at = draw(st.sampled_from(places))
+            if callable(values):
+                values = values(fields, kinds, at)
+            fields[at] = draw(st.sampled_from(values))
+        elif mutation == "drop" and len(fields) > 1:
+            del fields[at], kinds[at]
+        elif mutation == "insert":
+            fields.insert(at, draw(_ANY_FIELD))
+            kinds.insert(at, "inserted")
+        elif mutation == "swap":
+            other = draw(st.integers(0, len(fields) - 1))
+            fields[at], fields[other] = fields[other], fields[at]
+            kinds[at], kinds[other] = kinds[other], kinds[at]
+        elif mutation == "append":
+            fields.append(draw(_ANY_FIELD))
+            kinds.append("inserted")
+    return fields
+
+
+@given(_mutated_fields())
+@settings(max_examples=500, deadline=None)
+def test_reader_agrees_with_per_field_reference(fields):
+    try:
+        expected = _reference_record(list(fields), "data.tsv", 7)
+    except MalformedRecord as exc:
+        with pytest.raises(MalformedRecord) as excinfo:
+            _parse_record(list(fields), "data.tsv", 7)
+        assert (excinfo.value.message, excinfo.value.line_number) == (exc.message, 7)
+    else:
+        assert _parse_record(list(fields), "data.tsv", 7) == expected
