@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ingest, build-seen, build-unseen, stats, export,
-export-instructions, query. `_COMMANDS` gives each one only the flags it
-reads, so any other flag is a usage error. Exit codes: 0 success (or
---help), 1 input or usage error, 2 internal invariant violation.
+export-instructions (from a dataset file), query. `_COMMANDS` gives each one
+only the flags it reads, so any other flag is a usage error. Exit codes: 0
+success (or --help), 1 input or usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -69,24 +69,25 @@ def _require(args, *flags: str) -> None:
         raise VckbError(f"missing required flags: {', '.join(missing)}")
 
 
-def _config_from(args) -> ExportConfig:
-    return ExportConfig.load(
-        args.config,
-        m=args.m,
-        k=args.k,
-        j=args.j,
-        tau=args.tau,
-        seed=args.seed,
-        sep_token=args.sep,
-    )
-
-
 def _lexicon(args) -> Lexicon:
     return Lexicon.load(args.lexicon) if args.lexicon else Lexicon.default()
 
 
+def _same_file(a: str, b: str) -> bool:
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
+def _refuse_out_as_input(args, *flags: str) -> None:
+    """Writing --out truncates it, so no input file the command reads may be it."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path and args.out and _same_file(path, args.out):
+            raise VckbError(f"--{flag} and --out name the same file: {args.out}")
+
+
 def _cmd_ingest(args) -> int:
     _require(args, "scene")
+    _refuse_out_as_input(args, "kb")  # --scene may be --out: it is normalized in place
     corpus = load_scene_corpus(args.scene)
     kb = load_kb(args.kb) if args.kb else None
     if args.out:
@@ -112,33 +113,13 @@ def _unseen_line(record: DatasetRecord) -> list[str]:
     return [record_line(DatasetRecord(record.image_id, entries))]
 
 
-def _same_file(a: str, b: str) -> bool:
-    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
-
-
-def _cmd_write(args) -> int:
-    """export, build-seen, build-unseen and export-instructions: write the
-    lines each record renders to, in order, from --data or from a build."""
-    _require(args, "out")
-    for flag in ("scene", "kb", "data", "config"):
-        # Writing --out truncates it, so no input the command takes may be it.
-        if getattr(args, flag, None) and _same_file(getattr(args, flag), args.out):
-            raise VckbError(f"--{flag} and --out name the same file: {args.out}")
-    config = _config_from(args)
-    if args.command == "export-instructions":
-        if config.template_path and _same_file(config.template_path, args.out):
-            raise VckbError(
-                f"the config's template_path and --out name the same file: {args.out}"
-            )
-        templates = InstructionTemplates.load(config.template_path)
-        render = partial(instruction_lines, config=config, templates=templates)
-        if args.data:
-            render_dataset(args.data, args.out, render, workers=args.workers)
-            return 0
-    else:
-        render = _unseen_line if args.command == "build-unseen" else _dataset_line
-    with_kb = args.command != "build-seen"
-    _require(args, "scene", *(["kb"] if with_kb else []))
+def _cmd_build(args, render, with_kb: bool) -> int:
+    """build-seen, build-unseen and export: build every image of --scene and
+    write the lines `render` makes of its record, in corpus order."""
+    inputs = ("scene", "kb") if with_kb else ("scene",)
+    _require(args, *inputs, "out")
+    _refuse_out_as_input(args, *inputs, "config")
+    config = ExportConfig.load(args.config, tau=args.tau)
     lexicon = _lexicon(args)
     corpus = load_scene_corpus(args.scene)
     kb = load_kb(args.kb) if with_kb else None
@@ -146,6 +127,21 @@ def _cmd_write(args) -> int:
         corpus, lexicon, args.out, kb, config, workers=args.workers, render=render
     )
     print(json.dumps({"diagnostics": diagnostics.as_dict()}), file=sys.stderr)
+    return 0
+
+
+def _cmd_instructions(args) -> int:
+    """export-instructions: write the instruction samples of each record of --data."""
+    _require(args, "data", "out")
+    _refuse_out_as_input(args, "data", "config")
+    config = ExportConfig.load(
+        args.config, m=args.m, k=args.k, j=args.j, seed=args.seed, sep_token=args.sep
+    )
+    if config.template_path and _same_file(config.template_path, args.out):
+        raise VckbError(f"the config's template_path and --out name the same file: {args.out}")
+    templates = InstructionTemplates.load(config.template_path)
+    render = partial(instruction_lines, config=config, templates=templates)
+    render_dataset(args.data, args.out, render, workers=args.workers)
     return 0
 
 
@@ -177,18 +173,20 @@ def _cmd_query(args) -> int:
 
 
 # Each command's help text, the flags it reads and the function that runs it.
-# build-seen, build-unseen and export also take the sampling flags --m --k --j
-# --seed --sep without reading them, until ROADMAP item 8 settles them.
-_BUILD = ("scene", "lexicon", "out", "config", "tau", "m", "k", "j", "seed", "sep", "workers")
+_BUILD = ("scene", "lexicon", "out", "config", "tau", "workers")
 _COMMANDS = {
     "ingest": ("validate a scene corpus (and optional KB), report counts",
                ("scene", "kb", "out"), _cmd_ingest),
-    "build-seen": ("build and export the seen layer only", _BUILD, _cmd_write),
-    "build-unseen": ("build and export the unseen layer only", ("kb", *_BUILD), _cmd_write),
-    "export": ("build and export the full dataset", ("kb", *_BUILD), _cmd_write),
+    "build-seen": ("build and export the seen layer only", _BUILD,
+                   partial(_cmd_build, render=_dataset_line, with_kb=False)),
+    "build-unseen": ("build and export the unseen layer only", ("kb", *_BUILD),
+                     partial(_cmd_build, render=_unseen_line, with_kb=True)),
+    "export": ("build and export the full dataset", ("kb", *_BUILD),
+               partial(_cmd_build, render=_dataset_line, with_kb=True)),
     "stats": ("report statistics of an exported dataset", ("data",), _cmd_stats),
-    "export-instructions": ("generate instruction-tuning samples",
-                            ("kb", "data", *_BUILD), _cmd_write),
+    "export-instructions": ("generate instruction-tuning samples from a dataset file",
+                            ("data", "out", "config", "m", "k", "j", "seed", "sep",
+                             "workers"), _cmd_instructions),
     "query": ("look up triples by object name and category",
               ("data", "lexicon", "name", "category"), _cmd_query),
 }

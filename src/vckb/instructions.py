@@ -133,15 +133,17 @@ class InstructionTemplates:
         if path is None:
             bundled = resources.files("vckb").joinpath("data/instruction_templates.json")
             with resources.as_file(bundled) as bundled_path:
-                payload = _read_json(bundled_path)
-        else:
-            payload = _read_json(path)
+                return cls.load(bundled_path)
+        payload = _read_json(path)
         try:
-            return cls(
-                template=payload["template"], descriptions=dict(payload["descriptions"])
-            )
+            template, descriptions = payload["template"], payload["descriptions"]
         except (KeyError, TypeError) as exc:
-            raise InvalidConfig(f"template file needs 'template' and 'descriptions': {exc}")
+            raise InvalidConfig(f"template file {path} needs 'template' and 'descriptions': {exc}")
+        if not isinstance(descriptions, dict) or not all(
+            isinstance(text, str) for text in descriptions.values()
+        ):
+            raise InvalidConfig(f"descriptions must be a JSON object of strings: {path}")
+        return cls(template=template, descriptions=descriptions)
 
 
 @dataclass(frozen=True)

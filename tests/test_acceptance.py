@@ -334,8 +334,7 @@ def test_criterion_7_export_determinism(tmp_path):
             assert (
                 main(
                     ["export", "--scene", scene, "--kb", kb,
-                     "--out", str(dataset), "--seed", "13",
-                     "--workers", str(workers)]
+                     "--out", str(dataset), "--workers", str(workers)]
                 )
                 == 0
             )

@@ -38,6 +38,10 @@ def test_ingest_writes_normalized_copy(fixture_paths, tmp_path, capsys):
     out = tmp_path / "normalized.tsv"
     assert main(["ingest", "--scene", scene, "--out", str(out)]) == 0
     assert out.exists()
+    in_place = tmp_path / "in_place.tsv"  # --scene may be --out: normalized in place
+    in_place.write_bytes(Path(scene).read_bytes())
+    assert main(["ingest", "--scene", str(in_place), "--out", str(in_place)]) == 0
+    assert in_place.read_bytes() == out.read_bytes()
 
 
 def test_ingest_does_not_read_lexicon(fixture_paths, tmp_path, capsys):
@@ -64,12 +68,7 @@ def test_build_seen_does_not_read_kb(fixture_paths, tmp_path, capsys):
 def test_export_stats_query_round_trip(fixture_paths, tmp_path, capsys):
     scene, kb = fixture_paths
     data = tmp_path / "dataset.tsv"
-    assert (
-        main(
-            ["export", "--scene", scene, "--kb", kb, "--out", str(data), "--seed", "5"]
-        )
-        == 0
-    )
+    assert main(["export", "--scene", scene, "--kb", kb, "--out", str(data)]) == 0
     capsys.readouterr()
 
     assert main(["stats", "--data", str(data)]) == 0
@@ -119,7 +118,7 @@ def test_build_unseen_is_export_without_seen_groups(fixture_paths, tmp_path, cap
     scene, kb = fixture_paths
     full, unseen = tmp_path / "full.tsv", tmp_path / "unseen.tsv"
     for command, out in (("export", full), ("build-unseen", unseen)):
-        argv = [command, "--scene", scene, "--kb", kb, "--seed", "13", "--out", str(out)]
+        argv = [command, "--scene", scene, "--kb", kb, "--out", str(out)]
         assert main(argv) == 0
     records = import_dataset(full)
     for record in records:
@@ -168,16 +167,16 @@ def test_export_instructions_from_data(fixture_paths, tmp_path, capsys):
 # that alters either file on purpose updates these values and records why.
 FIXTURE_DATASET_SHA256 = "0d269430f3c35ff56b9d9c79cf811ddcb06ea6f6b0f3365ff09f5bceb6e76241"
 FIXTURE_SAMPLES_SHA256 = "fcdc496bcfa7da88e19f3c1d44139226d4fc4e5387dc776c667d0a6cba483857"
-# sha256 of the fixture's build-unseen output with --seed 13.
+# sha256 of the fixture's build-unseen output.
 FIXTURE_UNSEEN_SHA256 = "85f2cd211ce2c2c2b7a66d2c09149b7357fb65ddc5820eb119788b218dab9aa8"
 
 
 @pytest.fixture(scope="module")
 def fixture_export(tmp_path_factory):
-    """The fixture corpus exported with --seed 13."""
+    """The fixture corpus exported."""
     data = tmp_path_factory.mktemp("export") / "dataset.tsv"
     argv = ["export", "--scene", str(DATA_DIR / "fixture_scene.tsv"),
-            "--kb", str(DATA_DIR / "fixture_kb.tsv"), "--seed", "13", "--out", str(data)]
+            "--kb", str(DATA_DIR / "fixture_kb.tsv"), "--out", str(data)]
     assert main(argv) == 0
     return data
 
@@ -240,17 +239,16 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-# The flags each command accepts: the ones it reads, plus the sampling flags
-# that build-seen, build-unseen and export keep until ROADMAP item 8 settles them.
+# The flags each command accepts, each of which it reads.
+_BUILD = {"--scene", "--lexicon", "--out", "--config", "--tau", "--workers"}
 _SAMPLING = {"--m", "--k", "--j", "--seed", "--sep"}
-_BUILD = {"--scene", "--lexicon", "--out", "--config", "--tau", "--workers", *_SAMPLING}
 ACCEPTED_FLAGS = {
     "ingest": {"--scene", "--kb", "--out"},
     "build-seen": _BUILD,
     "build-unseen": {"--kb", *_BUILD},
     "export": {"--kb", *_BUILD},
     "stats": {"--data"},
-    "export-instructions": {"--kb", "--data", *_BUILD},
+    "export-instructions": {"--data", "--out", "--config", "--workers", *_SAMPLING},
     "query": {"--data", "--lexicon", "--name", "--category"},
 }
 # The 13 flags that every command used to accept, read or not.
@@ -264,31 +262,39 @@ REMOVED_FLAGS = [
 FILE_FLAGS = ("--scene", "--kb", "--lexicon", "--data", "--config", "--out")
 
 
-def test_each_command_accepts_only_the_flags_it_reads():
+def _accepted_flags() -> dict[str, set[str]]:
+    """The flags each command accepts, read from the parser itself."""
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    accepted = {
+    return {
         name: {flag for action in command._actions for flag in action.option_strings}
         - {"-h", "--help"}
         for name, command in commands.choices.items()
     }
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    accepted = _accepted_flags()
     assert accepted == ACCEPTED_FLAGS
-    assert sum(len(flags) for flags in accepted.values()) == 56
-    assert len(REMOVED_FLAGS) == 93 - 56
+    assert sum(len(flags) for flags in accepted.values()) == 37
+    assert len(REMOVED_FLAGS) == 93 - 37
 
 
-def _valid_args(command, tmp_path, data):
-    """Arguments with which `command` succeeds, writing its --out under tmp_path.
-    export-instructions builds from the corpus, so it reads every file flag."""
-    scene, kb = str(DATA_DIR / "fixture_scene.tsv"), str(DATA_DIR / "fixture_kb.tsv")
-    build = ["--scene", scene, "--kb", kb, "--out", str(tmp_path / "out.tsv")]
+def _valid_args(command, tmp_path, data, scene=DATA_DIR / "fixture_scene.tsv",
+                kb=DATA_DIR / "fixture_kb.tsv"):
+    """Arguments with which `command` succeeds, writing its --out under tmp_path."""
+    scene, kb = ["--scene", str(scene)], ["--kb", str(kb)]
+    out = ["--out", str(tmp_path / "out.tsv")]
     return {
-        "ingest": ["--scene", scene],
-        "build-seen": build[:2] + build[4:],
-        "build-unseen": build,
-        "export": build,
+        "ingest": scene,
+        "build-seen": scene + out,
+        "build-unseen": scene + kb + out,
+        "export": scene + kb + out,
         "stats": ["--data", str(data)],
-        "export-instructions": build,
+        # --k 1: every fixture unseen group has at most two tails, so --j changes
+        # the samples only while k < 2.
+        "export-instructions": ["--data", str(data), "--m", "3", "--k", "1", "--j", "1",
+                                "--seed", "13"] + out,
         "query": ["--data", str(data), "--name", "car", "--category", "/Unseen/Action/UsedFor"],
     }[command]
 
@@ -317,9 +323,52 @@ def test_kept_file_flag_is_read(fixture_export, tmp_path, capsys, command, flag)
     assert missing in capsys.readouterr().err
 
 
+# A value for each kept value flag other than the one `_valid_args` runs with
+# (the default, for a flag it leaves out: --tau and --sep).
+_OTHER_VALUE = {"--tau": "0.9", "--m": "1", "--k": "0", "--j": "0", "--seed": "14",
+                "--sep": "|", "--name": "man", "--category": "/Unseen/Action/CapableOf"}
+# File flags are checked by test_kept_file_flag_is_read, --workers by the
+# tests that log the worker pids; --config's value is a file that matters.
+VALUE_FLAGS = [
+    (command, flag)
+    for command, accepted in _accepted_flags().items()
+    for flag in sorted(accepted)
+    if flag == "--config" or flag not in {"--workers", *FILE_FLAGS}
+]
+
+
+def _half_covered_scene(tmp_path):
+    """A scene whose one region covers half of its one object, and a KB edge
+    that the region's tail duplicates. At the default tau (0.5) the region is
+    grounded: "tall" is a seen property, and the KB edge is dropped as its
+    duplicate. At tau 0.9 nothing is grounded and the KB edge is kept. The
+    fixture's build-unseen output is the same at every tau."""
+    scene, kb = tmp_path / "scene.tsv", tmp_path / "kb.tsv"
+    scene.write_text("I\timg1\t640\t480\nO\timg1\to1\tman\t0\t0\t100\t100\n"
+                     "R\timg1\t0\t0\t50\t100\ta tall man\n", encoding="utf-8")
+    kb.write_text("man\tHasProperty\ttall\t1.0\n", encoding="utf-8")
+    return scene, kb
+
+
+@pytest.mark.parametrize("command, flag", VALUE_FLAGS)
+def test_kept_value_flag_changes_output(fixture_export, tmp_path, capsys, command, flag):
+    args = _valid_args(command, tmp_path, fixture_export, *_half_covered_scene(tmp_path))
+    value = _OTHER_VALUE.get(flag)
+    if flag == "--config":  # tau changes what a build writes, sep_token the samples
+        value = str(tmp_path / "config.json")
+        Path(value).write_text(json.dumps({"tau": 0.9, "sep_token": "|"}))
+    outputs = []
+    for argv in ([command, *args], [command, *args, flag, value]):
+        assert main(argv) == 0
+        out = tmp_path / "out.tsv"
+        outputs.append((capsys.readouterr().out, out.read_bytes() if out.exists() else b""))
+    assert outputs[0] != outputs[1]
+
+
 @pytest.mark.parametrize(
     "command, flag",
-    [
+    [("ingest", "--kb")]  # ingest's --scene may be its --out: it is normalized in place
+    + [
         (c, f)
         for c in ("build-seen", "build-unseen", "export", "export-instructions")
         for f in ("--scene", "--kb", "--data", "--config")
@@ -342,18 +391,14 @@ def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, co
     assert same.read_bytes() == before
 
 
-@pytest.mark.parametrize("source", ["build", "data"])
-def test_out_naming_the_config_template_is_input_error(
-    fixture_paths, fixture_export, tmp_path, capsys, source
-):
+def test_out_naming_the_config_template_is_input_error(fixture_export, tmp_path, capsys):
     template = tmp_path / "templates.json"
     template.write_text(json.dumps(vars(InstructionTemplates.load())))
     before = _sha256(template)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"template_path": str(template)}))
-    scene, kb = fixture_paths
-    inputs = ["--data", str(fixture_export)] if source == "data" else ["--scene", scene, "--kb", kb]
-    argv = ["export-instructions", *inputs, "--config", str(config), "--out", str(template)]
+    argv = ["export-instructions", "--data", str(fixture_export), "--config", str(config),
+            "--out", str(template)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"the config's template_path and --out name the same file: {template}" in err
@@ -436,8 +481,7 @@ def test_non_object_config_is_input_error(fixture_paths, tmp_path, capsys, paylo
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
-def test_unknown_template_field_is_input_error(fixture_paths, tmp_path, capsys):
-    scene, kb = fixture_paths
+def test_unknown_template_field_is_input_error(fixture_export, tmp_path, capsys):
     template = tmp_path / "templates.json"
     template.write_text(json.dumps({
         "template": "what is {bogus} about the {name}?",
@@ -445,7 +489,7 @@ def test_unknown_template_field_is_input_error(fixture_paths, tmp_path, capsys):
     }))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"template_path": str(template)}))
-    argv = ["export-instructions", "--scene", scene, "--kb", kb,
+    argv = ["export-instructions", "--data", str(fixture_export),
             "--out", str(tmp_path / "x"), "--config", str(config)]
     assert main(argv) == 1
     assert "unknown template fields ['bogus']" in capsys.readouterr().err
@@ -515,7 +559,7 @@ def test_worker_counts_give_identical_export(fixture_paths, tmp_path, capsys, tw
     for workers in ("1", "2"):
         out = tmp_path / f"dataset_w{workers}.tsv"
         argv = ["export", "--scene", scene, "--kb", kb, "--out", str(out),
-                "--seed", "13", "--workers", workers]
+                "--workers", workers]
         assert main(argv) == 0
         outputs[workers] = (out.read_bytes(), capsys.readouterr().err)
     # 50 fixture images make seven chunks.
@@ -534,34 +578,16 @@ def _log_child_pids(monkeypatch, log, name="build_image_record"):
     _patch_build(monkeypatch, record_pid, name)
 
 
-def test_export_builds_images_in_worker_processes(fixture_paths, tmp_path, monkeypatch, two_cpus):
+def test_export_builds_images_in_worker_processes(fixture_export, tmp_path, monkeypatch, two_cpus):
     log = tmp_path / "pids"
     _log_child_pids(monkeypatch, log)
-    scene, kb = fixture_paths
-    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
-            "--workers", "2"]
-    assert main(argv) == 0
-    pids = log.read_text(encoding="ascii").split()
-    assert len(pids) == 50  # every fixture image, none of them in this process
-    assert str(os.getpid()) not in pids
-
-
-def test_export_instructions_builds_in_worker_processes(
-    fixture_paths, tmp_path, monkeypatch, two_cpus
-):
-    log = tmp_path / "pids"
-    _log_child_pids(monkeypatch, log)
-    scene, kb = fixture_paths
-    for workers in ("1", "2"):
-        out = tmp_path / f"samples_w{workers}.tsv"
-        argv = ["export-instructions", "--scene", scene, "--kb", kb, "--out", str(out),
-                "--m", "3", "--k", "2", "--j", "1", "--seed", "13",
-                "--workers", workers]
+    for command in ("build-seen", "build-unseen", "export"):
+        argv = [command, *_valid_args(command, tmp_path, fixture_export), "--workers", "2"]
         assert main(argv) == 0
-        assert _sha256(out) == FIXTURE_SAMPLES_SHA256
-    pids = log.read_text(encoding="ascii").split()
-    assert len(pids) == 50  # the two-worker run built every image, none in this process
-    assert str(os.getpid()) not in pids
+        pids = log.read_text(encoding="ascii").split()
+        log.unlink()
+        assert len(pids) == 50  # every fixture image, none of them in this process
+        assert str(os.getpid()) not in pids
 
 
 @pytest.fixture

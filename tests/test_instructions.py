@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vckb import (
+    CategoryPath,
     DatasetRecord,
     ExportConfig,
     InstructionTemplates,
@@ -219,6 +220,24 @@ def _template_file(tmp_path, template):
 def test_template_fields_checked_at_load(tmp_path, template):
     with pytest.raises(InvalidConfig):
         InstructionTemplates.load(_template_file(tmp_path, template))
+
+
+@pytest.mark.parametrize(
+    "descriptions",
+    [
+        "xy",
+        [[c.text, "a description"] for c in CategoryPath],
+        {c.text: ["a list"] for c in CategoryPath},
+        {c.text: 3 for c in CategoryPath},
+    ],
+    ids=["string", "list-of-pairs", "list-value", "number-value"],
+)
+def test_descriptions_must_be_an_object_of_strings(tmp_path, descriptions):
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps({"template": "{name}", "descriptions": descriptions}))
+    with pytest.raises(InvalidConfig) as error:
+        InstructionTemplates.load(path)
+    assert str(error.value) == f"descriptions must be a JSON object of strings: {path}"
 
 
 def test_template_with_allowed_fields_renders(tmp_path):
