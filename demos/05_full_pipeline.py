@@ -39,7 +39,7 @@ templates = InstructionTemplates.load()
 
 with tempfile.TemporaryDirectory() as tmp:
     dataset_path = Path(tmp) / "dataset.tsv"
-    diagnostics = export_records(corpus, lexicon, dataset_path, kb=kb, config=config)
+    diagnostics = export_records(corpus, lexicon, dataset_path, kb=kb)
     print("diagnostics:", diagnostics.as_dict())
 
     # Each pass reads the file again; no pass holds the whole dataset.

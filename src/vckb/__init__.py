@@ -52,7 +52,7 @@ from .phrase import (
     simplify_np,
     tokenize_and_tag,
 )
-from .pipeline import build_image_record, build_records, export_records
+from .pipeline import build_image_record, export_records
 from .seen import (
     BuildDiagnostics,
     CommonsenseTriple,

@@ -2,8 +2,11 @@
 
 Subcommands: ingest, build-seen, build-unseen, stats, export,
 export-instructions (from a dataset file), query. `_COMMANDS` gives each one
-only the flags it reads, so any other flag is a usage error. Exit codes: 0
-success (or --help), 1 input or usage error, 2 internal invariant violation.
+only the flags it reads, so any other flag is a usage error. The build
+commands take one parameter, `--tau`; `--config` belongs to
+export-instructions and holds sampling fields only. Every value is checked
+before `--out` is opened. Exit codes: 0 success (or --help), 1 input or
+usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .errors import VckbError
 from .ingest import load_kb, load_scene_corpus
 from .instructions import ExportConfig, InstructionTemplates, instruction_lines
 from .lexicon import Lexicon
-from .pipeline import _dataset_line, _usable_cpus, export_records, render_dataset
+from .pipeline import _check_tau, _dataset_line, _usable_cpus, export_records, render_dataset
+from .seen import DEFAULT_TAU
 from .taxonomy import Visibility, parse_category
 
 
@@ -48,8 +52,9 @@ _FLAGS = {
     "lexicon": dict(help="lexicon directory (default: bundled tables)"),
     "data": dict(help="previously exported dataset file"),
     "out": dict(help="output file"),
-    "config": dict(help="JSON file with export configuration"),
-    "tau": dict(type=float, help="region overlap threshold"),
+    "config": dict(help="JSON file of sampling config fields"),
+    "tau": dict(type=float, default=DEFAULT_TAU,
+                help="region overlap threshold, in (0, 1] (default: %(default)s)"),
     "m": dict(type=int, help="seen tails sampled per pair"),
     "k": dict(type=int, help="top unseen tails kept"),
     "j": dict(type=int, help="random extra unseen tails"),
@@ -118,13 +123,13 @@ def _cmd_build(args, render, with_kb: bool) -> int:
     write the lines `render` makes of its record, in corpus order."""
     inputs = ("scene", "kb") if with_kb else ("scene",)
     _require(args, *inputs, "out")
-    _refuse_out_as_input(args, *inputs, "config")
-    config = ExportConfig.load(args.config, tau=args.tau)
+    _check_tau(args.tau)
+    _refuse_out_as_input(args, *inputs)
     lexicon = _lexicon(args)
     corpus = load_scene_corpus(args.scene)
     kb = load_kb(args.kb) if with_kb else None
     diagnostics = export_records(
-        corpus, lexicon, args.out, kb, config, workers=args.workers, render=render
+        corpus, lexicon, args.out, kb, args.tau, workers=args.workers, render=render
     )
     print(json.dumps({"diagnostics": diagnostics.as_dict()}), file=sys.stderr)
     return 0
@@ -173,7 +178,7 @@ def _cmd_query(args) -> int:
 
 
 # Each command's help text, the flags it reads and the function that runs it.
-_BUILD = ("scene", "lexicon", "out", "config", "tau", "workers")
+_BUILD = ("scene", "lexicon", "out", "tau", "workers")
 _COMMANDS = {
     "ingest": ("validate a scene corpus (and optional KB), report counts",
                ("scene", "kb", "out"), _cmd_ingest),

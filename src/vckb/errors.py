@@ -50,7 +50,7 @@ class NotAnNP(VckbError):
 
 
 class InvalidConfig(VckbError):
-    """Export configuration violates its invariants."""
+    """A sampling config field, or the build's tau, violates its invariants."""
 
 
 class IoFailure(VckbError):

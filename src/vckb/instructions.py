@@ -5,7 +5,9 @@ Seen targets sample m tails uniformly without replacement; unseen targets
 take the top-k tails of the sorted list plus j random tails from the
 remainder. Tails are joined with the separator token. Sampling is seeded
 per pair from a hash of (seed, image id, object id, category), so output
-does not depend on iteration order.
+does not depend on iteration order. `ExportConfig` holds these sampling
+parameters only, and is checked whole when it is made; the build's overlap
+threshold tau is no part of it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from importlib import resources
 from .errors import InvalidConfig, IoFailure, MalformedRecord
 from .dataset import DatasetRecord, _escape, _unescape
 from .ingest import _read_lines, _write_lines
-from .seen import DEFAULT_TAU
 from .taxonomy import CategoryPath, Visibility
 
 DEFAULT_SEP = "[sep]"
@@ -42,7 +43,6 @@ class ExportConfig:
     m: int = 3  # seen tails sampled per pair
     k: int = 5  # top unseen tails kept
     j: int = 2  # random extra unseen tails
-    tau: float = DEFAULT_TAU
     seed: int = 0
     sep_token: str = DEFAULT_SEP
     template_path: str | None = None
@@ -56,12 +56,8 @@ class ExportConfig:
             raise InvalidConfig(f"m must be >= 1, got {self.m}")
         if self.k < 0 or self.j < 0:
             raise InvalidConfig(f"k and j must be >= 0, got k={self.k} j={self.j}")
-        if (
-            not isinstance(self.tau, (int, float))
-            or isinstance(self.tau, bool)
-            or not 0 < self.tau <= 1
-        ):
-            raise InvalidConfig(f"tau must be a number in (0, 1], got {self.tau!r}")
+        if self.k + self.j < 1:
+            raise InvalidConfig(f"unseen export needs k + j >= 1, got k={self.k} j={self.j}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         if self.seed.bit_length() > 64:
@@ -187,8 +183,6 @@ def build_instruction_samples(
                     rng = _pair_rng(config.seed, record.image_id, obj.object_id, category.text)
                     chosen = rng.sample(tails, min(config.m, len(tails)))
             else:
-                if config.k + config.j < 1:
-                    raise InvalidConfig("unseen export needs k + j >= 1")
                 chosen = tails[: config.k]
                 rest = tails[config.k :]
                 if rest and config.j:

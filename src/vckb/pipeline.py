@@ -1,15 +1,15 @@
 """End-to-end dataset construction, and the chunked stream every write uses.
 
-Each record depends only on its image, the lexicon, the KB and the export
-configuration, so images can be built in any process in any order and put
-back in corpus order. `build_records` builds every image in the calling
-process and returns the records. `export_records` builds contiguous chunks
-of images; `render_dataset` reads a dataset file in byte ranges of whole
-lines. Both go through one ordered map, run in a fork-based process pool
-when `workers` > 1: each chunk is turned into its output lines where it was
-built or read, and each chunk's lines are written as they arrive, in order,
-so the dataset is never held whole. The output is byte-identical for every
-worker count.
+Each record depends only on its image, the lexicon, the KB and the overlap
+threshold tau, so images can be built in any process in any order and put
+back in corpus order. No sampling parameter reaches the build: instruction
+samples are drawn from a dataset file afterwards (`instructions`).
+`export_records` builds contiguous chunks of images; `render_dataset` reads
+a dataset file in byte ranges of whole lines. Both go through one ordered
+map, run in a fork-based process pool when `workers` > 1: each chunk is
+turned into its output lines where it was built or read, and each chunk's
+lines are written as they arrive, in order, so the dataset is never held
+whole. The output is byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from functools import partial
 
 from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
 from .ingest import ImageEntry, KbIndex, SceneCorpus, _line_chunks, _write_lines
-from .instructions import ExportConfig
+from .errors import InvalidConfig
 from .lexicon import Lexicon
-from .seen import BuildDiagnostics, CommonsenseTriple, build_seen
+from .seen import DEFAULT_TAU, BuildDiagnostics, CommonsenseTriple, build_seen
 from .unseen import build_unseen
 
 # Images per chunk: small enough to balance uneven images across workers and
@@ -32,20 +32,24 @@ from .unseen import build_unseen
 _CHUNK_IMAGES = 8
 
 
+def _check_tau(tau) -> None:
+    """The build's one rule for tau: a number in (0, 1]; nan and inf are not."""
+    if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0 < tau <= 1:
+        raise InvalidConfig(f"tau must be a number in (0, 1], got {tau!r}")
+
+
 def build_image_record(
     entry: ImageEntry,
     lexicon: Lexicon,
     kb: KbIndex | None,
-    config: ExportConfig,
+    tau: float = DEFAULT_TAU,
 ) -> tuple[DatasetRecord, BuildDiagnostics]:
     """Build one image's record; the unseen layer is built exactly when `kb`
     is given. Seen triples are always built; they deduplicate the unseen
     layer even where a renderer leaves them out."""
     diagnostics = BuildDiagnostics()
     objects = entry.objects
-    seen = build_seen(
-        objects, entry.triples, entry.regions, lexicon, config.tau, diagnostics
-    )
+    seen = build_seen(objects, entry.triples, entry.regions, lexicon, tau, diagnostics)
     seen_by_object: dict[str, list[CommonsenseTriple]] = {}
     for triple in seen:
         seen_by_object.setdefault(triple.head.object_id, []).append(triple)
@@ -67,28 +71,11 @@ def _dataset_line(record: DatasetRecord) -> list[str]:
     return [record_line(record)]
 
 
-def build_records(
-    corpus: SceneCorpus,
-    lexicon: Lexicon,
-    kb: KbIndex | None = None,
-    config: ExportConfig | None = None,
-) -> tuple[list[DatasetRecord], BuildDiagnostics]:
-    """Build records for every image, in corpus order, in the calling process."""
-    config = ExportConfig() if config is None else config
-    diagnostics = BuildDiagnostics()
-    records = []
-    for entry in corpus.images():
-        record, image_diagnostics = build_image_record(entry, lexicon, kb, config)
-        diagnostics.merge(image_diagnostics)
-        records.append(record)
-    return records, diagnostics
-
-
 def _build_chunk(
     entries: list[ImageEntry],
     lexicon: Lexicon,
     kb: KbIndex | None,
-    config: ExportConfig,
+    tau: float,
     render: Callable[[DatasetRecord], Iterable[str]],
     bounds: tuple[int, int],
 ) -> tuple[list[str], BuildDiagnostics]:
@@ -96,7 +83,7 @@ def _build_chunk(
     diagnostics = BuildDiagnostics()
     lines = []
     for entry in entries[slice(*bounds)]:
-        record, image_diagnostics = build_image_record(entry, lexicon, kb, config)
+        record, image_diagnostics = build_image_record(entry, lexicon, kb, tau)
         diagnostics.merge(image_diagnostics)
         lines.extend(render(record))
     return lines, diagnostics
@@ -191,7 +178,7 @@ def export_records(
     lexicon: Lexicon,
     path,
     kb: KbIndex | None = None,
-    config: ExportConfig | None = None,
+    tau: float = DEFAULT_TAU,
     workers: int = 1,
     render: Callable[[DatasetRecord], Iterable[str]] = _dataset_line,
 ) -> BuildDiagnostics:
@@ -203,15 +190,16 @@ def export_records(
     otherwise the calling process does. The bytes written never depend on
     `workers`, and the returned diagnostics are merged in corpus order. Fork
     copies only the calling thread, so call this with more than one worker
-    from a process that runs no other threads.
+    from a process that runs no other threads. A tau outside (0, 1] raises
+    `InvalidConfig` before `path` is opened.
     """
-    config = ExportConfig() if config is None else config
+    _check_tau(tau)
     entries = list(corpus.images())
     bounds = [
         (start, min(start + _CHUNK_IMAGES, len(entries)))
         for start in range(0, len(entries), _CHUNK_IMAGES)
     ]
-    task = partial(_build_chunk, entries, lexicon, kb, config, render)
+    task = partial(_build_chunk, entries, lexicon, kb, tau, render)
     return _write_chunks(path, task, bounds, workers)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import vckb.ingest as ingest
-from vckb import InstructionTemplates, export_dataset, import_dataset
+from vckb import ExportConfig, InstructionTemplates, export_dataset, import_dataset
 from vckb.cli import _build_parser, main
 
 from conftest import DATA_DIR
@@ -169,6 +170,11 @@ FIXTURE_DATASET_SHA256 = "0d269430f3c35ff56b9d9c79cf811ddcb06ea6f6b0f3365ff09f5b
 FIXTURE_SAMPLES_SHA256 = "fcdc496bcfa7da88e19f3c1d44139226d4fc4e5387dc776c667d0a6cba483857"
 # sha256 of the fixture's build-unseen output.
 FIXTURE_UNSEEN_SHA256 = "85f2cd211ce2c2c2b7a66d2c09149b7357fb65ddc5820eb119788b218dab9aa8"
+# sha256 of the fixture's build-seen output, built without a KB, at each tau.
+FIXTURE_SEEN_SHA256 = {
+    None: "7fd0aedfd735bc19b585d15c099c2c55f8ba155c8e3aa4ac3d9f30497146fa7c",
+    "0.9": "71860200c6ebec9244c0437d6ed19400f145bc15f82cf3e809b336ad99f7e00e",
+}
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +200,48 @@ def test_fixture_output_bytes_are_pinned(fixture_export, tmp_path):
     assert _sha256(samples) == FIXTURE_SAMPLES_SHA256
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("tau", list(FIXTURE_SEEN_SHA256), ids=lambda tau: f"tau-{tau}")
+def test_build_seen_output_bytes_are_pinned(fixture_paths, tmp_path, capsys, two_cpus,
+                                            tau, workers):
+    scene, _ = fixture_paths
+    out = tmp_path / "seen.tsv"
+    argv = ["build-seen", "--scene", scene, "--out", str(out), "--workers", workers]
+    if tau is not None:
+        argv += ["--tau", tau]
+    assert main(argv) == 0
+    assert _sha256(out) == FIXTURE_SEEN_SHA256[tau]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_k_plus_j_below_one_writes_nothing(fixture_export, tmp_path, capsys, two_cpus,
+                                           source, workers, existing):
+    out = tmp_path / "samples.tsv"
+    if existing:
+        out.write_bytes(b"keep\n")
+    argv = ["export-instructions", "--data", str(fixture_export), "--out", str(out),
+            "--workers", workers]
+    if source == "flags":
+        argv += ["--k", "0", "--j", "0"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 0, "j": 0}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    assert "unseen export needs k + j >= 1" in capsys.readouterr().err
+    if existing:
+        assert out.read_bytes() == b"keep\n"
+    else:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
         ({"template_path": 0}, "template_path must be a string or null"),
-        ({"tau": True}, "tau must be a number"),
+        ({"tau": True}, "unknown config keys: ['tau']"),  # --tau is the build's alone
         ({"dedup_unseen": "no"}, "unknown config keys: ['dedup_unseen']"),
     ],
     ids=["template-path-number", "tau-bool", "dedup-unseen-string"],
@@ -240,7 +283,7 @@ def test_help_exits_zero(capsys):
 
 
 # The flags each command accepts, each of which it reads.
-_BUILD = {"--scene", "--lexicon", "--out", "--config", "--tau", "--workers"}
+_BUILD = {"--scene", "--lexicon", "--out", "--tau", "--workers"}
 _SAMPLING = {"--m", "--k", "--j", "--seed", "--sep"}
 ACCEPTED_FLAGS = {
     "ingest": {"--scene", "--kb", "--out"},
@@ -276,8 +319,8 @@ def _accepted_flags() -> dict[str, set[str]]:
 def test_each_command_accepts_only_the_flags_it_reads():
     accepted = _accepted_flags()
     assert accepted == ACCEPTED_FLAGS
-    assert sum(len(flags) for flags in accepted.values()) == 37
-    assert len(REMOVED_FLAGS) == 93 - 37
+    assert sum(len(flags) for flags in accepted.values()) == 34
+    assert len(REMOVED_FLAGS) == 93 - 34
 
 
 def _valid_args(command, tmp_path, data, scene=DATA_DIR / "fixture_scene.tsv",
@@ -354,14 +397,47 @@ def _half_covered_scene(tmp_path):
 def test_kept_value_flag_changes_output(fixture_export, tmp_path, capsys, command, flag):
     args = _valid_args(command, tmp_path, fixture_export, *_half_covered_scene(tmp_path))
     value = _OTHER_VALUE.get(flag)
-    if flag == "--config":  # tau changes what a build writes, sep_token the samples
+    if flag == "--config":  # test_each_config_field_changes_samples tries every field
         value = str(tmp_path / "config.json")
-        Path(value).write_text(json.dumps({"tau": 0.9, "sep_token": "|"}))
+        Path(value).write_text(json.dumps({"sep_token": "|"}))
     outputs = []
     for argv in ([command, *args], [command, *args, flag, value]):
         assert main(argv) == 0
         out = tmp_path / "out.tsv"
         outputs.append((capsys.readouterr().out, out.read_bytes() if out.exists() else b""))
+    assert outputs[0] != outputs[1]
+
+
+# For each ExportConfig field: a value other than its default, and flags that
+# the base run sets so that the field shows in the samples. Every fixture
+# unseen group has at most two tails, so k shows only at j = 0, and j only at
+# k < 2. template_path's file is written by the test.
+_OTHER_CONFIG = {
+    "m": (1, []),
+    "k": (1, ["--j", "0"]),
+    "j": (1, ["--k", "0"]),
+    "seed": (14, []),
+    "sep_token": ("|", []),
+    "template_path": (None, []),
+}
+
+
+@pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(ExportConfig)])
+def test_each_config_field_changes_samples(fixture_export, tmp_path, field):
+    assert field in _OTHER_CONFIG, f"no other value for config field {field!r}"
+    value, base_flags = _OTHER_CONFIG[field]
+    if field == "template_path":
+        value = str(tmp_path / "templates.json")
+        descriptions = InstructionTemplates.load().descriptions
+        Path(value).write_text(json.dumps({"template": "{name}?", "descriptions": descriptions}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    base = ["export-instructions", "--data", str(fixture_export), *base_flags]
+    outputs = []
+    for extra in ([], ["--config", str(config)]):
+        out = tmp_path / f"samples{len(outputs)}.tsv"
+        assert main([*base, "--out", str(out), *extra]) == 0
+        outputs.append(out.read_bytes())
     assert outputs[0] != outputs[1]
 
 
@@ -460,25 +536,25 @@ def test_invalid_utf8_corpus_is_input_error(tmp_path, capsys):
     assert ":2: not valid UTF-8" in capsys.readouterr().err
 
 
-def test_invalid_utf8_config_is_input_error(fixture_paths, tmp_path, capsys):
-    scene, kb = fixture_paths
+def test_invalid_utf8_config_is_input_error(fixture_export, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_bytes(b'{"sep_token": "\xff"}')
-    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
-            "--config", str(config)]
+    argv = ["export-instructions", "--data", str(fixture_export),
+            "--out", str(tmp_path / "x"), "--config", str(config)]
     assert main(argv) == 1
     assert "bad JSON" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("payload", ["3", "[]"], ids=["number", "list"])
-def test_non_object_config_is_input_error(fixture_paths, tmp_path, capsys, payload):
-    scene, kb = fixture_paths
+def test_non_object_config_is_input_error(fixture_export, tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(payload)
-    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(tmp_path / "x"),
-            "--config", str(config)]
+    argv = ["export-instructions", "--data", str(fixture_export),
+            "--out", str(tmp_path / "x"), "--config", str(config)]
     assert main(argv) == 1
     assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_template_field_is_input_error(fixture_export, tmp_path, capsys):

@@ -110,9 +110,11 @@ def test_different_seeds_differ_somewhere():
 
 
 def test_unseen_requires_k_plus_j():
-    record = record_with_tails(unseen_tails=("a",))
-    with pytest.raises(InvalidConfig):
-        build_instruction_samples(record, ExportConfig(k=0, j=0))
+    # Checked when the config is made, so a seen-only dataset is refused too.
+    with pytest.raises(InvalidConfig, match="k \\+ j >= 1"):
+        ExportConfig(k=0, j=0)
+    ExportConfig(k=0, j=1)
+    ExportConfig(k=1, j=0)
 
 
 def _always_seeded_targets(record, config):
@@ -163,10 +165,6 @@ def test_no_generator_when_the_draw_cannot_change_the_target(monkeypatch):
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         ExportConfig(m=0)
-    with pytest.raises(InvalidConfig):
-        ExportConfig(tau=0.0)
-    with pytest.raises(InvalidConfig):
-        ExportConfig(tau=1.5)
     with pytest.raises(InvalidConfig):
         ExportConfig(k=-1)
     with pytest.raises(InvalidConfig):
@@ -267,7 +265,7 @@ def test_samples_file_round_trip(tmp_path):
 @settings(max_examples=200)
 def test_sep_token_counts_closed_form(m, k, j, n_seen, n_unseen, seed):
     """Separator counts match min(m,n)-1 and min(k,n)+min(j,max(0,n-k))-1."""
-    if n_unseen > 0 and k + j < 1:
+    if k + j < 1:  # not a valid config, with or without unseen tails
         return
     record = record_with_tails(
         seen_tails=tuple(f"s{i}" for i in range(n_seen)),

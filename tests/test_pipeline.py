@@ -1,18 +1,21 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
 from vckb import (
-    ExportConfig,
+    BuildDiagnostics,
     Lexicon,
     Visibility,
     build_image_record,
-    build_records,
     export_dataset,
     import_dataset,
+    iter_dataset,
     load_kb,
     load_scene_corpus,
 )
+from vckb.errors import InvalidConfig
 import vckb.pipeline as pipeline
 from vckb.cli import _build_parser, main
 from vckb.pipeline import _pool_size, export_records
@@ -47,8 +50,9 @@ def triples_of(record):
 
 def test_unseen_deduplicated_against_seen(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
-    records, _ = build_records(load_scene_corpus(scene), lexicon, kb=load_kb(kb))
-    triples = triples_of(records[0])
+    entry = load_scene_corpus(scene).image("img1")
+    record, _ = build_image_record(entry, lexicon, load_kb(kb))
+    triples = triples_of(record)
     # "play car" repeats the seen triple (man, play, car); "grow up" does not.
     assert ("/Unseen/Action/CapableOf", "play car") not in triples
     assert ("/Unseen/Action/CapableOf", "grow up") in triples
@@ -59,7 +63,7 @@ def test_layer_switches(tmp_path, lexicon):
     corpus = load_scene_corpus(scene)
     entry = corpus.image("img1")
 
-    seen_only, _ = build_image_record(entry, lexicon, None, ExportConfig())
+    seen_only, _ = build_image_record(entry, lexicon, None)
     assert all(
         group.category.visibility is Visibility.SEEN
         for e in seen_only.entries
@@ -83,7 +87,8 @@ def test_layer_switches(tmp_path, lexicon):
 def test_empty_image_keeps_record(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
     corpus = load_scene_corpus(scene)
-    records, _ = build_records(corpus, lexicon)
+    export_records(corpus, lexicon, tmp_path / "out.tsv")
+    records = list(iter_dataset(tmp_path / "out.tsv"))
     assert [r.image_id for r in records] == ["img1", "img2"]
     assert records[1].entries == []
 
@@ -92,18 +97,21 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
     corpus = load_scene_corpus(scene)
     kb_index = load_kb(kb)
-    config = ExportConfig(seed=3)
-    built, diag_built = build_records(corpus, lexicon, kb=kb_index, config=config)
+    built, diag_built = [], BuildDiagnostics()
+    for entry in corpus.images():
+        record, diagnostics = build_image_record(entry, lexicon, kb_index)
+        built.append(record)
+        diag_built.merge(diagnostics)
     export_dataset(built, tmp_path / "built.tsv")
     streamed = {}
     for workers in (1, 4):
         path = tmp_path / f"streamed_w{workers}.tsv"
         diagnostics = export_records(
-            corpus, lexicon, path, kb=kb_index, config=config, workers=workers
+            corpus, lexicon, path, kb=kb_index, workers=workers
         )
         streamed[workers] = (import_dataset(path), diagnostics.as_dict())
     assert streamed[1] == streamed[4]
-    # The streaming export writes exactly the in-memory build's records.
+    # The streaming export writes exactly the per-image build's records.
     assert streamed[4][0] == built
     assert (tmp_path / "streamed_w4.tsv").read_bytes() == (tmp_path / "built.tsv").read_bytes()
     assert streamed[4][1] == diag_built.as_dict()
@@ -115,7 +123,8 @@ def test_warm_lexicon_forks_the_cold_bytes(tmp_path, data_dir, monkeypatch):
     corpus = load_scene_corpus(data_dir / "fixture_scene.tsv")
     kb = load_kb(data_dir / "fixture_kb.tsv")
     warm = Lexicon.default()
-    build_records(corpus, warm, kb=kb)
+    for entry in corpus.images():
+        build_image_record(entry, warm, kb)
     export_records(corpus, warm, tmp_path / "warm.tsv", kb=kb, workers=2)
     export_records(corpus, Lexicon.default(), tmp_path / "cold.tsv", kb=kb, workers=1)
     assert (tmp_path / "warm.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
@@ -125,8 +134,6 @@ def test_warm_lexicon_forks_the_cold_bytes(tmp_path, data_dir, monkeypatch):
 def test_worker_count_below_one_is_rejected(tmp_path, lexicon, workers):
     scene, _ = write_inputs(tmp_path)
     corpus = load_scene_corpus(scene)
-    with pytest.raises(TypeError, match="workers"):  # only export_records takes workers
-        build_records(corpus, lexicon, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         export_records(corpus, lexicon, tmp_path / "out.tsv", workers=workers)
     assert not (tmp_path / "out.tsv").exists()
@@ -152,3 +159,45 @@ def test_cli_tau_boundaries(tmp_path):
     out = tmp_path / "out.tsv"
     assert main(["build-seen", "--scene", str(scene), "--out", str(out), "--tau", "1.0"]) == 0
     assert main(["build-seen", "--scene", str(scene), "--out", str(out), "--tau", "0"]) == 1
+
+
+@pytest.mark.parametrize("tau", [0, -0.5, 1.5, float("nan"), float("inf"), True, "0.5"])
+def test_invalid_tau_is_refused_before_out_is_opened(tmp_path, lexicon, tau):
+    scene, kb = write_inputs(tmp_path)
+    out = tmp_path / "out.tsv"
+    with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
+        export_records(load_scene_corpus(scene), lexicon, out, load_kb(kb), tau)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["0", "nan", "inf", "1.5"])
+@pytest.mark.parametrize("command", ["build-seen", "build-unseen", "export"])
+def test_cli_invalid_tau_writes_nothing(tmp_path, capsys, command, tau):
+    scene, kb = write_inputs(tmp_path)
+    out = tmp_path / "out.tsv"
+    argv = [command, "--scene", str(scene), "--out", str(out), "--tau", tau]
+    if command != "build-seen":
+        argv += ["--kb", str(kb)]
+    assert main(argv) == 1
+    assert "tau must be a number in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_does_not_load_the_sampler():
+    # The build takes tau alone; instruction sampling is a later step over a
+    # dataset file. A bare package module stands in for vckb/__init__.py,
+    # which re-exports the sampler, so only pipeline's own imports load.
+    code = (
+        "import sys, types; "
+        "package = types.ModuleType('vckb'); package.__path__ = [sys.argv[1]]; "
+        "sys.modules['vckb'] = package; "
+        "import vckb.pipeline; "
+        "print(sorted(m for m in sys.modules if m.startswith('vckb.')))"
+    )
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "vckb")
+    result = subprocess.run(
+        [sys.executable, "-c", code, package], capture_output=True, text=True, check=True
+    )
+    loaded = result.stdout.strip()
+    assert "'vckb.pipeline'" in loaded
+    assert "vckb.instructions" not in loaded
