@@ -467,6 +467,22 @@ def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, co
     assert same.read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["build-seen", "build-unseen", "export"])
+def test_out_naming_a_refused_config_leaves_it_unchanged(fixture_export, tmp_path, capsys,
+                                                         command):
+    # The build commands take no --config; a config file that --out also names
+    # is refused before it is opened for writing.
+    same = tmp_path / "config.json"
+    same.write_text(json.dumps({"tau": 0.9}))
+    before = same.read_bytes()
+    argv = [command, *_valid_args(command, tmp_path, fixture_export),
+            "--config", str(same), "--out", str(same)]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: --config {same}" in capsys.readouterr().err
+    assert same.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [same]
+
+
 def test_out_naming_the_config_template_is_input_error(fixture_export, tmp_path, capsys):
     template = tmp_path / "templates.json"
     template.write_text(json.dumps(vars(InstructionTemplates.load())))
