@@ -12,7 +12,6 @@ from .dataset import (
     ObjectEntry,
     Stats,
     compute_stats,
-    export_dataset,
     group_triples,
     import_dataset,
     iter_dataset,
@@ -32,12 +31,9 @@ from .ingest import (
 )
 from .instructions import (
     ExportConfig,
-    InstructionSample,
     InstructionTemplates,
-    build_instruction_samples,
     instruction_lines,
     read_instruction_samples,
-    write_instruction_samples,
 )
 from .lexicon import Lexicon
 from .phrase import (

@@ -21,6 +21,7 @@ from functools import partial
 from .dataset import (
     DatasetRecord,
     ObjectEntry,
+    _escape,
     compute_stats,
     iter_dataset,
     query,
@@ -167,9 +168,9 @@ def _cmd_query(args) -> int:
                 (
                     head.image_id,
                     head.object_id,
-                    head.name,
+                    _escape(head.name),
                     triple.category.text,
-                    triple.tail,
+                    _escape(triple.tail),
                     repr(triple.score),
                 )
             )

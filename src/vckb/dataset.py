@@ -15,6 +15,10 @@ so floats round-trip exactly, and the reader rejects a score that is not a
 finite, non-negative number, as the KB loader rejects such a weight;
 repeated runs over identical inputs are byte-identical.
 
+`record_line` renders one record's line, and `pipeline.export_records`
+writes a file of them; `iter_dataset` streams the records back, and
+`import_dataset` is its list form.
+
 The reader takes a line in one pass over its fields and checks each group's
 triple fields at once. A malformed line raises MalformedRecord for its first
 bad field in field order: a line the one-pass reader refuses is walked again
@@ -36,7 +40,6 @@ from .ingest import (
     _normalize_name,
     _parse_weight,
     _read_lines,
-    _write_lines,
 )
 from .lexicon import Lexicon
 from .phrase import name_keys
@@ -145,11 +148,6 @@ def record_line(record: DatasetRecord) -> str:
                     [_escape(triple.tail), triple.provenance.value, repr(triple.score)]
                 )
     return "\t".join(fields)
-
-
-def export_dataset(records: Iterable[DatasetRecord], path) -> None:
-    """Write records one per line; byte-identical across repeat runs."""
-    _write_lines(path, map(record_line, records))
 
 
 # Position of each leaf in the canonical group order of a record.
@@ -332,7 +330,11 @@ def iter_dataset(path) -> Iterator[DatasetRecord]:
 
 
 def import_dataset(path) -> list[DatasetRecord]:
-    """Read a whole dataset file written by export_dataset."""
+    """Read a whole dataset file written by `export_records`, as a list.
+
+    The commands stream records through `iter_dataset`; this list form
+    stays because the benchmark harness checks its build output with it.
+    """
     return list(iter_dataset(path))
 
 

@@ -1,13 +1,15 @@
 """Instruction-tuning sample generation.
 
-Every (object, category) pair with at least one triple yields one sample.
-Seen targets sample m tails uniformly without replacement; unseen targets
-take the top-k tails of the sorted list plus j random tails from the
-remainder. Tails are joined with the separator token. Sampling is seeded
-per pair from a hash of (seed, image id, object id, category), so output
-does not depend on iteration order. `ExportConfig` holds these sampling
-parameters only, and is checked whole when it is made; the build's overlap
-threshold tau is no part of it.
+`instruction_lines` is the one sampler: it renders a dataset record's
+samples straight to lines. Every (object, category) pair with at least one
+triple yields one `instruction <tab> target` line, both fields escaped as in
+the dataset file. Seen targets sample m tails uniformly without replacement;
+unseen targets take the top-k tails of the sorted list plus j random tails
+from the remainder. Tails are joined with the separator token. Sampling is
+seeded per pair from a hash of (seed, image id, object id, category), so
+output does not depend on iteration order. `ExportConfig` holds these
+sampling parameters only, and is checked whole when it is made; the build's
+overlap threshold tau is no part of it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from importlib import resources
 
 from .errors import InvalidConfig, IoFailure, MalformedRecord
 from .dataset import DatasetRecord, _escape, _unescape
-from .ingest import _read_lines, _write_lines
+from .ingest import _read_lines
 from .taxonomy import CategoryPath, Visibility
 
 DEFAULT_SEP = "[sep]"
@@ -84,7 +86,7 @@ class ExportConfig:
         return cls(**values)
 
 
-# The keyword arguments build_instruction_samples passes to template.format.
+# The keyword arguments instruction_lines passes to template.format.
 _TEMPLATE_FIELDS = frozenset({"image_id", "description", "name", "x", "y", "w", "h"})
 
 
@@ -142,30 +144,18 @@ class InstructionTemplates:
         return cls(template=template, descriptions=descriptions)
 
 
-@dataclass(frozen=True)
-class InstructionSample:
-    image_id: str
-    object_id: str
-    category: str
-    instruction: str
-    target: str
-
-
 def _pair_rng(seed: int, image_id: str, object_id: str, category: str) -> random.Random:
     key = "\x1f".join((str(seed), image_id, object_id, category)).encode("utf-8")
     digest = hashlib.sha256(key).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def build_instruction_samples(
-    record: DatasetRecord,
-    config: ExportConfig,
-    templates: InstructionTemplates | None = None,
-) -> list[InstructionSample]:
-    """Render one (instruction, target) pair per non-empty (object, category)."""
-    if templates is None:
-        templates = InstructionTemplates.load(config.template_path)
-    samples = []
+def instruction_lines(
+    record: DatasetRecord, config: ExportConfig, templates: InstructionTemplates
+) -> list[str]:
+    """One `instruction <tab> target` line per non-empty (object, category)
+    of a record, both fields escaped as in the dataset file."""
+    lines = []
     for entry in record.entries:
         obj = entry.obj
         for group in entry.groups:
@@ -198,37 +188,16 @@ def build_instruction_samples(
                 w=box.w,
                 h=box.h,
             )
-            samples.append(
-                InstructionSample(
-                    image_id=record.image_id,
-                    object_id=obj.object_id,
-                    category=category.text,
-                    instruction=instruction,
-                    target=config.sep_token.join(chosen),
-                )
-            )
-    return samples
-
-
-def _sample_line(sample: InstructionSample) -> str:
-    return f"{_escape(sample.instruction)}\t{_escape(sample.target)}"
-
-
-def instruction_lines(
-    record: DatasetRecord, config: ExportConfig, templates: InstructionTemplates
-) -> list[str]:
-    """The sample lines of one record, as write_instruction_samples writes them."""
-    samples = build_instruction_samples(record, config, templates)
-    return [_sample_line(sample) for sample in samples]
-
-
-def write_instruction_samples(samples: list[InstructionSample], path) -> None:
-    """One `instruction <tab> target` line per sample, escaped like datasets."""
-    _write_lines(path, map(_sample_line, samples))
+            lines.append(f"{_escape(instruction)}\t{_escape(config.sep_token.join(chosen))}")
+    return lines
 
 
 def read_instruction_samples(path) -> list[tuple[str, str]]:
-    """Read back (instruction, target) pairs written by write_instruction_samples."""
+    """Read back the (instruction, target) pairs of a samples file.
+
+    No command reads a samples file; this stays because the benchmark
+    harness checks its instructions output with it.
+    """
     pairs = []
     for line_number, line in _read_lines(path):
         parts = line.split("\t")

@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from vckb import BBox, GroundedObject, Lexicon
+from vckb.dataset import _unescape, record_line
+from vckb.instructions import instruction_lines
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -15,6 +17,31 @@ def lexicon():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR
+
+
+def write_dataset(records, path):
+    """Write records as a dataset file: one `record_line` each, as
+    `export_records` writes them."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(record_line(record) + "\n" for record in records)
+
+
+def keyed_samples(record, config, templates):
+    """A record's `instruction_lines`, unescaped and keyed by the non-empty
+    group each comes from, since the lines follow those groups in order:
+    {(object_id, category text): (instruction, target)}."""
+    groups = [
+        (entry.obj.object_id, group.category.text)
+        for entry in record.entries
+        for group in entry.groups
+        if group.triples
+    ]
+    lines = instruction_lines(record, config, templates)
+    assert len(lines) == len(groups)
+    return {
+        key: tuple(map(_unescape, line.split("\t")))
+        for key, line in zip(groups, lines)
+    }
 
 
 def make_object(object_id="o1", image_id="img1", name="man", box=(0, 0, 10, 10)):

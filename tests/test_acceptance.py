@@ -17,11 +17,11 @@ from vckb import (
     BBox,
     DatasetRecord,
     ExportConfig,
+    InstructionTemplates,
     KbEdge,
     KbIndex,
     Provenance,
     cooccurrence_triples,
-    export_dataset,
     group_triples,
     import_dataset,
     make_synset,
@@ -37,7 +37,7 @@ from vckb.errors import EmptyPhrase
 from vckb.seen import CommonsenseTriple
 from vckb.taxonomy import kb_relation_to_category
 
-from conftest import DATA_DIR, make_object
+from conftest import DATA_DIR, keyed_samples, make_object, write_dataset
 from test_geometry import rasterized_ratio
 
 
@@ -119,7 +119,7 @@ def test_criterion_2_taxonomy_golden_suite(tmp_path):
             entries=[group_triples(objects[name], triples[name]) for name in objects],
         )
         path = tmp_path / "taxonomy.tsv"
-        export_dataset([record], path)
+        write_dataset([record], path)
         assert import_dataset(path) == [record]
         text = path.read_text(encoding="utf-8")
         for _, category_text, tail in TAXONOMY_EXAMPLES:
@@ -360,6 +360,7 @@ def test_criterion_7_export_determinism(tmp_path):
 def test_criterion_8_instruction_format_property():
     seen_cat = parse_category("/Seen/Property/HasProperty")
     unseen_cat = parse_category("/Unseen/Action/CapableOf")
+    templates = InstructionTemplates.load()
 
     @given(
         m=st.integers(1, 8),
@@ -389,15 +390,13 @@ def test_criterion_8_instruction_format_property():
         ]
         record = DatasetRecord(image_id="img1", entries=[group_triples(obj, triples)])
         config = ExportConfig(m=m, k=k, j=j, seed=seed)
-        samples = {
-            s.category: s
-            for s in vckb.build_instruction_samples(record, config)
-        }
+        samples = keyed_samples(record, config, templates)
         if n_seen:
-            count = samples["/Seen/Property/HasProperty"].target.count(config.sep_token)
-            assert count == min(m, n_seen) - 1
+            _, target = samples["o1", "/Seen/Property/HasProperty"]
+            assert target.count(config.sep_token) == min(m, n_seen) - 1
         if n_unseen:
-            count = samples["/Unseen/Action/CapableOf"].target.count(config.sep_token)
+            _, target = samples["o1", "/Unseen/Action/CapableOf"]
+            count = target.count(config.sep_token)
             assert count == min(k, n_unseen) + min(j, max(0, n_unseen - k)) - 1
 
     run_criterion(8, "sep-token counts match closed forms", lambda: check_one())

@@ -14,10 +14,20 @@ from pathlib import Path
 import pytest
 
 import vckb.ingest as ingest
-from vckb import ExportConfig, InstructionTemplates, export_dataset, import_dataset
+from vckb import (
+    CommonsenseTriple,
+    DatasetRecord,
+    ExportConfig,
+    InstructionTemplates,
+    Provenance,
+    group_triples,
+    import_dataset,
+    parse_category,
+)
 from vckb.cli import _build_parser, main
+from vckb.dataset import _unescape
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_object, write_dataset
 
 
 @pytest.fixture
@@ -91,6 +101,26 @@ def test_export_stats_query_round_trip(fixture_paths, tmp_path, capsys):
     assert "drive to work" in out
 
 
+def test_query_escapes_name_and_tail(tmp_path, capsys):
+    category = parse_category("/Seen/Property/HasProperty")
+    tails = ["ta\tll\nx", "carriage\rreturn", "back\\slash", "all\\\t\n\r", "plain"]
+    car = make_object("o1", name="car")
+    triples = [CommonsenseTriple(car, category, tail, Provenance.SCENE_TRIPLE) for tail in tails]
+    data = tmp_path / "dataset.tsv"
+    write_dataset([DatasetRecord("img1", [group_triples(car, triples)])], data)
+    argv = ["query", "--data", str(data), "--name", "car", "--category", category.text]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    # image id, object id, name, category, tail, score: one line per triple.
+    rows = [line.split("\t") for line in out[:-1].split("\n")]
+    assert [len(row) for row in rows] == [6] * len(tails)
+    assert [_unescape(row[4]) for row in rows] == tails
+    assert {(row[0], row[1], _unescape(row[2]), row[3]) for row in rows} == {
+        ("img1", "o1", "car", category.text)
+    }
+
+
 def test_build_seen_has_no_unseen(fixture_paths, tmp_path, capsys):
     scene, _ = fixture_paths
     data = tmp_path / "seen.tsv"
@@ -128,7 +158,7 @@ def test_build_unseen_is_export_without_seen_groups(fixture_paths, tmp_path, cap
                 g for g in entry.groups if not g.category.text.startswith("/Seen/")
             ]
     expected = tmp_path / "expected.tsv"
-    export_dataset(records, expected)
+    write_dataset(records, expected)
     assert unseen.read_bytes() == expected.read_bytes() != full.read_bytes()
     assert _sha256(unseen) == FIXTURE_UNSEEN_SHA256
 

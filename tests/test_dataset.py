@@ -8,7 +8,6 @@ from vckb import (
     GroundedObject,
     Provenance,
     compute_stats,
-    export_dataset,
     group_triples,
     import_dataset,
     iter_dataset,
@@ -28,7 +27,7 @@ from vckb.ingest import _parse_weight
 from vckb.seen import CommonsenseTriple
 from vckb.taxonomy import CategoryPath, Visibility
 
-from conftest import make_object
+from conftest import make_object, write_dataset
 
 
 def triple(obj, category_text, tail, provenance=None, score=0.0):
@@ -93,7 +92,7 @@ def test_entry_rejects_foreign_head():
 
 def test_round_trip(sample_records, tmp_path):
     path = tmp_path / "dataset.tsv"
-    export_dataset(sample_records, path)
+    write_dataset(sample_records, path)
     records = import_dataset(path)
     # A list, not a one-pass iterator: callers such as the benchmark's output
     # check iterate the result more than once.
@@ -113,7 +112,7 @@ def test_iter_dataset_yields_records_before_a_malformed_line(tmp_path):
 
 def test_import_drops_byte_order_mark(sample_records, tmp_path):
     path = tmp_path / "dataset.tsv"
-    export_dataset(sample_records, path)
+    write_dataset(sample_records, path)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert [r.image_id for r in import_dataset(path)] == ["img1"]
 
@@ -136,7 +135,7 @@ def test_round_trip_with_tricky_tails(tmp_path):
         ],
     )
     path = tmp_path / "dataset.tsv"
-    export_dataset([record], path)
+    write_dataset([record], path)
     assert import_dataset(path) == [record]
     # The file itself stays line-delimited.
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1
@@ -145,14 +144,14 @@ def test_round_trip_with_tricky_tails(tmp_path):
 def test_export_byte_identical(sample_records, tmp_path):
     first = tmp_path / "a.tsv"
     second = tmp_path / "b.tsv"
-    export_dataset(sample_records, first)
-    export_dataset(sample_records, second)
+    write_dataset(sample_records, first)
+    write_dataset(sample_records, second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_import_rejects_truncated(tmp_path, sample_records):
     path = tmp_path / "dataset.tsv"
-    export_dataset(sample_records, path)
+    write_dataset(sample_records, path)
     text = path.read_text(encoding="utf-8")
     path.write_text(text[: len(text) // 2].rstrip("\n") + "\n", encoding="utf-8")
     with pytest.raises(MalformedRecord):
@@ -258,7 +257,7 @@ def test_stats_distinct_by_name(tmp_path):
 
 def test_stats_survive_round_trip(sample_records, tmp_path):
     path = tmp_path / "dataset.tsv"
-    export_dataset(sample_records, path)
+    write_dataset(sample_records, path)
     assert compute_stats(import_dataset(path)).as_dict() == compute_stats(
         sample_records
     ).as_dict()
@@ -374,7 +373,7 @@ _RECORDS = st.tuples(_IDS, st.dictionaries(_IDS, _OBJECT_FIELDS, max_size=3)).ma
 @settings(max_examples=120, deadline=None)
 def test_record_lines_read_back_unchanged(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "record-lines.tsv"
-    export_dataset(records, path)
+    write_dataset(records, path)
     assert list(iter_dataset(path)) == records
 
 

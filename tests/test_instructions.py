@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,21 +12,21 @@ from vckb import (
     InstructionTemplates,
     Provenance,
     Visibility,
-    build_instruction_samples,
     group_triples,
+    instruction_lines,
     parse_category,
     read_instruction_samples,
-    write_instruction_samples,
 )
 from vckb import instructions as instructions_module
 from vckb.errors import InvalidConfig
 from vckb.instructions import _pair_rng
 from vckb.seen import CommonsenseTriple
 
-from conftest import make_object
+from conftest import keyed_samples, make_object
 
 SEEN = parse_category("/Seen/Property/HasProperty")
 UNSEEN = parse_category("/Unseen/Action/CapableOf")
+TEMPLATES = InstructionTemplates.load()
 
 
 def record_with_tails(seen_tails=(), unseen_tails=(), image_id="img1"):
@@ -47,11 +48,11 @@ def record_with_tails(seen_tails=(), unseen_tails=(), image_id="img1"):
 def test_seen_sampling_deterministic():
     record = record_with_tails(seen_tails=("tall", "thin", "young"))
     config = ExportConfig(m=2, seed=42)
-    first = build_instruction_samples(record, config)
-    second = build_instruction_samples(record, config)
+    first = keyed_samples(record, config, TEMPLATES)
+    second = keyed_samples(record, config, TEMPLATES)
     assert first == second
-    (sample,) = first
-    parts = sample.target.split(config.sep_token)
+    ((_, target),) = first.values()
+    parts = target.split(config.sep_token)
     assert len(parts) == 2
     assert set(parts) <= {"tall", "thin", "young"}
     assert len(set(parts)) == 2  # without replacement
@@ -60,8 +61,8 @@ def test_seen_sampling_deterministic():
 def test_unseen_top_k_plus_random():
     record = record_with_tails(unseen_tails=("a", "b", "c", "d"))
     config = ExportConfig(k=2, j=1, seed=7)
-    (sample,) = build_instruction_samples(record, config)
-    parts = sample.target.split(config.sep_token)
+    ((_, target),) = keyed_samples(record, config, TEMPLATES).values()
+    parts = target.split(config.sep_token)
     assert parts[:2] == ["a", "b"]
     assert len(parts) == 3
     assert parts[2] in {"c", "d"}
@@ -70,18 +71,18 @@ def test_unseen_top_k_plus_random():
 def test_single_tail_no_separator():
     record = record_with_tails(seen_tails=("tall",))
     config = ExportConfig(m=1, seed=0)
-    (sample,) = build_instruction_samples(record, config)
-    assert sample.target == "tall"
-    assert config.sep_token not in sample.target
+    ((_, target),) = keyed_samples(record, config, TEMPLATES).values()
+    assert target == "tall"
+    assert config.sep_token not in target
 
 
 def test_instruction_text_contains_all_parts():
     record = record_with_tails(seen_tails=("tall",))
-    (sample,) = build_instruction_samples(record, ExportConfig(seed=0))
-    assert "img1" in sample.instruction
-    assert "man" in sample.instruction
-    assert "[10, 20, 30, 40]" in sample.instruction
-    assert "visible property" in sample.instruction
+    ((instruction, _),) = keyed_samples(record, ExportConfig(seed=0), TEMPLATES).values()
+    assert "img1" in instruction
+    assert "man" in instruction
+    assert "[10, 20, 30, 40]" in instruction
+    assert "visible property" in instruction
 
 
 def test_pair_seeding_is_order_independent():
@@ -90,22 +91,16 @@ def test_pair_seeding_is_order_independent():
                              unseen_tails=("a", "b", "c"))
     seen_only = record_with_tails(seen_tails=("tall", "thin", "young"))
     config = ExportConfig(m=2, k=1, j=1, seed=9)
-    full = {
-        (s.object_id, s.category): s.target
-        for s in build_instruction_samples(both, config)
-    }
-    partial = {
-        (s.object_id, s.category): s.target
-        for s in build_instruction_samples(seen_only, config)
-    }
-    for key, target in partial.items():
-        assert full[key] == target
+    full = keyed_samples(both, config, TEMPLATES)
+    partial = keyed_samples(seen_only, config, TEMPLATES)
+    for key, (_, target) in partial.items():
+        assert full[key][1] == target
 
 
 def test_different_seeds_differ_somewhere():
     record = record_with_tails(seen_tails=tuple(f"t{i}" for i in range(10)))
-    a = build_instruction_samples(record, ExportConfig(m=3, seed=1))
-    b = build_instruction_samples(record, ExportConfig(m=3, seed=2))
+    a = instruction_lines(record, ExportConfig(m=3, seed=1), TEMPLATES)
+    b = instruction_lines(record, ExportConfig(m=3, seed=2), TEMPLATES)
     assert a != b
 
 
@@ -143,8 +138,9 @@ def test_skipped_draws_match_always_seeded_reference(m, k, j):
         for size in range(k + j + 3):
             tails = tuple(f"t{i}" for i in range(size))
             record = record_with_tails(tails, tails, image_id=f"img{size}")
-            samples = build_instruction_samples(record, config)
-            assert [s.target for s in samples] == _always_seeded_targets(record, config)
+            samples = keyed_samples(record, config, TEMPLATES)
+            targets = [target for _, target in samples.values()]
+            assert targets == _always_seeded_targets(record, config)
 
 
 def test_no_generator_when_the_draw_cannot_change_the_target(monkeypatch):
@@ -154,12 +150,49 @@ def test_no_generator_when_the_draw_cannot_change_the_target(monkeypatch):
     )
     # One seen tail; unseen tails all within the top k.
     record = record_with_tails(seen_tails=("a",), unseen_tails=("b", "c"))
-    build_instruction_samples(record, ExportConfig(k=2, j=1))
+    instruction_lines(record, ExportConfig(k=2, j=1), TEMPLATES)
     assert seeded == []
-    build_instruction_samples(record, ExportConfig(k=1, j=0))
+    instruction_lines(record, ExportConfig(k=1, j=0), TEMPLATES)
     assert seeded == []
-    build_instruction_samples(record, ExportConfig(k=1, j=1))
+    instruction_lines(record, ExportConfig(k=1, j=1), TEMPLATES)
     assert [key[-1] for key in seeded] == [UNSEEN.text]
+
+
+# sha256 of the sample lines of `_drawing_records` at ExportConfig(m=3, k=2,
+# j=3, seed=...), each line newline-terminated. Every group draws at random,
+# so a changed draw order, seeding or escape changes these bytes.
+_DRAWN_SHA256 = {
+    1: "a080836c24ede1ed4c50ae2c4cc106192c9bf3cf3f8bb090bdaee9377abc91d0",
+    2: "77989d6529a4e5790f9105383981d89f5417738abca10d327a53264c40a71ac6",
+}
+
+
+def _drawing_records():
+    """Three images whose seen group holds more than m = 3 tails and whose
+    unseen group holds more than k = 2, with tails that need escaping."""
+    seen = ("tall", "tab\there", "young", "thin", "old", "back\\slash", "wet")
+    unseen = tuple(f"u{i}" for i in range(8)) + ("line\nbreak",)
+    return [record_with_tails(seen, unseen, image_id=f"img{n}") for n in range(3)]
+
+
+@pytest.mark.parametrize("seed", sorted(_DRAWN_SHA256))
+def test_random_draws_are_pinned(monkeypatch, seed):
+    seeded = []
+    monkeypatch.setattr(
+        instructions_module, "_pair_rng", lambda *key: seeded.append(key) or _pair_rng(*key)
+    )
+    records = _drawing_records()
+    config = ExportConfig(m=3, k=2, j=3, seed=seed)
+    text = "".join(
+        line + "\n" for record in records for line in instruction_lines(record, config, TEMPLATES)
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _DRAWN_SHA256[seed]
+    # One generator per group, each seeded with its own pair's key.
+    assert seeded == [
+        (seed, record.image_id, "o1", category.text)
+        for record in records
+        for category in (SEEN, UNSEEN)
+    ]
 
 
 def test_config_validation():
@@ -240,18 +273,22 @@ def test_descriptions_must_be_an_object_of_strings(tmp_path, descriptions):
 
 def test_template_with_allowed_fields_renders(tmp_path):
     path = _template_file(tmp_path, "{name}@{image_id} {description} {x:>4}{y}{w}{h}{{}}")
-    config = ExportConfig(m=1, template_path=str(path))
-    (sample,) = build_instruction_samples(record_with_tails(seen_tails=("tall",)), config)
-    assert sample.instruction == "man@img1 visible property   10203040{}"
+    templates = InstructionTemplates.load(path)
+    record = record_with_tails(seen_tails=("tall",))
+    ((instruction, _),) = keyed_samples(record, ExportConfig(m=1), templates).values()
+    assert instruction == "man@img1 visible property   10203040{}"
 
 
 def test_samples_file_round_trip(tmp_path):
     record = record_with_tails(seen_tails=("tall", "tab\there"))
-    samples = build_instruction_samples(record, ExportConfig(m=2, seed=3))
+    config = ExportConfig(m=2, seed=3)
     path = tmp_path / "samples.tsv"
-    write_instruction_samples(samples, path)
+    path.write_text(
+        "".join(line + "\n" for line in instruction_lines(record, config, TEMPLATES)),
+        encoding="utf-8",
+    )
     pairs = read_instruction_samples(path)
-    assert pairs == [(s.instruction, s.target) for s in samples]
+    assert pairs == list(keyed_samples(record, config, TEMPLATES).values())
 
 
 @given(
@@ -272,12 +309,11 @@ def test_sep_token_counts_closed_form(m, k, j, n_seen, n_unseen, seed):
         unseen_tails=tuple(f"u{i}" for i in range(n_unseen)),
     )
     config = ExportConfig(m=m, k=k, j=j, seed=seed)
-    samples = build_instruction_samples(record, config)
-    by_category = {s.category: s for s in samples}
+    samples = keyed_samples(record, config, TEMPLATES)
     if n_seen:
-        target = by_category["/Seen/Property/HasProperty"].target
+        _, target = samples["o1", "/Seen/Property/HasProperty"]
         assert target.count(config.sep_token) == min(m, n_seen) - 1
     if n_unseen:
-        target = by_category["/Unseen/Action/CapableOf"].target
+        _, target = samples["o1", "/Unseen/Action/CapableOf"]
         expected = min(k, n_unseen) + min(j, max(0, n_unseen - k)) - 1
         assert target.count(config.sep_token) == expected

@@ -9,7 +9,6 @@ from vckb import (
     Lexicon,
     Visibility,
     build_image_record,
-    export_dataset,
     import_dataset,
     iter_dataset,
     load_kb,
@@ -19,6 +18,8 @@ from vckb.errors import InvalidConfig
 import vckb.pipeline as pipeline
 from vckb.cli import _build_parser, main
 from vckb.pipeline import _pool_size, export_records
+
+from conftest import write_dataset
 
 
 def write_inputs(tmp_path):
@@ -102,7 +103,7 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
         record, diagnostics = build_image_record(entry, lexicon, kb_index)
         built.append(record)
         diag_built.merge(diagnostics)
-    export_dataset(built, tmp_path / "built.tsv")
+    write_dataset(built, tmp_path / "built.tsv")
     streamed = {}
     for workers in (1, 4):
         path = tmp_path / f"streamed_w{workers}.tsv"
