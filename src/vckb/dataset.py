@@ -19,6 +19,10 @@ repeated runs over identical inputs are byte-identical.
 writes a file of them; `iter_dataset` streams the records back, and
 `import_dataset` is its list form.
 
+A record's rules are checked where a line enters, once: names and tails
+must not be blank once unescaped, and a triple's provenance must fit its
+leaf (`_check_triple`). Triples and entries are plain records that check
+nothing when built; the builders make valid ones by construction.
 The reader takes a line in one pass over its fields and checks each group's
 triple fields at once. A malformed line raises MalformedRecord for its first
 bad field in field order: a line the one-pass reader refuses is walked again
@@ -33,7 +37,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .errors import InvalidCategory, MalformedRecord
+from .errors import InvalidCategory, MalformedRecord, VckbError
 from .geometry import BBox
 from .ingest import (
     GroundedObject,
@@ -44,7 +48,7 @@ from .ingest import (
 from .lexicon import Lexicon
 from .phrase import name_keys
 from .seen import CommonsenseTriple, Provenance
-from .taxonomy import CategoryPath, parse_category
+from .taxonomy import CategoryPath, Visibility, parse_category
 
 
 @dataclass
@@ -55,17 +59,8 @@ class CategoryGroup:
 
 @dataclass
 class ObjectEntry:
-    obj: GroundedObject
+    obj: GroundedObject  # the head of every triple in its groups
     groups: list[CategoryGroup] = field(default_factory=list)
-
-    def __post_init__(self):
-        for group in self.groups:
-            for triple in group.triples:
-                if triple.head.object_id != self.obj.object_id:
-                    raise ValueError(
-                        f"triple head {triple.head.object_id!r} does not match "
-                        f"entry object {self.obj.object_id!r}"
-                    )
 
     def group(self, category: CategoryPath) -> list[CommonsenseTriple]:
         for group in self.groups:
@@ -150,17 +145,44 @@ def record_line(record: DatasetRecord) -> str:
     return "\t".join(fields)
 
 
+# The provenances a triple may have under a leaf of each visibility, by the
+# text that names them in a record: a triple comes from the KB exactly when
+# its leaf is unseen.
+_PROVENANCES = {
+    visibility: {
+        provenance.value: provenance
+        for provenance in Provenance
+        if (provenance is Provenance.KB_RETRIEVAL) == (visibility is Visibility.UNSEEN)
+    }
+    for visibility in Visibility
+}
 # Position of each leaf in the canonical group order of a record.
 _GROUP_RANK = {category: rank for rank, category in enumerate(CategoryPath)}
-# Each leaf and provenance by the text that names it in a record; the leaf
-# table also gives the rank, so that reading a group hashes no enum member.
-_LEAVES = {leaf.text: (leaf, rank) for leaf, rank in _GROUP_RANK.items()}
-_PROVENANCES = {provenance.value: provenance for provenance in Provenance}
+# Each leaf by the text that names it in a record, with its rank and the
+# provenances its triples may have, so that reading a group hashes no enum
+# member and reading a triple reads no enum attribute.
+_LEAVES = {
+    leaf.text: (leaf, rank, _PROVENANCES[leaf.visibility])
+    for leaf, rank in _GROUP_RANK.items()
+}
+
+
+def _check_triple(category: CategoryPath, tail: str, provenance: Provenance) -> None:
+    """Raise ValueError unless a triple of these fields is valid: its tail is
+    not blank, and its provenance fits its leaf's visibility."""
+    if not tail.strip():
+        raise ValueError("triple tail must be non-empty")
+    if provenance.value not in _PROVENANCES[category.visibility]:
+        raise ValueError(
+            f"provenance {provenance.value} does not match category {category.text}"
+        )
 
 
 def _read_record(fields: list[str]) -> DatasetRecord:
     """The record on a line's fields, read in one pass with each group's
-    triple fields taken at once. Any check that fails raises ValueError or
+    triple fields taken at once. It checks every rule as it goes, blank names
+    and `_check_triple`'s rules included; a triple's provenance is looked up
+    among those its leaf admits. Any check that fails raises ValueError or
     LookupError, which name nothing: `_walk_record` names the bad field."""
     end = len(fields)
     image_id = fields[0]
@@ -170,8 +192,11 @@ def _read_record(fields: list[str]) -> DatasetRecord:
     i = 2
     entries = []
     for _ in range(object_count):
+        name = _unescape(fields[i + 1])
+        if not name.strip():
+            raise ValueError
         x, y, w, h = map(int, fields[i + 2 : i + 6])
-        obj = GroundedObject(fields[i], image_id, _unescape(fields[i + 1]), BBox(x, y, w, h))
+        obj = GroundedObject(fields[i], image_id, name, BBox(x, y, w, h))
         group_count = int(fields[i + 6])
         if group_count < 0:
             raise ValueError
@@ -179,7 +204,7 @@ def _read_record(fields: list[str]) -> DatasetRecord:
         groups = []
         last_rank = -1
         for _ in range(group_count):
-            category, rank = _LEAVES[fields[i]]
+            category, rank, provenances = _LEAVES[fields[i]]
             triple_count = int(fields[i + 1])
             start = i + 2
             i = start + 3 * triple_count
@@ -192,12 +217,12 @@ def _read_record(fields: list[str]) -> DatasetRecord:
                 fields[start + 1 : i : 3],
                 map(float, fields[start + 2 : i : 3]),
             ):
-                if not 0 <= score < math.inf:  # the rule of ingest._parse_weight
+                tail = _unescape(tail)
+                # The score by the rule of ingest._parse_weight.
+                if not tail.strip() or not 0 <= score < math.inf:
                     raise ValueError
                 triples.append(
-                    CommonsenseTriple(
-                        obj, category, _unescape(tail), _PROVENANCES[provenance], score
-                    )
+                    CommonsenseTriple(obj, category, tail, provenances[provenance], score)
                 )
             groups.append(CategoryGroup(category, triples))
         entries.append(ObjectEntry(obj, groups))
@@ -242,18 +267,17 @@ class _FieldReader:
 def _walk_record(reader: _FieldReader) -> None:
     """Check a line's fields one at a time, in field order, and raise
     MalformedRecord for the first bad one; return if there is none."""
-    image_id = reader.take("image_id")
+    reader.take("image_id")
     for _ in range(reader.take_int("object count")):
         object_id = reader.take("object_id")
-        name = _unescape(reader.take("name"))
+        if not _unescape(reader.take("name")).strip():  # the scene loader's message
+            raise MalformedRecord(reader.path, reader.line_number, "object name is empty")
         x = reader.take_int("x")
         y = reader.take_int("y")
         w = reader.take_int("w")
         h = reader.take_int("h")
         try:
-            obj = GroundedObject(
-                object_id=object_id, image_id=image_id, name=name, bbox=BBox(x, y, w, h)
-            )
+            BBox(x, y, w, h)
         except ValueError as exc:
             raise MalformedRecord(reader.path, reader.line_number, str(exc)) from None
         last_rank = -1
@@ -288,13 +312,7 @@ def _walk_record(reader: _FieldReader) -> None:
                     reader.take("score"), reader.path, reader.line_number, "score"
                 )
                 try:
-                    CommonsenseTriple(
-                        head=obj,
-                        category=category,
-                        tail=tail,
-                        provenance=provenance,
-                        score=score,
-                    )
+                    _check_triple(category, tail, provenance)
                 except ValueError as exc:
                     raise MalformedRecord(
                         reader.path, reader.line_number, str(exc)
@@ -391,9 +409,13 @@ def query(
 ) -> list[CommonsenseTriple]:
     """All triples for a head name (lemma match) in one category.
 
-    Unseen results keep their stored object-aware order.
+    Unseen results keep their stored object-aware order. A name that
+    normalizes to nothing names no object, and raises VckbError.
     """
-    target = name_keys(_normalize_name(object_name), lexicon)[0]
+    name = _normalize_name(object_name)
+    if not name:
+        raise VckbError(f"object name is empty: {object_name!r}")
+    target = name_keys(name, lexicon)[0]
     out: list[CommonsenseTriple] = []
     for record in records:
         for entry in record.entries:

@@ -5,6 +5,12 @@ through part-of-speech rules, object co-occurrence pairs, and triples
 extracted from region phrases whose heads are grounded to same-named object
 boxes by overlap ratio, the names compared before any box is measured. Names
 are keyed by `phrase.name_keys`: lemmas ground heads, head nouns end tails.
+
+`CommonsenseTriple` is a plain record that checks nothing when built. Each
+builder emits valid triples by construction: a tail that is not blank, and a
+seen provenance on a seen leaf (`unseen` gives `KB_RETRIEVAL` on the unseen
+leaves). The dataset reader checks the same rules where a line enters
+(`dataset._check_triple`).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .phrase import (
     parse_region_phrase,
     tokenize_and_tag,
 )
-from .taxonomy import CategoryPath, Visibility
+from .taxonomy import CategoryPath
 
 DEFAULT_TAU = 0.5
 
@@ -39,26 +45,16 @@ class Provenance(enum.Enum):
     KB_RETRIEVAL = "kb_retrieval"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CommonsenseTriple:
-    """A grounded head, a taxonomy leaf, and a tail phrase."""
+    """A grounded head, a taxonomy leaf, and a tail phrase; a plain record
+    that checks nothing (see the module docstring for where its rules hold)."""
 
     head: GroundedObject
     category: CategoryPath
     tail: str
     provenance: Provenance
     score: float = 0.0  # KB edge weight; 0 for seen triples
-
-    def __post_init__(self):
-        if not self.tail or not self.tail.strip():
-            raise ValueError("triple tail must be non-empty")
-        unseen = self.category.visibility is Visibility.UNSEEN
-        from_kb = self.provenance is Provenance.KB_RETRIEVAL
-        if unseen != from_kb:
-            raise ValueError(
-                f"provenance {self.provenance.value} does not match "
-                f"category {self.category.text}"
-            )
 
     @property
     def key(self) -> tuple[str, str, str]:

@@ -177,6 +177,36 @@ def test_malformed_dataset_prints_nothing(tmp_path, capsys, command):
     assert ":3: object count" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["stats"], ["query", "--name", "car", "--category", "/Unseen/Action/UsedFor"],
+     ["export-instructions", "--out", "samples.tsv"]],
+    ids=["stats", "query", "export-instructions"],
+)
+@pytest.mark.parametrize("name", ["", "  "], ids=["empty", "spaces"])
+def test_dataset_with_blank_name_is_input_error(tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    Path("dataset.tsv").write_text(
+        f"img1\t1\to1\t{name}\t0\t0\t5\t5\t1"
+        "\t/Seen/Space/LocatedNear\t1\tcar\tco_occurrence\t0.0\n",
+        encoding="utf-8",
+    )
+    assert main([*command, "--data", "dataset.tsv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "dataset.tsv:1: object name is empty" in err
+
+
+@pytest.mark.parametrize("name", ["", "  ", "__"])
+def test_query_name_that_normalizes_to_nothing_is_input_error(fixture_export, capsys, name):
+    argv = ["query", "--data", str(fixture_export), "--name", name,
+            "--category", "/Seen/Space/LocatedNear"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "object name is empty" in err
+
+
 def test_export_instructions_from_data(fixture_paths, tmp_path, capsys):
     scene, kb = fixture_paths
     data = tmp_path / "dataset.tsv"

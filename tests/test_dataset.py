@@ -17,12 +17,14 @@ from vckb import (
 from vckb.dataset import (
     CategoryGroup,
     ObjectEntry,
+    _check_triple,
     _escape,
     _parse_record,
+    _read_record,
     _unescape,
     record_line,
 )
-from vckb.errors import InvalidCategory, MalformedRecord
+from vckb.errors import InvalidCategory, MalformedRecord, VckbError
 from vckb.ingest import _parse_weight
 from vckb.seen import CommonsenseTriple
 from vckb.taxonomy import CategoryPath, Visibility
@@ -78,16 +80,6 @@ def test_group_preserves_triple_order(sample_records):
     entry = sample_records[0].entries[0]
     unseen = entry.group(CategoryPath.UNSEEN_CAPABLE_OF)
     assert [t.tail for t in unseen] == ["grow up", "read book"]
-
-
-def test_entry_rejects_foreign_head():
-    man = make_object("o1", name="man")
-    car = make_object("o2", name="car", box=(20, 0, 5, 5))
-    with pytest.raises(ValueError):
-        ObjectEntry(
-            obj=man,
-            groups=group_triples(car, [triple(car, "/Seen/Space/LocatedNear", "man")]).groups,
-        )
 
 
 def test_round_trip(sample_records, tmp_path):
@@ -223,6 +215,37 @@ def test_dataset_reader_rejects_malformed_line(tmp_path, record, message):
     assert excinfo.value.line_number == 2
 
 
+# One object "man" with one group; `_read_record` must refuse each of these.
+_REFUSED_GROUPS = {
+    "empty-tail": "/Seen/Property/HasProperty\t1\t\tscene_triple\t0.0",
+    "blank-tail": "/Seen/Property/HasProperty\t1\t \tscene_triple\t0.0",
+    "escaped-tab-tail": "/Seen/Property/HasProperty\t1\t\\t\tscene_triple\t0.0",
+    "kb-under-seen": "/Seen/Property/HasProperty\t1\ttall\tkb_retrieval\t0.0",
+    "scene-under-unseen": "/Unseen/Action/CapableOf\t1\tgrow up\tscene_triple\t1.0",
+}
+
+
+@pytest.mark.parametrize("group", _REFUSED_GROUPS.values(), ids=list(_REFUSED_GROUPS))
+def test_one_pass_reader_refuses_invalid_triple(group):
+    fields = f"img1\t1\to1\tman\t0\t0\t5\t5\t1\t{group}".split("\t")
+    with pytest.raises((ValueError, LookupError)):
+        _read_record(fields)
+    with pytest.raises(MalformedRecord, match="must be non-empty|does not match category"):
+        _parse_record(fields, "data.tsv", 4)
+
+
+@pytest.mark.parametrize("name", ["", " ", "\\t"], ids=["empty", "space", "escaped-tab"])
+def test_dataset_reader_refuses_blank_name(tmp_path, name):
+    fields = f"img1\t1\to1\t{name}\t0\t0\t5\t5\t0".split("\t")
+    with pytest.raises(ValueError):
+        _read_record(fields)
+    path = tmp_path / "dataset.tsv"
+    path.write_text("img0\t0\n" + "\t".join(fields) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="object name is empty") as excinfo:
+        import_dataset(path)
+    assert excinfo.value.line_number == 2
+
+
 def test_stats_empty():
     stats = compute_stats([])
     assert stats.image_count == 0
@@ -291,6 +314,12 @@ def test_query_unknown_name_empty(sample_records, lexicon):
     assert query(sample_records, "unicorn", CategoryPath.SEEN_LOCATED_NEAR, lexicon) == []
 
 
+@pytest.mark.parametrize("name", ["", "  ", "__"])
+def test_query_refuses_name_that_normalizes_to_nothing(sample_records, lexicon, name):
+    with pytest.raises(VckbError, match="object name is empty"):
+        query(sample_records, name, CategoryPath.SEEN_LOCATED_NEAR, lexicon)
+
+
 def test_query_preserves_unseen_order(sample_records, lexicon):
     hits = query(sample_records, "man", CategoryPath.UNSEEN_CAPABLE_OF, lexicon)
     assert [t.tail for t in hits] == ["grow up", "read book"]
@@ -336,20 +365,23 @@ _FIELD_TEXT = st.text(
     | st.characters(codec="utf-8"),
     max_size=6,
 )
+# Names and tails must not be blank: field text around a character that is not a space.
+_NON_BLANK_TEXT = st.builds(
+    "{}{}{}".format, _FIELD_TEXT, st.sampled_from("t\\\U0001f600"), _FIELD_TEXT
+)
 _IDS = st.text("abxyz019_-.", min_size=1, max_size=4)
 # `_record` gives unseen triples kb_retrieval in place of the drawn provenance.
 _SEEN_PROVENANCES = st.sampled_from([p for p in Provenance if p is not Provenance.KB_RETRIEVAL])
 _TRIPLE_FIELDS = st.tuples(
     st.sampled_from(CategoryPath),
     _SEEN_PROVENANCES,
-    # Tails must not be blank: field text around a character that is not a space.
-    st.builds("{}{}{}".format, _FIELD_TEXT, st.sampled_from("t\\\U0001f600"), _FIELD_TEXT),
+    _NON_BLANK_TEXT,
     st.floats(min_value=0, allow_nan=False, allow_infinity=False),
 )
 _BOXES = st.builds(
     BBox, st.integers(0, 99), st.integers(0, 99), st.integers(1, 99), st.integers(1, 99)
 )
-_OBJECT_FIELDS = st.tuples(_FIELD_TEXT, _BOXES, st.lists(_TRIPLE_FIELDS, max_size=3))
+_OBJECT_FIELDS = st.tuples(_NON_BLANK_TEXT, _BOXES, st.lists(_TRIPLE_FIELDS, max_size=3))
 
 
 def _record(fields):
@@ -420,6 +452,8 @@ def _reference_record(fields, path, line_number):
     for _ in range(reader.take_int("object count")):
         object_id = reader.take("object_id")
         name = _unescape(reader.take("name"))
+        if not name.strip():
+            raise malformed("object name is empty")
         x, y, w, h = (reader.take_int(what) for what in "xywh")
         try:
             obj = GroundedObject(object_id, image_id, name, BBox(x, y, w, h))
@@ -448,9 +482,10 @@ def _reference_record(fields, path, line_number):
                     raise malformed(f"unknown provenance {provenance_text!r}") from None
                 score = _parse_weight(reader.take("score"), path, line_number, "score")
                 try:
-                    triples.append(CommonsenseTriple(obj, category, tail, provenance, score))
+                    _check_triple(category, tail, provenance)
                 except ValueError as exc:
                     raise malformed(str(exc)) from None
+                triples.append(CommonsenseTriple(obj, category, tail, provenance, score))
             groups.append(CategoryGroup(category, triples))
         entries.append(ObjectEntry(obj, groups))
     if reader.index != len(fields):
@@ -482,7 +517,7 @@ def _leaves_of_line(fields, kinds, at):
 # that gives them. They give counts off by one, negative, zero and
 # non-integer counts and coordinates, unknown leaves and provenances, leaves
 # repeated, out of order or of the other visibility, scores that are no
-# weight, and tails that are empty or blank once unescaped.
+# weight, and names and tails that are empty or blank once unescaped.
 _REWRITES = {
     "count off by one": ("count", _off_by_one),
     "bad count": ("count", ["-1", "x", "1.5", ""]),
@@ -496,6 +531,7 @@ _REWRITES = {
     "score not finite": ("score", ["nan", "inf", "1e400"]),
     "not a number": ("score", ["x", "", "1,5"]),
     "blank tail": ("tail", ["", " ", "\\t", "\\n\\r"]),
+    "blank name": ("name", ["", " ", "\\t"]),
 }
 # Fields dropped, inserted, swapped or appended take one of these.
 _ANY_FIELD = st.sampled_from(

@@ -3,10 +3,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vckb import (
+    BBox,
     BuildDiagnostics,
+    GroundedObject,
     Lexicon,
+    Region,
+    SceneTriple,
+    TripleKind,
     Visibility,
     build_image_record,
     import_dataset,
@@ -17,6 +24,8 @@ from vckb import (
 from vckb.errors import InvalidConfig
 import vckb.pipeline as pipeline
 from vckb.cli import _build_parser, main
+from vckb.dataset import _check_triple, _read_record, record_line
+from vckb.ingest import ImageEntry, KbIndex
 from vckb.pipeline import _pool_size, export_records
 
 from conftest import write_dataset
@@ -202,3 +211,94 @@ def test_pipeline_does_not_load_the_sampler():
     loaded = result.stdout.strip()
     assert "'vckb.pipeline'" in loaded
     assert "vckb.instructions" not in loaded
+
+
+# Generated images for the builders' triples. Object names include modified,
+# possessive and multiword ones; a small KB gives some of them unseen edges,
+# one of which repeats a seen tail. Region phrases join lexicon words, the
+# image's object names and stray tokens.
+_NAMES = ("man", "men", "car", "yellow car", "man's shirt", "traffic light", "dog")
+_KB = KbIndex(
+    [
+        ("man", "CapableOf", "grow up", 1.0),
+        ("man", "ReceivesAction", "hit by a car", 2.0),
+        ("car", "UsedFor", "drive to work", 2.0),
+        ("car", "CreatedBy", "factory", 0.0),
+        ("car", "HasProperty", "red", 1.5),
+        ("yellow car", "AtLocation", "street", 0.5),
+        ("dog", "CapableOf", "bark", 3.0),
+        ("dog", "IsA", "animal", 1.0),
+    ]
+)
+_LEXICON = Lexicon.default()
+_STRAY = st.sampled_from(["!!", "'s", "x9", "-", "_", "\u00e9t\u00e9", "is"])
+_ADJECTIVE = st.sampled_from(sorted(_LEXICON.adjectives))
+_PREPOSITION = st.sampled_from(sorted(_LEXICON.prepositions))
+_WORD = st.one_of(
+    st.sampled_from(sorted(_LEXICON.determiners | _LEXICON.known_nouns)),
+    st.sampled_from(sorted(_LEXICON.irregular_participles)),
+    _ADJECTIVE,
+    _PREPOSITION,
+    _STRAY,
+)
+_BOXES = st.builds(
+    BBox, st.integers(0, 30), st.integers(0, 30), st.integers(1, 40), st.integers(1, 40)
+)
+# A region covers the whole image or a random part of it.
+_REGION_BOXES = st.just(BBox(0, 0, 80, 80)) | st.builds(
+    BBox, st.integers(0, 10), st.integers(0, 10), st.integers(10, 80), st.integers(10, 80)
+)
+
+
+def _phrases(name):
+    """Free word lists, and the phrase shapes the parser reads, over names
+    drawn by `name`, lexicon words and stray tokens."""
+    verb = st.sampled_from(["riding", "holding", "parked", "eating"]) | st.sampled_from(
+        sorted(_LEXICON.irregular_participles)
+    )
+    return st.one_of(
+        st.lists(name | _WORD, min_size=1, max_size=6).map(" ".join),
+        st.builds("a {} {}".format, _ADJECTIVE, name),
+        st.builds("the {} {} the {} {}".format, name, _PREPOSITION, _ADJECTIVE, name),
+        st.builds("the {} {} a {}".format, name, verb, name),
+        st.builds("{} {} {} the {}".format, name, verb, _PREPOSITION, name),
+    )
+
+
+@st.composite
+def _images(draw):
+    drawn = draw(st.lists(st.tuples(st.sampled_from(_NAMES), _BOXES), max_size=6))
+    objects = [
+        GroundedObject(f"o{i}", "img1", name, box) for i, (name, box) in enumerate(drawn)
+    ]
+    triples = []
+    name = st.sampled_from(_NAMES)
+    if objects:
+        name = st.sampled_from([obj.name for obj in objects])
+        ids = st.sampled_from([obj.object_id for obj in objects])
+        attributes = st.builds(
+            SceneTriple, st.just("img1"), ids, st.sampled_from(["is", "has", "are"]),
+            _WORD, st.just(TripleKind.ATTRIBUTE),
+        )
+        relationships = st.builds(
+            SceneTriple, st.just("img1"), ids, st.sampled_from(["on", "play", "is", "holding"]),
+            ids, st.just(TripleKind.RELATIONSHIP),
+        )
+        triples = draw(st.lists(attributes | relationships, max_size=4))
+    regions = draw(
+        st.lists(st.builds(Region, st.just("img1"), _phrases(name), _REGION_BOXES), max_size=6)
+    )
+    return ImageEntry("img1", objects=objects, triples=triples, regions=regions)
+
+
+@given(_images(), st.sampled_from([0.3, 0.5, 1.0]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_built_triples_keep_the_rules_the_reader_checks(image, tau, with_kb):
+    record, _ = build_image_record(image, _LEXICON, _KB if with_kb else None, tau)
+    for entry in record.entries:
+        for group in entry.groups:
+            for triple in group.triples:
+                _check_triple(triple.category, triple.tail, triple.provenance)
+                assert triple.head == entry.obj
+                assert triple.category is group.category
+    assert _read_record(record_line(record).split("\t")) == record
