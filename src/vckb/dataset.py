@@ -23,10 +23,10 @@ A record's rules are checked where a line enters, once: names and tails
 must not be blank once unescaped, and a triple's provenance must fit its
 leaf (`_check_triple`). Triples and entries are plain records that check
 nothing when built; the builders make valid ones by construction.
-The reader takes a line in one pass over its fields and checks each group's
-triple fields at once. A malformed line raises MalformedRecord for its first
-bad field in field order: a line the one-pass reader refuses is walked again
-one field at a time to name that field.
+The file has one reader, `_read_record`. It takes a line in one pass over its
+fields and checks each group's triple fields at once. A malformed line raises
+MalformedRecord for its first bad field in field order; the message is worked
+out only once a check has failed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .errors import InvalidCategory, MalformedRecord, VckbError
 from .geometry import BBox
@@ -178,160 +179,131 @@ def _check_triple(category: CategoryPath, tail: str, provenance: Provenance) -> 
         )
 
 
-def _read_record(fields: list[str]) -> DatasetRecord:
-    """The record on a line's fields, read in one pass with each group's
-    triple fields taken at once. It checks every rule as it goes, blank names
-    and `_check_triple`'s rules included; a triple's provenance is looked up
-    among those its leaf admits. Any check that fails raises ValueError or
-    LookupError, which name nothing: `_walk_record` names the bad field."""
+def _count(fields: list[str], at: int, what: str, path, line_number: int) -> int:
+    """The count or coordinate in `fields[at]`, a non-negative integer."""
+    try:
+        number = int(fields[at])
+    except IndexError:
+        raise MalformedRecord(path, line_number, f"missing field: {what}") from None
+    except ValueError:
+        raise MalformedRecord(
+            path, line_number, f"{what} is not an integer: {fields[at]!r}"
+        ) from None
+    if number < 0:
+        raise MalformedRecord(path, line_number, f"{what} is negative")
+    return number
+
+
+def _group_error(
+    category: CategoryPath, triple_fields: list[str], path, line_number: int
+) -> NoReturn:
+    """Raise MalformedRecord for the first bad field among a group's triple
+    fields: a group the one-pass read refused, or one the line ends inside.
+
+    Each triple is checked in field order: a known provenance, a score that
+    is a weight, then `_check_triple`'s rules. In a triple the line ends
+    inside, a provenance that is present must be known before the first
+    absent field is named.
+    """
+    for at in range(0, len(triple_fields) + 1, 3):
+        triple = triple_fields[at : at + 3]
+        if len(triple) > 1:
+            try:
+                provenance = Provenance(triple[1])
+            except ValueError:
+                raise MalformedRecord(
+                    path, line_number, f"unknown provenance {triple[1]!r}"
+                ) from None
+        if len(triple) < 3:
+            missing = ("tail", "provenance", "score")[len(triple)]
+            raise MalformedRecord(path, line_number, f"missing field: {missing}")
+        _parse_weight(triple[2], path, line_number, "score")
+        try:
+            _check_triple(category, _unescape(triple[0]), provenance)
+        except ValueError as exc:
+            raise MalformedRecord(path, line_number, str(exc)) from None
+
+
+def _read_record(fields: list[str], path, line_number: int) -> DatasetRecord:
+    """The record on a line's fields (at least one, as `str.split` gives).
+
+    One pass reads the line; each group's triple fields are taken at once,
+    and a triple's provenance is looked up among those its leaf admits. Every
+    rule is checked as it goes, blank names and `_check_triple`'s rules
+    included. A line that breaks one raises MalformedRecord for its first
+    bad field in field order; the message is worked out only then.
+    """
     end = len(fields)
     image_id = fields[0]
-    object_count = int(fields[1])
-    if object_count < 0:
-        raise ValueError
+    object_count = _count(fields, 1, "object count", path, line_number)
     i = 2
     entries = []
     for _ in range(object_count):
-        name = _unescape(fields[i + 1])
-        if not name.strip():
-            raise ValueError
-        x, y, w, h = map(int, fields[i + 2 : i + 6])
-        obj = GroundedObject(fields[i], image_id, name, BBox(x, y, w, h))
-        group_count = int(fields[i + 6])
-        if group_count < 0:
-            raise ValueError
+        try:
+            name = _unescape(fields[i + 1])
+        except IndexError:
+            missing = "name" if i < end else "object_id"
+            raise MalformedRecord(path, line_number, f"missing field: {missing}") from None
+        object_id = fields[i]
+        if not name.strip():  # the scene loader's message
+            raise MalformedRecord(path, line_number, "object name is empty")
+        # Each coordinate is checked for a negative value before BBox is.
+        x = _count(fields, i + 2, "x", path, line_number)
+        y = _count(fields, i + 3, "y", path, line_number)
+        w = _count(fields, i + 4, "w", path, line_number)
+        h = _count(fields, i + 5, "h", path, line_number)
+        try:
+            obj = GroundedObject(object_id, image_id, name, BBox(x, y, w, h))
+        except ValueError as exc:
+            raise MalformedRecord(path, line_number, str(exc)) from None
+        group_count = _count(fields, i + 6, "group count", path, line_number)
         i += 7
         groups = []
         last_rank = -1
         for _ in range(group_count):
-            category, rank, provenances = _LEAVES[fields[i]]
-            triple_count = int(fields[i + 1])
-            start = i + 2
-            i = start + 3 * triple_count
-            if rank <= last_rank or triple_count < 0 or i > end:
-                raise ValueError
-            last_rank = rank
-            triples = []
-            for tail, provenance, score in zip(
-                fields[start:i:3],
-                fields[start + 1 : i : 3],
-                map(float, fields[start + 2 : i : 3]),
-            ):
-                tail = _unescape(tail)
-                # The score by the rule of ingest._parse_weight.
-                if not tail.strip() or not 0 <= score < math.inf:
-                    raise ValueError
-                triples.append(
-                    CommonsenseTriple(obj, category, tail, provenances[provenance], score)
-                )
-            groups.append(CategoryGroup(category, triples))
-        entries.append(ObjectEntry(obj, groups))
-    if i != end:
-        raise ValueError
-    return DatasetRecord(image_id, entries)
-
-
-class _FieldReader:
-    def __init__(self, fields: list[str], path, line_number: int):
-        self.fields = fields
-        self.path = path
-        self.line_number = line_number
-        self.index = 0
-
-    def take(self, what: str) -> str:
-        if self.index >= len(self.fields):
-            raise MalformedRecord(self.path, self.line_number, f"missing field: {what}")
-        value = self.fields[self.index]
-        self.index += 1
-        return value
-
-    def take_int(self, what: str) -> int:
-        value = self.take(what)
-        try:
-            number = int(value)
-        except ValueError:
-            raise MalformedRecord(
-                self.path, self.line_number, f"{what} is not an integer: {value!r}"
-            ) from None
-        if number < 0:
-            raise MalformedRecord(self.path, self.line_number, f"{what} is negative")
-        return number
-
-    def done(self) -> None:
-        if self.index != len(self.fields):
-            raise MalformedRecord(
-                self.path, self.line_number, "trailing fields after record"
-            )
-
-
-def _walk_record(reader: _FieldReader) -> None:
-    """Check a line's fields one at a time, in field order, and raise
-    MalformedRecord for the first bad one; return if there is none."""
-    reader.take("image_id")
-    for _ in range(reader.take_int("object count")):
-        object_id = reader.take("object_id")
-        if not _unescape(reader.take("name")).strip():  # the scene loader's message
-            raise MalformedRecord(reader.path, reader.line_number, "object name is empty")
-        x = reader.take_int("x")
-        y = reader.take_int("y")
-        w = reader.take_int("w")
-        h = reader.take_int("h")
-        try:
-            BBox(x, y, w, h)
-        except ValueError as exc:
-            raise MalformedRecord(reader.path, reader.line_number, str(exc)) from None
-        last_rank = -1
-        for _ in range(reader.take_int("group count")):
             try:
-                category = parse_category(reader.take("category"))
-            except InvalidCategory as exc:
-                raise MalformedRecord(
-                    reader.path, reader.line_number, str(exc)
-                ) from None
-            rank = _GROUP_RANK[category]
+                category, rank, provenances = _LEAVES[fields[i]]
+            except LookupError:
+                if i >= end:
+                    raise MalformedRecord(path, line_number, "missing field: category") from None
+                try:
+                    parse_category(fields[i])
+                except InvalidCategory as exc:
+                    raise MalformedRecord(path, line_number, str(exc)) from None
+                raise  # not reached: _LEAVES holds every text parse_category takes
             if rank <= last_rank:
                 raise MalformedRecord(
-                    reader.path,
-                    reader.line_number,
+                    path,
+                    line_number,
                     f"group {category.text} of object {object_id!r} is repeated "
                     "or out of canonical order",
                 )
             last_rank = rank
-            for _ in range(reader.take_int("triple count")):
-                tail = _unescape(reader.take("tail"))
-                provenance_text = reader.take("provenance")
-                try:
-                    provenance = Provenance(provenance_text)
-                except ValueError:
-                    raise MalformedRecord(
-                        reader.path,
-                        reader.line_number,
-                        f"unknown provenance {provenance_text!r}",
-                    ) from None
-                score = _parse_weight(
-                    reader.take("score"), reader.path, reader.line_number, "score"
-                )
-                try:
-                    _check_triple(category, tail, provenance)
-                except ValueError as exc:
-                    raise MalformedRecord(
-                        reader.path, reader.line_number, str(exc)
-                    ) from None
-    reader.done()
-
-
-def _parse_record(fields: list[str], path, line_number: int) -> DatasetRecord:
-    """The record on one line's fields. A line `_read_record` refuses is
-    walked field by field, which raises MalformedRecord for its first bad
-    field; if the walk finds none, that is an internal error."""
-    try:
-        return _read_record(fields)
-    except (ValueError, LookupError):
-        pass
-    _walk_record(_FieldReader(fields, path, line_number))
-    raise RuntimeError(
-        f"{path}:{line_number}: the one-pass reader refused a line the field walk accepts"
-    )
+            start = i + 2
+            i = start + 3 * _count(fields, i + 1, "triple count", path, line_number)
+            if i > end:
+                _group_error(category, fields[start:], path, line_number)
+            triples = []
+            try:
+                for tail, provenance, score in zip(
+                    fields[start:i:3],
+                    fields[start + 1 : i : 3],
+                    map(float, fields[start + 2 : i : 3]),
+                ):
+                    tail = _unescape(tail)
+                    # The score by the rule of ingest._parse_weight.
+                    if not tail.strip() or not 0 <= score < math.inf:
+                        raise ValueError
+                    triples.append(
+                        CommonsenseTriple(obj, category, tail, provenances[provenance], score)
+                    )
+            except (ValueError, KeyError):
+                _group_error(category, fields[start:i], path, line_number)
+            groups.append(CategoryGroup(category, triples))
+        entries.append(ObjectEntry(obj, groups))
+    if i != end:
+        raise MalformedRecord(path, line_number, "trailing fields after record")
+    return DatasetRecord(image_id, entries)
 
 
 def _chunk_records(path, chunk) -> Iterator[DatasetRecord]:
@@ -339,7 +311,7 @@ def _chunk_records(path, chunk) -> Iterator[DatasetRecord]:
     `_line_chunks` or the whole file's (0, None, 1); errors name the line's
     number in the whole file."""
     for line_number, line in _read_lines(path, chunk):
-        yield _parse_record(line.split("\t"), path, line_number)
+        yield _read_record(line.split("\t"), path, line_number)
 
 
 def iter_dataset(path) -> Iterator[DatasetRecord]:

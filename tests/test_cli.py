@@ -647,21 +647,6 @@ def test_unknown_template_field_is_input_error(fixture_export, tmp_path, capsys)
     assert "unknown template fields ['bogus']" in capsys.readouterr().err
 
 
-def test_line_only_the_one_pass_reader_refuses_is_internal_error(
-    fixture_export, capsys, monkeypatch
-):
-    import vckb.dataset as dataset_module
-
-    def refuse(fields):
-        raise ValueError
-
-    monkeypatch.setattr(dataset_module, "_read_record", refuse)
-    assert main(["stats", "--data", str(fixture_export)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"{fixture_export}:1: the one-pass reader refused a line the field walk accepts" in err
-
-
 def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):
     import vckb.cli as cli_module
 

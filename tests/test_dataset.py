@@ -19,7 +19,6 @@ from vckb.dataset import (
     ObjectEntry,
     _check_triple,
     _escape,
-    _parse_record,
     _read_record,
     _unescape,
     record_line,
@@ -182,68 +181,76 @@ def test_import_rejects_score_that_is_not_a_weight(tmp_path, score):
     assert excinfo.value.line_number == 2
 
 
+# One object "man" at 0,0 of size 5x5, before its group count.
+_MAN = "img2\t1\to1\tman\t0\t0\t5\t5\t"
+
+
 @pytest.mark.parametrize(
     "record, message",
     [
-        ("img2\t1\to1\tman\t0\t0\t5", "missing field: h"),
-        ("img2\t-1", "object count is negative"),
-        ("img2\t1\to1\tman\t0\t0\t0\t5\t0", "box needs positive size"),
-        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall\tguess\t0.0",
-         "unknown provenance 'guess'"),
-        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall"
-         "\tkb_retrieval\t0.0", "does not match category"),
-        ("img2\t0\tmore", "trailing fields after record"),
-        ("img2\t1\to1\tman\tx\t0\t5\t5\t0", "x is not an integer: 'x'"),
-        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t-1",
-         "triple count is negative"),
-        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/Bogus\t0",
-         "not a taxonomy leaf: '/Seen/Property/Bogus'"),
-        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall",
-         "missing field: provenance"),
-        ("img2\t1\to1\tman\t0\t0\t5\t5\t1\t/Seen/Property/HasProperty\t1\ttall\tguess",
-         "unknown provenance 'guess'"),
+        pytest.param("img2\t1\to1\tman\t0\t0\t5", "missing field: h", id="missing-field"),
+        pytest.param("img2\t-1", "object count is negative", id="negative-count"),
+        pytest.param("img2\t1\to1\tman\t0\t0\t0\t5\t0", "box needs positive size, got 0x5",
+                     id="bad-box"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\ttall\tguess\t0.0",
+                     "unknown provenance 'guess'", id="unknown-provenance"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\ttall\tkb_retrieval\t0.0",
+                     "provenance kb_retrieval does not match category /Seen/Property/HasProperty",
+                     id="provenance-mismatch"),
+        pytest.param("img2\t0\tmore", "trailing fields after record", id="trailing-fields"),
+        pytest.param("img2\t1\to1\tman\tx\t0\t5\t5\t0", "x is not an integer: 'x'",
+                     id="not-an-integer"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t-1", "triple count is negative",
+                     id="negative-triple-count"),
+        pytest.param(_MAN + "1\t/Seen/Property/Bogus\t0",
+                     "not a taxonomy leaf: '/Seen/Property/Bogus'", id="not-a-leaf"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\ttall", "missing field: provenance",
+                     id="ends-after-tail"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\ttall\tguess",
+                     "unknown provenance 'guess'", id="unknown-provenance-no-score"),
+        # Triples that break a rule of `_check_triple`.
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\t\tscene_triple\t0.0",
+                     "triple tail must be non-empty", id="empty-tail"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\t \tscene_triple\t0.0",
+                     "triple tail must be non-empty", id="blank-tail"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\t\\t\tscene_triple\t0.0",
+                     "triple tail must be non-empty", id="escaped-tab-tail"),
+        pytest.param(_MAN + "1\t/Seen/Action/CapableOf\t1\tgrow up\tkb_retrieval\t0.5",
+                     "provenance kb_retrieval does not match category /Seen/Action/CapableOf",
+                     id="kb-under-seen"),
+        pytest.param(_MAN + "1\t/Unseen/Action/CapableOf\t1\tgrow up\tscene_triple\t1.0",
+                     "provenance scene_triple does not match category /Unseen/Action/CapableOf",
+                     id="scene-under-unseen"),
+        # Names that are empty or blank once unescaped.
+        pytest.param("img2\t1\to1\t\t0\t0\t5\t5\t0", "object name is empty",
+                     id="blank-name-empty"),
+        pytest.param("img2\t1\to1\t \t0\t0\t5\t5\t0", "object name is empty",
+                     id="blank-name-space"),
+        pytest.param("img2\t1\to1\t\\t\t0\t0\t5\t5\t0", "object name is empty",
+                     id="blank-name-escaped-tab"),
+        # Two bad fields: the first in field order is named.
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t1\t \tscene_triple\tx",
+                     "score is not a number: 'x'", id="score-before-blank-tail"),
+        pytest.param("img2\t1\to1\tman\t-1\t0\t5\t5\t0", "x is negative",
+                     id="negative-x-before-box"),
+        pytest.param(_MAN + "2\t/Seen/Space/LocatedNear\t0\t/Seen/Property/HasProperty\tx",
+                     "group /Seen/Property/HasProperty of object 'o1' is repeated or out of "
+                     "canonical order", id="order-before-bad-count"),
+        pytest.param(_MAN + "1\t/Seen/Property/HasProperty\t3\t \tscene_triple\t0.0",
+                     "triple tail must be non-empty", id="blank-tail-before-missing-field"),
+        pytest.param("img2\t1\to1\t \t0", "object name is empty",
+                     id="blank-name-before-missing-field"),
+        pytest.param(_MAN + "1\t/Unseen/Action/CapableOf\t1\tgrow up\tco_occurrence\tnan",
+                     "score must be a finite, non-negative number: 'nan'",
+                     id="nan-score-before-provenance-mismatch"),
     ],
-    ids=["missing-field", "negative-count", "bad-box", "unknown-provenance",
-         "provenance-mismatch", "trailing-fields", "not-an-integer", "negative-triple-count",
-         "not-a-leaf", "ends-after-tail", "unknown-provenance-no-score"],
 )
 def test_dataset_reader_rejects_malformed_line(tmp_path, record, message):
     path = tmp_path / "dataset.tsv"
     path.write_text(f"img1\t0\n{record}\n", encoding="utf-8")
-    with pytest.raises(MalformedRecord, match=message) as excinfo:
+    with pytest.raises(MalformedRecord) as excinfo:
         import_dataset(path)
-    assert excinfo.value.line_number == 2
-
-
-# One object "man" with one group; `_read_record` must refuse each of these.
-_REFUSED_GROUPS = {
-    "empty-tail": "/Seen/Property/HasProperty\t1\t\tscene_triple\t0.0",
-    "blank-tail": "/Seen/Property/HasProperty\t1\t \tscene_triple\t0.0",
-    "escaped-tab-tail": "/Seen/Property/HasProperty\t1\t\\t\tscene_triple\t0.0",
-    "kb-under-seen": "/Seen/Property/HasProperty\t1\ttall\tkb_retrieval\t0.0",
-    "scene-under-unseen": "/Unseen/Action/CapableOf\t1\tgrow up\tscene_triple\t1.0",
-}
-
-
-@pytest.mark.parametrize("group", _REFUSED_GROUPS.values(), ids=list(_REFUSED_GROUPS))
-def test_one_pass_reader_refuses_invalid_triple(group):
-    fields = f"img1\t1\to1\tman\t0\t0\t5\t5\t1\t{group}".split("\t")
-    with pytest.raises((ValueError, LookupError)):
-        _read_record(fields)
-    with pytest.raises(MalformedRecord, match="must be non-empty|does not match category"):
-        _parse_record(fields, "data.tsv", 4)
-
-
-@pytest.mark.parametrize("name", ["", " ", "\\t"], ids=["empty", "space", "escaped-tab"])
-def test_dataset_reader_refuses_blank_name(tmp_path, name):
-    fields = f"img1\t1\to1\t{name}\t0\t0\t5\t5\t0".split("\t")
-    with pytest.raises(ValueError):
-        _read_record(fields)
-    path = tmp_path / "dataset.tsv"
-    path.write_text("img0\t0\n" + "\t".join(fields) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedRecord, match="object name is empty") as excinfo:
-        import_dataset(path)
-    assert excinfo.value.line_number == 2
+    assert (excinfo.value.message, excinfo.value.line_number) == (message, 2)
 
 
 def test_stats_empty():
@@ -607,7 +614,7 @@ def test_reader_agrees_with_per_field_reference(fields):
         expected = _reference_record(list(fields), "data.tsv", 7)
     except MalformedRecord as exc:
         with pytest.raises(MalformedRecord) as excinfo:
-            _parse_record(list(fields), "data.tsv", 7)
+            _read_record(list(fields), "data.tsv", 7)
         assert (excinfo.value.message, excinfo.value.line_number) == (exc.message, 7)
     else:
-        assert _parse_record(list(fields), "data.tsv", 7) == expected
+        assert _read_record(list(fields), "data.tsv", 7) == expected

@@ -301,4 +301,4 @@ def test_built_triples_keep_the_rules_the_reader_checks(image, tau, with_kb):
                 _check_triple(triple.category, triple.tail, triple.provenance)
                 assert triple.head == entry.obj
                 assert triple.category is group.category
-    assert _read_record(record_line(record).split("\t")) == record
+    assert _read_record(record_line(record).split("\t"), "data.tsv", 1) == record
