@@ -16,10 +16,11 @@ cannot contain tabs or newlines; blank lines are skipped.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
 with an optional weight column (default 1.0). Head, relation and tail must
-be non-empty, and the weight must be a finite, non-negative number. Every
-line is validated and counted, but only edges of the six relations the
-unseen layer reads are indexed, by head and with their leaf; rows of any
-other relation are dropped.
+be non-empty, and the weight must be a finite, non-negative number. The
+file is read in one loop that checks and counts every row, and indexes, by
+head and with their leaf, only edges of the six relations the unseen layer
+reads; rows of any other relation are dropped. An error message is worked
+out only for a row that fails a check.
 
 Every line file vckb reads or writes goes through `_read_lines` or
 `_write_lines`, and `_normalize_name` is the one normalizer of object names,
@@ -33,7 +34,7 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
@@ -400,19 +401,25 @@ def _validate_integrity(
 
 class KbIndex:
     """KB edges by normalized head name: each head's (leaf, tail, weight)
-    edges in file order, the leaf looked up once per row in
-    `taxonomy.KB_RELATION_LEAVES`. Rows of a relation without a leaf are not
-    kept, but `len` counts every edge given."""
+    edges in file order, the leaf looked up in `taxonomy.KB_RELATION_LEAVES`.
+    Rows of a relation without a leaf are not kept, but `len` counts every
+    edge given."""
 
     def __init__(self, rows: Iterable[tuple[str, str, str, float]]):
-        leaf_of = KB_RELATION_LEAVES.get
         self._by_head: dict[str, tuple[tuple[CategoryPath, str, float], ...]] = {}
         count = 0
         for count, (head, relation, tail, weight) in enumerate(rows, 1):
-            leaf = leaf_of(relation)
-            if leaf is not None:
-                self._by_head.setdefault(head, []).append((leaf, tail, weight))
-        self._edge_count = count
+            if relation in KB_RELATION_LEAVES:
+                self._index(head, relation, tail, weight)
+        self._finish(count)
+
+    def _index(self, head: str, relation: str, tail: str, weight: float) -> None:
+        """Append one edge of a relation with a leaf to its head's bucket."""
+        self._by_head.setdefault(head, []).append((KB_RELATION_LEAVES[relation], tail, weight))
+
+    def _finish(self, edge_count: int) -> None:
+        """Set `len` and freeze the buckets, once every row is in."""
+        self._edge_count = edge_count
         # Freeze each bucket in place, so that the lists are freed one by one
         # and never coexist in full with the tuples (KB load sets peak memory).
         for head, bucket in self._by_head.items():
@@ -427,50 +434,79 @@ class KbIndex:
         return self._by_head.get(head, ())
 
 
-def _shared_name(names: dict[str, str], raw: str) -> str:
-    """Normalize raw and memoize it in names, where each name maps to itself."""
-    name = _normalize_name(raw)
-    name = names[raw] = names.setdefault(name, name)
-    return name
-
-
-def _kb_rows(path):
-    """Yield (head, relation, tail, weight) for each line of a KB file.
-
-    Names are normalized once per distinct raw string, and equal names share
-    one string object, so the index holds each distinct head and tail once.
-    """
-    # Raw string -> its name; normalizing is idempotent, so names share the dict.
-    names: dict[str, str] = {}
-    for line_number, line in _read_lines(path):
-        fields = line.split("\t")
-        if not 3 <= len(fields) <= 4:
-            raise MalformedRecord(path, line_number, "expected head, relation, tail[, weight]")
-        head = names.get(fields[0]) or _shared_name(names, fields[0])
-        relation = fields[1].strip()
-        tail = names.get(fields[2]) or _shared_name(names, fields[2])
-        if not head or not relation or not tail:
-            raise MalformedRecord(
-                path, line_number, "head, relation and tail must be non-empty"
-            )
-        weight = 1.0
-        if len(fields) == 4:
-            weight = _parse_weight(fields[3], path, line_number, "weight")
-        yield head, relation, tail, weight
+def _kb_row_error(fields: list[str], path, line_number: int) -> NoReturn:
+    """Raise MalformedRecord for a KB row that `load_kb` refused, naming the
+    first rule it breaks: three or four fields, then a non-empty head,
+    relation and tail, then a weight as `_parse_weight` reads it."""
+    if not 3 <= len(fields) <= 4:
+        raise MalformedRecord(path, line_number, "expected head, relation, tail[, weight]")
+    if not (_normalize_name(fields[0]) and fields[1].strip() and _normalize_name(fields[2])):
+        raise MalformedRecord(path, line_number, "head, relation and tail must be non-empty")
+    _parse_weight(fields[3], path, line_number, "weight")
 
 
 def load_kb(path) -> KbIndex:
-    """Load a tab-separated KB edge file in one pass.
+    """Load a tab-separated KB edge file in one loop over its lines.
 
-    Every row is validated and counted in `len`, whatever its relation, but
-    only rows of the unseen layer's relations are indexed.
+    Each row is checked, counted in `len` whatever its relation, and, if its
+    relation is one of the unseen layer's, appended to its head's edges as it
+    is read. Only the names of those rows are normalized: once per distinct
+    raw string, with equal names sharing one string object, so the index
+    holds each distinct head and tail once. The error message is worked out
+    only for a row that fails a check.
 
     Raises MalformedRecord (with line number) for a row without three or four
     columns, an empty head, relation or tail, or a weight that is not a
     finite, non-negative number; EmptyKb when the file holds no edges; and
     IoFailure when the file cannot be read.
     """
-    kb = KbIndex(_kb_rows(path))
-    if len(kb) == 0:
+    kb = KbIndex(())
+    index = kb._index
+    indexed = KB_RELATION_LEAVES
+    inf = math.inf
+    # Raw string -> its name; normalizing is idempotent, so names share the dict.
+    names: dict[str, str] = {}
+    count = 0
+    for line_number, line in _read_lines(path):
+        count += 1
+        fields = line.split("\t")
+        try:
+            if len(fields) == 3:
+                raw_head, relation, raw_tail = fields
+                weight = 1.0
+            else:
+                raw_head, relation, raw_tail, raw_weight = fields
+                weight = float(raw_weight)
+                # The chained comparison is false for nan as well.
+                if not 0 <= weight < inf:
+                    raise ValueError
+            if relation not in indexed:
+                relation = relation.strip()
+                if relation not in indexed:
+                    # A row that is not indexed is only checked, most names
+                    # without normalizing: one that opens with a letter or
+                    # digit cannot normalize to "".
+                    if not (
+                        relation
+                        and (raw_head[:1].isalnum() or _normalize_name(raw_head))
+                        and (raw_tail[:1].isalnum() or _normalize_name(raw_tail))
+                    ):
+                        raise ValueError
+                    continue
+            head = names.get(raw_head)
+            if head is None:
+                head = _normalize_name(raw_head)
+                head = names[raw_head] = names.setdefault(head, head)
+            tail = names.get(raw_tail)
+            if tail is None:
+                tail = _normalize_name(raw_tail)
+                tail = names[raw_tail] = names.setdefault(tail, tail)
+            if not head or not tail:
+                raise ValueError
+        except ValueError:
+            _kb_row_error(fields, path, line_number)
+        index(head, relation, tail, weight)
+    if count == 0:
         raise EmptyKb(f"no edges in {path}")
+    kb._finish(count)
     return kb

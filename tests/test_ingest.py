@@ -1,5 +1,8 @@
+import math
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vckb.ingest as ingest
@@ -324,6 +327,180 @@ def test_kb_rows_of_other_relations_are_validated(tmp_path, row):
     with pytest.raises(MalformedRecord, match=":2: ") as excinfo:
         load_kb(path)
     assert excinfo.value.line_number == 2
+
+
+def test_kb_padded_relation_is_indexed(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("car\t UsedFor \tdrive\ncar\tIsA \tvehicle\n")
+    kb = load_kb(path)
+    assert len(kb) == 2
+    assert kb.lookup("car") == ((CategoryPath.UNSEEN_USED_FOR, "drive", 1.0),)
+
+
+def test_kb_tab_only_line_is_skipped_but_numbered(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("car\tUsedFor\tdrive\n\t\t\t\ncar\tIsA\tvehicle\n")
+    assert len(load_kb(path)) == 2
+    path.write_text("car\tUsedFor\tdrive\n\t\t\t\ncar\tUsedFor\n")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_kb(path)
+    assert (excinfo.value.line_number, excinfo.value.message) == (
+        3, "expected head, relation, tail[, weight]"
+    )
+
+
+def test_kb_last_line_without_newline_is_read(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(b"car\tIsA\tvehicle\r\ncar\tUsedFor\tdrive")
+    kb = load_kb(path)
+    assert len(kb) == 2
+    assert kb.lookup("car") == ((CategoryPath.UNSEEN_USED_FOR, "drive", 1.0),)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""], ids=["lf", "crlf", "cr", "none"])
+def test_kb_bad_last_field_is_named_without_its_line_end(tmp_path, end):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(f"car\tUsedFor\tdrive\ncar\tIsA\tvehicle\tnan{end}".encode())
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_kb(path)
+    assert (excinfo.value.line_number, excinfo.value.message) == (
+        2, "weight must be a finite, non-negative number: 'nan'"
+    )
+
+
+def _reference_kb(text: str, path):
+    """Per-row reference for `load_kb`, from the documented rules: the
+    (edge count, {head: edges}) of a KB file's text, or the MalformedRecord
+    or EmptyKb that the file must raise.
+
+    A BOM opens the file at most; LF, CRLF and a lone CR each end a line; a
+    line of whitespace alone is skipped but numbered. A row has three or four
+    tab-separated fields; the head and tail are normalized names and the
+    relation is stripped, and all three must be non-empty; the weight, 1.0
+    if absent, must be a finite, non-negative number. Every row is counted;
+    a row is kept, under its head in file order, if its relation has a leaf.
+    """
+    text = text.removeprefix("\ufeff")
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+
+    def name(raw):
+        return " ".join(raw.replace("_", " ").lower().split())
+
+    count, edges = 0, {}
+    for line_number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise MalformedRecord(path, line_number, "expected head, relation, tail[, weight]")
+        head, relation, tail = name(fields[0]), fields[1].strip(), name(fields[2])
+        if not (head and relation and tail):
+            raise MalformedRecord(path, line_number, "head, relation and tail must be non-empty")
+        weight = 1.0
+        if len(fields) == 4:
+            raw = fields[3]
+            try:
+                weight = float(raw)
+            except ValueError:
+                raise MalformedRecord(path, line_number, f"weight is not a number: {raw!r}") from None
+            if math.isnan(weight) or math.isinf(weight) or weight < 0:
+                raise MalformedRecord(
+                    path, line_number, f"weight must be a finite, non-negative number: {raw!r}"
+                )
+        count += 1
+        leaf = KB_RELATION_LEAVES.get(relation)
+        if leaf is not None:
+            edges.setdefault(head, []).append((leaf, tail, weight))
+    if count == 0:
+        raise EmptyKb(f"no edges in {path}")
+    return count, {head: tuple(bucket) for head, bucket in edges.items()}
+
+
+# KB line parts, good and bad: a row of a file that may fail takes bad
+# values for up to two of its parts, so that some files load and others fail.
+_KB_GOOD_NAMES = _raw_name().map(lambda pair: pair[1])
+_KB_BAD_NAMES = st.sampled_from(["", " ", "_", "__", " _ "])
+_KB_PARTS = {
+    "head": (_KB_GOOD_NAMES, _KB_BAD_NAMES),
+    "relation": (
+        st.sampled_from(["UsedFor", "CreatedBy", " UsedFor ", "CapableOf ", "IsA", " AtLocation",
+                         "Desires", "HasA "]),
+        st.sampled_from(["", " ", "  "]),
+    ),
+    "tail": (_KB_GOOD_NAMES, _KB_BAD_NAMES),
+    "weight": (
+        st.sampled_from([None, "2.0", "0", "0.5", "1", " 3 ", "1e3"]),  # None: no weight field
+        st.sampled_from(["", "nan", "inf", "-1", "abc", "1e400"]),
+    ),
+    "size": (st.none(), st.sampled_from([1, 2, 5])),  # None: 3 fields, or 4 with a weight
+}
+_KB_BLANK_LINES = st.sampled_from(["", "  ", "\t\t\t", " \t"])
+
+
+@st.composite
+def _kb_text(draw):
+    """The text of a KB file: rows and blank lines, each line ended by LF,
+    CRLF or a lone CR, maybe without the last end, maybe after a BOM."""
+    may_fail = draw(st.sampled_from([False, True, True]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_KB_BLANK_LINES))
+            continue
+        bad = ()
+        if may_fail:
+            # Mostly one bad part, so that each check is the first to fail in
+            # some files; two at times, so that the checks' order is tested.
+            how_many = draw(st.sampled_from([0, 1, 1, 1, 2]))
+            bad = draw(st.sets(st.sampled_from(sorted(_KB_PARTS)), min_size=how_many,
+                               max_size=how_many))
+        part = {name: draw(choices[name in bad]) for name, choices in _KB_PARTS.items()}
+        weight, size = part["weight"], part["size"]
+        if size is None:
+            size = 3 if weight is None else 4
+        fields = [part["head"], part["relation"], part["tail"], weight or "1", "extra"]
+        lines.append("\t".join(fields[:size]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(map("".join, zip(lines, ends)))
+
+
+@given(text=_kb_text())
+# Rows of a relation that is not indexed are checked all the same.
+@example(text="car\tIsA\tvehicle\tnan\n")
+@example(text="car\t AtLocation\t _\r\n")
+@settings(max_examples=200, deadline=None)
+def test_kb_load_agrees_with_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("kb") / "kb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        count, edges = _reference_kb(text, path)
+    except MalformedRecord as exc:
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_kb(path)
+        assert (excinfo.value.line_number, excinfo.value.message) == (exc.line_number, exc.message)
+        return
+    except EmptyKb:
+        with pytest.raises(EmptyKb):
+            load_kb(path)
+        return
+    kb = load_kb(path)
+    assert len(kb) == count
+    shared = {}
+    for head in set(edges) | set(_KB_NAMES):
+        assert kb.lookup(head) == edges.get(head, ())
+        for _, tail, _ in kb.lookup(head):
+            assert shared.setdefault(tail, tail) is tail
+
+
+@given(raw=st.builds("{}{}".format, st.characters().filter(str.isalnum), st.text()))
+def test_kb_name_opening_with_letter_or_digit_is_not_empty(raw):
+    """`load_kb` takes such a name on a row it does not index as non-empty
+    without normalizing it."""
+    assert ingest._normalize_name(raw)
 
 
 # The twelve relations of the benchmark's kb-heavy KB: the six the unseen

@@ -35,3 +35,14 @@ def test_perfbench_imports_from_vckb():
 )
 def test_perfbench_import_resolves(source, module, name):
     assert hasattr(importlib.import_module(module), name), f"{source}: from {module} import {name}"
+
+
+@pytest.mark.parametrize("name", ["load_kb", "load_scene_corpus"])
+def test_cli_calls_the_loaders_the_benchmark_times(name):
+    """child.py counts a loader in setup_s by replacing it under its name in
+    every loaded vckb module; the CLI must call the ingest function itself
+    by that name, or set-up time stops counting it."""
+    import vckb.cli
+    import vckb.ingest
+
+    assert getattr(vckb.cli, name) is getattr(vckb.ingest, name)
