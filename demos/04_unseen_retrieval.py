@@ -4,15 +4,18 @@ Retrieving unseen commonsense from the KB
 
 Object names expand into synsets, the KB is looked up once per synset form
 (each head's edges already carry their unseen leaves), seen duplicates are
-dropped, and tails that mention other image objects sort first.
+dropped, and tails that mention other image objects sort first. A KB is
+always read from a file by `load_kb`; here five edges are written to one.
 """
+
+import tempfile
+from pathlib import Path
 
 from vckb import (
     BBox,
     GroundedObject,
-    KbEdge,
-    KbIndex,
     Lexicon,
+    load_kb,
     make_synset,
     object_aware_sort,
     retrieve_unseen,
@@ -22,17 +25,22 @@ lexicon = Lexicon.default()
 
 # The object is annotated with the plural name; its synset covers both forms.
 man = GroundedObject("o1", "demo", "men", BBox(0, 0, 50, 100))
-print("synset for 'men':", make_synset(man, lexicon).forms)
+print("synset for 'men':", make_synset(man, lexicon))
 print("synset for 'traffic lights':",
-      make_synset(GroundedObject("x", "demo", "traffic lights", BBox(0, 0, 5, 5)), lexicon).forms)
+      make_synset(GroundedObject("x", "demo", "traffic lights", BBox(0, 0, 5, 5)), lexicon))
 
-kb = KbIndex([
-    KbEdge("man", "CapableOf", "grow up", 2.0),
-    KbEdge("man", "ReceivesAction", "hit by a car", 1.0),
-    KbEdge("man", "LocatedNear", "sofa", 1.0),
-    KbEdge("man", "AtLocation", "office", 5.0),   # out-of-scope relation: not indexed
-    KbEdge("men", "CapableOf", "vote", 1.0),      # found via the synset's plural form
-])
+# One tab-separated `head relation tail weight` edge per line.
+edges = [
+    "man\tCapableOf\tgrow up\t2.0",
+    "man\tReceivesAction\thit by a car\t1.0",
+    "man\tLocatedNear\tsofa\t1.0",
+    "man\tAtLocation\toffice\t5.0",   # out-of-scope relation: not indexed
+    "men\tCapableOf\tvote\t1.0",      # found via the synset's plural form
+]
+with tempfile.TemporaryDirectory() as tmp:
+    kb_path = Path(tmp) / "kb.tsv"
+    kb_path.write_text("".join(edge + "\n" for edge in edges), encoding="utf-8")
+    kb = load_kb(kb_path)
 
 print("\nedges of 'man':", [(leaf.text, tail) for leaf, tail, _ in kb.lookup("man")])
 

@@ -20,7 +20,6 @@ from .dataset import (
 from .geometry import BBox, overlap_ratio
 from .ingest import (
     GroundedObject,
-    KbEdge,
     KbIndex,
     Region,
     SceneCorpus,
@@ -70,7 +69,6 @@ from .taxonomy import (
     parse_category,
 )
 from .unseen import (
-    Synset,
     build_unseen,
     dedup_against_seen,
     make_synset,

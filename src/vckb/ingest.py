@@ -20,7 +20,8 @@ be non-empty, and the weight must be a finite, non-negative number. The
 file is read in one loop that checks and counts every row, and indexes, by
 head and with their leaf, only edges of the six relations the unseen layer
 reads; rows of any other relation are dropped. An error message is worked
-out only for a row that fails a check.
+out only for a row that fails a check. `load_kb` is the one way to make a
+`KbIndex`: a KB held in memory is written out as such a file first.
 
 Every line file vckb reads or writes goes through `_read_lines` or
 `_write_lines`, and `_normalize_name` is the one normalizer of object names,
@@ -32,9 +33,8 @@ from __future__ import annotations
 import enum
 import io
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
@@ -160,16 +160,6 @@ class Region:
     image_id: str
     phrase: str
     bbox: BBox
-
-
-class KbEdge(NamedTuple):
-    """One KB row; `KbIndex` accepts any iterable of such 4-tuples, and
-    keeps those whose relation has an unseen leaf."""
-
-    head: str
-    relation: str
-    tail: str
-    weight: float = 1.0
 
 
 @dataclass
@@ -403,27 +393,14 @@ class KbIndex:
     """KB edges by normalized head name: each head's (leaf, tail, weight)
     edges in file order, the leaf looked up in `taxonomy.KB_RELATION_LEAVES`.
     Rows of a relation without a leaf are not kept, but `len` counts every
-    edge given."""
+    row of the file. Only `load_kb` makes one, so every KB is read by its
+    rules."""
 
-    def __init__(self, rows: Iterable[tuple[str, str, str, float]]):
-        self._by_head: dict[str, tuple[tuple[CategoryPath, str, float], ...]] = {}
-        count = 0
-        for count, (head, relation, tail, weight) in enumerate(rows, 1):
-            if relation in KB_RELATION_LEAVES:
-                self._index(head, relation, tail, weight)
-        self._finish(count)
-
-    def _index(self, head: str, relation: str, tail: str, weight: float) -> None:
-        """Append one edge of a relation with a leaf to its head's bucket."""
-        self._by_head.setdefault(head, []).append((KB_RELATION_LEAVES[relation], tail, weight))
-
-    def _finish(self, edge_count: int) -> None:
-        """Set `len` and freeze the buckets, once every row is in."""
+    def __init__(
+        self, by_head: dict[str, tuple[tuple[CategoryPath, str, float], ...]], edge_count: int
+    ):
+        self._by_head = by_head
         self._edge_count = edge_count
-        # Freeze each bucket in place, so that the lists are freed one by one
-        # and never coexist in full with the tuples (KB load sets peak memory).
-        for head, bucket in self._by_head.items():
-            self._by_head[head] = tuple(bucket)
 
     def __len__(self) -> int:
         return self._edge_count
@@ -460,8 +437,7 @@ def load_kb(path) -> KbIndex:
     finite, non-negative number; EmptyKb when the file holds no edges; and
     IoFailure when the file cannot be read.
     """
-    kb = KbIndex(())
-    index = kb._index
+    by_head: dict[str, list] = {}
     indexed = KB_RELATION_LEAVES
     inf = math.inf
     # Raw string -> its name; normalizing is idempotent, so names share the dict.
@@ -505,8 +481,11 @@ def load_kb(path) -> KbIndex:
                 raise ValueError
         except ValueError:
             _kb_row_error(fields, path, line_number)
-        index(head, relation, tail, weight)
+        by_head.setdefault(head, []).append((indexed[relation], tail, weight))
     if count == 0:
         raise EmptyKb(f"no edges in {path}")
-    kb._finish(count)
-    return kb
+    # Freeze each bucket in place, so that the lists are freed one by one
+    # and never coexist in full with the tuples (KB load sets peak memory).
+    for head, bucket in by_head.items():
+        by_head[head] = tuple(bucket)
+    return KbIndex(by_head, count)

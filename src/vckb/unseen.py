@@ -9,8 +9,6 @@ tails mentioning other objects' lemmas in the same image rank first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyPhrase
 from .ingest import GroundedObject, KbIndex
 from .lexicon import Lexicon
@@ -18,24 +16,12 @@ from .phrase import name_keys, tokenize_and_tag
 from .seen import CommonsenseTriple, Provenance
 
 
-@dataclass(frozen=True)
-class Synset:
-    """Lookup key variants for one object name, surface form first."""
-
-    object_id: str
-    forms: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.forms:
-            raise ValueError("synset needs at least one form")
-
-
-def make_synset(obj: GroundedObject, lexicon: Lexicon) -> Synset:
-    """Surface name and lemma, deduplicated (KB heads are normalized like names)."""
+def make_synset(obj: GroundedObject, lexicon: Lexicon) -> tuple[str, ...]:
+    """An object name's KB lookup forms: surface name and lemma, surface
+    first and deduplicated (KB heads are normalized like names)."""
     surface = obj.name
     lemma = name_keys(surface, lexicon)[0]
-    forms = tuple(dict.fromkeys(form for form in (surface, lemma) if form))
-    return Synset(object_id=obj.object_id, forms=forms)
+    return tuple(dict.fromkeys(form for form in (surface, lemma) if form))
 
 
 def retrieve_unseen(
@@ -47,9 +33,8 @@ def retrieve_unseen(
     Duplicates on (category, tail) keep the highest edge weight. Output is
     ordered by (category, tail); callers re-rank with object_aware_sort.
     """
-    synset = make_synset(obj, lexicon)
     best: dict[tuple[str, str], CommonsenseTriple] = {}
-    for form in synset.forms:
+    for form in make_synset(obj, lexicon):
         for category, tail, weight in kb.lookup(form):
             key = (category.text, tail)
             current = best.get(key)

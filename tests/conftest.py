@@ -1,8 +1,10 @@
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from vckb import BBox, GroundedObject, Lexicon
+from vckb import BBox, GroundedObject, Lexicon, load_kb
 from vckb.dataset import _unescape, record_line
 from vckb.instructions import instruction_lines
 
@@ -48,6 +50,29 @@ def make_object(object_id="o1", image_id="img1", name="man", box=(0, 0, 10, 10))
     return GroundedObject(
         object_id=object_id, image_id=image_id, name=name, bbox=BBox(*box)
     )
+
+
+class KbRow(NamedTuple):
+    head: str
+    relation: str
+    tail: str
+    weight: float = 1.0
+
+
+def make_kb(rows):
+    """`load_kb` of a temporary file holding each (head, relation, tail,
+    weight) row as a KB line, the weight written as its repr, which reads
+    back as the same float."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "kb.tsv"
+        path.write_text(
+            "".join(
+                f"{head}\t{relation}\t{tail}\t{weight!r}\n"
+                for head, relation, tail, weight in rows
+            ),
+            encoding="utf-8",
+        )
+        return load_kb(path)
 
 
 @pytest.fixture

@@ -18,8 +18,6 @@ from vckb import (
     DatasetRecord,
     ExportConfig,
     InstructionTemplates,
-    KbEdge,
-    KbIndex,
     Provenance,
     cooccurrence_triples,
     group_triples,
@@ -37,7 +35,7 @@ from vckb.errors import EmptyPhrase
 from vckb.seen import CommonsenseTriple
 from vckb.taxonomy import kb_relation_to_category
 
-from conftest import DATA_DIR, keyed_samples, make_object, write_dataset
+from conftest import DATA_DIR, KbRow, keyed_samples, make_kb, make_object, write_dataset
 from test_geometry import rasterized_ratio
 
 
@@ -188,7 +186,7 @@ _tails = st.sampled_from(
 
 
 def brute_force_retrieve(edges, obj, lexicon):
-    forms = set(make_synset(obj, lexicon).forms)
+    forms = set(make_synset(obj, lexicon))
     best = {}
     for edge in edges:
         category = kb_relation_to_category(edge.relation)
@@ -205,12 +203,13 @@ def test_criterion_5_unseen_retrieval_oracle(lexicon):
         @given(
             edges=st.lists(
                 st.builds(
-                    KbEdge,
+                    KbRow,
                     head=_heads,
                     relation=_relations,
                     tail=_tails,
                     weight=st.floats(0, 10, allow_nan=False),
                 ),
+                min_size=1,  # a KB file holds at least one edge
                 max_size=80,
             ),
             name=_heads,
@@ -220,7 +219,7 @@ def test_criterion_5_unseen_retrieval_oracle(lexicon):
             obj = make_object(name=name)
             got = {
                 (t.category.text, t.tail, t.score)
-                for t in retrieve_unseen(obj, KbIndex(edges), lexicon)
+                for t in retrieve_unseen(obj, make_kb(edges), lexicon)
             }
             assert got == brute_force_retrieve(edges, obj, lexicon)
 
@@ -233,7 +232,7 @@ def test_criterion_5_unseen_retrieval_oracle(lexicon):
                      "HasProperty", "ReceivesAction", "AtLocation", "IsA"]
         tails = [f"tail {i}" for i in range(40)]
         edges = [
-            KbEdge(
+            KbRow(
                 head=rng.choice(heads),
                 relation=rng.choice(relations),
                 tail=rng.choice(tails),
@@ -241,7 +240,7 @@ def test_criterion_5_unseen_retrieval_oracle(lexicon):
             )
             for _ in range(10_000)
         ]
-        kb = KbIndex(edges)
+        kb = make_kb(edges)
         for name in heads:
             obj = make_object(name=name)
             got = {

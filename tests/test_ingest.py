@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vckb.ingest as ingest
-from vckb import KbEdge, KbIndex, TripleKind, import_dataset, load_kb, load_scene_corpus
+from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
 from vckb.ingest import _line_chunks, _read_lines
 from vckb.taxonomy import KB_RELATION_LEAVES, CategoryPath, Visibility
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, KbRow, make_kb
 
 
 def test_toy_corpus_counts(toy_scene):
@@ -510,8 +510,8 @@ _OTHER_RELATIONS = ("IsA", "AtLocation", "Desires", "PartOf", "HasA", "MadeOf")
 
 def test_kb_index_keeps_only_unseen_relations():
     relations = tuple(KB_RELATION_LEAVES) + _OTHER_RELATIONS
-    rows = [KbEdge(head, relation, "tail") for head in ("car", "dog") for relation in relations]
-    kb = KbIndex(rows)
+    rows = [KbRow(head, relation, "tail") for head in ("car", "dog") for relation in relations]
+    kb = make_kb(rows)
     assert len(kb) == len(rows) == 24
     unseen_leaves = [leaf for leaf in CategoryPath if leaf.visibility is Visibility.UNSEEN]
     for head in ("car", "dog"):

@@ -25,10 +25,10 @@ from vckb.errors import InvalidConfig
 import vckb.pipeline as pipeline
 from vckb.cli import _build_parser, main
 from vckb.dataset import _check_triple, _read_record, record_line
-from vckb.ingest import ImageEntry, KbIndex
+from vckb.ingest import ImageEntry
 from vckb.pipeline import _pool_size, export_records
 
-from conftest import write_dataset
+from conftest import make_kb, write_dataset
 
 
 def write_inputs(tmp_path):
@@ -218,7 +218,7 @@ def test_pipeline_does_not_load_the_sampler():
 # one of which repeats a seen tail. Region phrases join lexicon words, the
 # image's object names and stray tokens.
 _NAMES = ("man", "men", "car", "yellow car", "man's shirt", "traffic light", "dog")
-_KB = KbIndex(
+_KB = make_kb(
     [
         ("man", "CapableOf", "grow up", 1.0),
         ("man", "ReceivesAction", "hit by a car", 2.0),

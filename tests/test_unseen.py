@@ -3,8 +3,6 @@ from hypothesis import strategies as st
 
 from vckb import (
     BBox,
-    KbEdge,
-    KbIndex,
     Lexicon,
     Provenance,
     Visibility,
@@ -22,19 +20,19 @@ from vckb.seen import CommonsenseTriple
 from vckb.unseen import _tail_lemmas
 from vckb.taxonomy import CategoryPath
 
-from conftest import make_object
+from conftest import KbRow, make_kb, make_object
 
 
 class TestSynset:
     def test_multiword_plural(self, lexicon):
         obj = make_object(name="traffic lights")
-        assert make_synset(obj, lexicon).forms == ("traffic lights", "traffic light")
+        assert make_synset(obj, lexicon) == ("traffic lights", "traffic light")
 
     def test_identity_name(self, lexicon):
-        assert make_synset(make_object(name="car"), lexicon).forms == ("car",)
+        assert make_synset(make_object(name="car"), lexicon) == ("car",)
 
     def test_irregular_plural(self, lexicon):
-        assert make_synset(make_object(name="men"), lexicon).forms == ("men", "man")
+        assert make_synset(make_object(name="men"), lexicon) == ("men", "man")
 
 
 class TestRetrieve:
@@ -209,12 +207,13 @@ _relations = st.sampled_from(
 _tails = st.sampled_from(["bark", "drive", "factory", "road", "wag tail", "sofa"])
 _edges = st.lists(
     st.builds(
-        KbEdge,
+        KbRow,
         head=_heads,
         relation=_relations,
         tail=_tails,
         weight=st.floats(0, 10, allow_nan=False),
     ),
+    min_size=1,  # a KB file holds at least one edge
     max_size=60,
 )
 
@@ -223,13 +222,13 @@ _edges = st.lists(
 @settings(max_examples=200)
 def test_retrieve_equals_brute_force(lexicon, edges, name):
     """Index-backed retrieval equals a scan of the whole edge list."""
-    kb = KbIndex(edges)
+    kb = make_kb(edges)
     obj = make_object(name=name)
     got = {
         (t.category.text, t.tail, t.score)
         for t in retrieve_unseen(obj, kb, lexicon)
     }
-    forms = set(make_synset(obj, lexicon).forms)
+    forms = set(make_synset(obj, lexicon))
     best = {}
     for edge in edges:
         category = kb_relation_to_category(edge.relation)
