@@ -76,6 +76,11 @@ class DatasetRecord:
     entries: list[ObjectEntry] = field(default_factory=list)
 
 
+# The canonical group order of a record, each leaf with its text, so that
+# grouping keys by text and hashes no enum member.
+_LEAF_ORDER = tuple((leaf.text, leaf) for leaf in CategoryPath)
+
+
 def group_triples(
     obj: GroundedObject, triples: list[CommonsenseTriple]
 ) -> ObjectEntry:
@@ -84,13 +89,13 @@ def group_triples(
     Within a group the incoming order is preserved, so sorted unseen lists
     stay sorted.
     """
-    by_category: dict[CategoryPath, list[CommonsenseTriple]] = {}
+    by_text: dict[str, list[CommonsenseTriple]] = {}
     for triple in triples:
-        by_category.setdefault(triple.category, []).append(triple)
+        by_text.setdefault(triple.category.text, []).append(triple)
     groups = [
-        CategoryGroup(category=category, triples=by_category[category])
-        for category in CategoryPath
-        if category in by_category
+        CategoryGroup(category=leaf, triples=by_text[text])
+        for text, leaf in _LEAF_ORDER
+        if text in by_text
     ]
     return ObjectEntry(obj=obj, groups=groups)
 
@@ -141,7 +146,7 @@ def record_line(record: DatasetRecord) -> str:
             fields.extend([group.category.text, str(len(group.triples))])
             for triple in group.triples:
                 fields.extend(
-                    [_escape(triple.tail), triple.provenance.value, repr(triple.score)]
+                    [_escape(triple.tail), triple.provenance.text, repr(triple.score)]
                 )
     return "\t".join(fields)
 
@@ -157,14 +162,13 @@ _PROVENANCES = {
     }
     for visibility in Visibility
 }
-# Position of each leaf in the canonical group order of a record.
-_GROUP_RANK = {category: rank for rank, category in enumerate(CategoryPath)}
-# Each leaf by the text that names it in a record, with its rank and the
-# provenances its triples may have, so that reading a group hashes no enum
-# member and reading a triple reads no enum attribute.
+# Each leaf by the text that names it in a record, with its rank in the
+# canonical group order and the provenances its triples may have, so that
+# reading a group hashes no enum member and reading a triple reads no enum
+# attribute.
 _LEAVES = {
-    leaf.text: (leaf, rank, _PROVENANCES[leaf.visibility])
-    for leaf, rank in _GROUP_RANK.items()
+    text: (leaf, rank, _PROVENANCES[leaf.visibility])
+    for rank, (text, leaf) in enumerate(_LEAF_ORDER)
 }
 
 

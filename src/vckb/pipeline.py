@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from typing import NoReturn
 
 from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
 from .ingest import ImageEntry, KbIndex, SceneCorpus, _line_chunks, _write_lines
@@ -103,23 +105,14 @@ def _render_data_chunk(
 # A chunk task: a chunk's bounds to its lines and diagnostics.
 _Task = Callable[[tuple[int, ...]], tuple[list[str], BuildDiagnostics]]
 
-# The task of a pool worker. Workers are forked with the task as their
-# initializer's argument, so what it reads (the corpus, lexicon and KB, or a
-# dataset file's path and the renderer) is inherited, never pickled; each
-# task carries only a chunk's bounds.
-_worker_task: _Task | None = None
-
-
-def _start_worker(task: _Task) -> None:
-    global _worker_task
-    _worker_task = task
-    # What a worker inherits outlives it: frozen, it is left out of the worker's
-    # full collections, which would walk (and so copy) the KB index's pages.
-    gc.freeze()
-
-
-def _run_worker_task(bounds: tuple[int, ...]) -> tuple[list[str], BuildDiagnostics]:
-    return _worker_task(bounds)
+# Chunk indices a worker holds at once. It finds its next chunk queued when it
+# finishes one, and the parent hands out the rest one at a time as results come
+# back, so a slow chunk holds up one worker, not a fixed share of the work.
+_QUEUED_PER_WORKER = 2
+# The reorder window, per worker: no chunk is handed out more than this many
+# places past the earliest unwritten one, so the parent holds a bounded number
+# of finished chunks however long that one takes.
+_WINDOW_PER_WORKER = 4
 
 
 def _usable_cpus() -> int:
@@ -134,26 +127,176 @@ def _pool_size(workers: int, chunks: int) -> int:
     return min(workers, _usable_cpus(), chunks)
 
 
+class _Worker:
+    """A forked worker as its parent sees it: its pid (None once reaped), the
+    pipe ends the parent writes chunk indices to and reads results from, and
+    the indices handed to it and not yet answered, oldest first."""
+
+    __slots__ = ("pid", "tasks", "results", "queued")
+
+    def __init__(self, pid: int, tasks: int, results: int):
+        self.pid = pid
+        self.tasks = tasks
+        self.results = results
+        self.queued: list[int] = []
+
+
+def _serve_chunks(
+    task: _Task, bounds: list[tuple[int, ...]], tasks: int, results: int, inherited: list[int]
+) -> NoReturn:
+    """A forked worker's whole life. It answers each chunk index read from
+    `tasks` with a length-prefixed pickle on `results`: `(task(chunk), None)`,
+    or the exception the task raised and its traceback. It leaves through
+    `os._exit` once `tasks` is closed, or on anything else, so it never returns
+    into its parent's code or flushes its parent's buffers."""
+    import pickle
+    import traceback
+
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        # What a worker inherits outlives it: frozen, it is left out of the
+        # worker's full collections, which would walk (and so copy) the KB
+        # index's pages.
+        gc.freeze()
+        while index := os.read(tasks, 4):
+            try:
+                message = pickle.dumps((task(bounds[int.from_bytes(index, "little")]), None), -1)
+            except Exception as exc:
+                error_text = traceback.format_exc()
+                try:
+                    message = pickle.dumps((exc, error_text), -1)
+                except Exception:  # an exception that does not pickle
+                    message = pickle.dumps((RuntimeError(repr(exc)), error_text), -1)
+            view = memoryview(len(message).to_bytes(8, "little") + message)
+            while view:
+                view = view[os.write(results, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_worker(task: _Task, bounds: list[tuple[int, ...]], workers: list[_Worker]) -> _Worker:
+    """Fork one more worker; `workers` are the ones already running."""
+    tasks_read, tasks_write = os.pipe()
+    results_read, results_write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (tasks_read, tasks_write, results_read, results_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        # The child keeps only its own two ends: a sibling's task pipe left
+        # open here would keep that sibling from seeing its parent go away.
+        inherited = [tasks_write, results_read]
+        inherited += [fd for worker in workers for fd in (worker.tasks, worker.results)]
+        _serve_chunks(task, bounds, tasks_read, results_write, inherited)
+    os.close(tasks_read)
+    os.close(results_write)
+    return _Worker(pid, tasks_write, results_read)
+
+
+def _worker_died(worker: _Worker) -> RuntimeError:
+    """Reap a worker whose pipe closed early, and say how it ended. Not an
+    OSError, which the CLI would report as an input error."""
+    pid = worker.pid
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    worker.pid = None
+    how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+    return RuntimeError(f"worker process {pid} died before answering its chunks ({how})")
+
+
+def _read_exactly(fd: int, size: int) -> bytearray | None:
+    """The next `size` bytes of the pipe `fd`, or None if it closes first."""
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    while view:
+        count = os.readv(fd, [view])
+        if not count:
+            return None
+        view = view[count:]
+    return buffer
+
+
+def _receive(worker: _Worker) -> bytearray:
+    """The next result message from a worker whose pipe is readable."""
+    header = _read_exactly(worker.results, 8)
+    if header is not None:
+        message = _read_exactly(worker.results, int.from_bytes(header, "little"))
+        if message is not None:
+            return message
+    raise _worker_died(worker)
+
+
+def _forked_results(
+    task: _Task, bounds: list[tuple[int, ...]], processes: int
+) -> Iterator[tuple[list[str], BuildDiagnostics]]:
+    """task(chunk) for each chunk in bounds, in order, from `processes` forked
+    workers; see `_chunk_results`."""
+    # Imported here: serial runs should not pay for them.
+    import pickle
+    import selectors
+
+    workers: list[_Worker] = []
+    selector = selectors.DefaultSelector()
+    try:
+        for _ in range(processes):
+            workers.append(_fork_worker(task, bounds, workers))
+            selector.register(workers[-1].results, selectors.EVENT_READ, workers[-1])
+        window = processes * _WINDOW_PER_WORKER
+        finished: dict[int, bytearray] = {}
+        handed_out = 0
+        for index in range(len(bounds)):
+            while index not in finished:
+                stop = min(len(bounds), index + window)
+                for worker in workers:
+                    while handed_out < stop and len(worker.queued) < _QUEUED_PER_WORKER:
+                        try:
+                            os.write(worker.tasks, handed_out.to_bytes(4, "little"))
+                        except BrokenPipeError:
+                            raise _worker_died(worker) from None
+                        worker.queued.append(handed_out)
+                        handed_out += 1
+                for key, _ in selector.select():
+                    message = _receive(key.data)
+                    finished[key.data.queued.pop(0)] = message
+            result, error_text = pickle.loads(finished.pop(index))
+            if error_text is not None:
+                raise result from RuntimeError(f"in a worker process:\n{error_text}")
+            yield result
+    finally:
+        selector.close()
+        for worker in workers:
+            os.close(worker.tasks)
+            os.close(worker.results)
+            if worker.pid is not None:
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
+
+
 def _chunk_results(
     task: _Task, bounds: list[tuple[int, ...]], workers: int
 ) -> Iterator[tuple[list[str], BuildDiagnostics]]:
-    """task(chunk) for each chunk in bounds, in order."""
-    processes = _pool_size(workers, len(bounds))
-    if processes > 1:
-        # Imported here: the import costs set-up time that serial runs
-        # should not pay.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    """task(chunk) for each chunk in bounds, in order.
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            # Unlike multiprocessing.Pool, the executor raises
-            # BrokenProcessPool when a worker dies instead of waiting forever.
-            with ProcessPoolExecutor(processes, context, _start_worker, (task,)) as pool:
-                yield from pool.map(_run_worker_task, bounds)
-            return
-    for chunk in bounds:
-        yield task(chunk)
+    With more than one process worth starting (`_pool_size`) and `os.fork`
+    available, workers forked once `task` is bound compute the chunks: each
+    inherits what the task reads, so a chunk is sent as its index alone and
+    comes back as a pickle of its lines and diagnostics, over a pipe pair per
+    worker. Indices are handed out as workers answer, and results are put
+    back in order in a reorder window of a fixed number of chunks per worker.
+    A task's exception is raised when its chunk's turn comes; a worker that
+    dies raises RuntimeError. Closing this generator, or any exception, kills
+    and reaps every worker. Otherwise the calling process does the work.
+    """
+    processes = _pool_size(workers, len(bounds))
+    if processes > 1 and hasattr(os, "fork"):
+        yield from _forked_results(task, bounds, processes)
+    else:
+        for chunk in bounds:
+            yield task(chunk)
 
 
 def _write_chunks(
@@ -185,10 +328,12 @@ def export_records(
     """Build every image and write the lines `render` makes of its record to
     `path`, in corpus order; by default, the record's dataset line.
 
-    With `workers` > 1 and the fork start method available, up to
-    min(workers, usable CPUs) forked processes build and render the chunks;
-    otherwise the calling process does. The bytes written never depend on
-    `workers`, and the returned diagnostics are merged in corpus order. Fork
+    With `workers` > 1, up to min(workers, usable CPUs) forked processes
+    build and render the chunks; where `os.fork` is missing, or with one
+    worker, the calling process does. The bytes written never depend on
+    `workers`, and the returned diagnostics are merged in corpus order. An
+    input error in a worker raises what the calling process would raise; a
+    worker that dies raises RuntimeError and leaves `path` incomplete. Fork
     copies only the calling thread, so call this with more than one worker
     from a process that runs no other threads. A tau outside (0, 1] raises
     `InvalidConfig` before `path` is opened.

@@ -44,6 +44,9 @@ class Provenance(enum.Enum):
     REGION_PHRASE = "region_phrase"
     KB_RETRIEVAL = "kb_retrieval"
 
+    def __init__(self, text: str):
+        self.text = text  # a plain attribute: `value` is a slower property
+
 
 @dataclass(slots=True)
 class CommonsenseTriple:

@@ -34,6 +34,9 @@ class Relation(enum.Enum):
     USED_FOR = "UsedFor"
     RECEIVES_ACTION = "ReceivesAction"
 
+    def __init__(self, text: str):
+        self.text = text  # a plain attribute: `value` is a slower property
+
 
 class CategoryPath(enum.Enum):
     """One of the 11 taxonomy leaves; its value is the canonical text.

@@ -53,8 +53,8 @@ def dedup_against_seen(
     unseen: list[CommonsenseTriple], seen: list[CommonsenseTriple]
 ) -> list[CommonsenseTriple]:
     """Drop unseen triples whose (relation, tail) duplicates a seen triple."""
-    seen_keys = {(t.category.relation, t.tail) for t in seen}
-    return [t for t in unseen if (t.category.relation, t.tail) not in seen_keys]
+    seen_keys = {(t.category.relation.text, t.tail) for t in seen}
+    return [t for t in unseen if (t.category.relation.text, t.tail) not in seen_keys]
 
 
 def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:

@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -50,6 +51,12 @@ def make_object(object_id="o1", image_id="img1", name="man", box=(0, 0, 10, 10))
     return GroundedObject(
         object_id=object_id, image_id=image_id, name=name, bbox=BBox(*box)
     )
+
+
+def assert_no_child_processes():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class KbRow(NamedTuple):

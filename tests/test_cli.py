@@ -2,13 +2,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shlex
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from vckb import (
 from vckb.cli import _build_parser, main
 from vckb.dataset import _unescape
 
-from conftest import DATA_DIR, make_object, write_dataset
+from conftest import DATA_DIR, assert_no_child_processes, make_object, write_dataset
 
 
 @pytest.fixture
@@ -702,6 +702,31 @@ def test_worker_counts_give_identical_export(fixture_paths, tmp_path, capsys, tw
     # 50 fixture images make seven chunks.
     assert outputs["1"] == outputs["2"]
     assert _sha256(tmp_path / "dataset_w2.tsv") == FIXTURE_DATASET_SHA256
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_slow_first_chunk_keeps_corpus_order(fixture_paths, tmp_path, monkeypatch, workers):
+    """Later chunks finish first in the other workers; the file keeps corpus order."""
+    import vckb.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    scene, kb = fixture_paths
+    first = next(iter(ingest.load_scene_corpus(scene).images())).image_id
+    parent = os.getpid()
+    build = pipeline.build_image_record
+
+    def slow_first(entry, *args):
+        if os.getpid() != parent and entry.image_id == first:
+            time.sleep(0.3)
+        return build(entry, *args)
+
+    monkeypatch.setattr(pipeline, "build_image_record", slow_first)
+    out = tmp_path / "dataset.tsv"
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(out), "--workers", workers]
+    assert main(argv) == 0
+    assert _sha256(out) == FIXTURE_DATASET_SHA256
+    assert_no_child_processes()
 
 
 def _log_child_pids(monkeypatch, log, name="build_image_record"):
@@ -807,7 +832,7 @@ def test_worker_failure_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch, 
             "--workers", "2"]
     assert main(argv) == 2
     assert "internal error" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
@@ -820,18 +845,42 @@ def test_bad_worker_count_is_usage_error(fixture_paths, tmp_path, capsys, worker
     assert not (tmp_path / "x").exists()
 
 
-def test_cli_import_leaves_process_pools_unloaded():
-    # Serial runs must not pay for importing the pool machinery.
-    code = (
-        "import sys, vckb.cli; "
-        "print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])"
+def _modules_after(code: str) -> tuple[str, str]:
+    """What a fresh interpreter that runs `code` prints of the pool modules it
+    has imported, and its stderr. It shows every DeprecationWarning once."""
+    code += (
+        "\nprint([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-W", "default::DeprecationWarning", "-c", code],
+        capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip(), result.stderr
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # Serial runs must not pay for importing the pool machinery.
+    assert _modules_after("import sys, vckb.cli")[0] == "[]"
+
+
+def test_worker_export_imports_no_process_pool(fixture_paths, tmp_path):
+    # The workers are forked and fed over pipes; no executor is started. From
+    # Python 3.12 on, os.fork warns when other threads run, and the warning
+    # cannot be made an error: it is looked for on stderr.
+    scene, kb = fixture_paths
+    out = tmp_path / "dataset.tsv"
+    argv = ["export", "--scene", scene, "--kb", kb, "--out", str(out), "--workers", "2"]
+    code = (
+        "import sys, vckb.cli, vckb.pipeline\n"
+        "vckb.pipeline._usable_cpus = lambda: 2\n"
+        f"assert vckb.cli.main({argv!r}) == 0"
+    )
+    modules, stderr = _modules_after(code)
+    assert modules == "[]"
+    assert "DeprecationWarning" not in stderr
+    assert _sha256(out) == FIXTURE_DATASET_SHA256
 
 
 def test_diagnostics_summary_on_stderr(fixture_paths, tmp_path, capsys):

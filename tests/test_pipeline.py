@@ -1,6 +1,8 @@
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from vckb.dataset import _check_triple, _read_record, record_line
 from vckb.ingest import ImageEntry
 from vckb.pipeline import _pool_size, export_records
 
-from conftest import make_kb, write_dataset
+from conftest import assert_no_child_processes, make_kb, write_dataset
 
 
 def write_inputs(tmp_path):
@@ -154,6 +156,82 @@ def test_pool_size_is_capped(monkeypatch):
     assert _pool_size(10_000, 10_000) == 3
     assert _pool_size(10_000, 1) == 1
     assert _pool_size(1, 10_000) == 1
+
+
+def _logging_task(log, slow_chunk=None, seconds=0.0):
+    """A chunk task of `(index,)` bounds that appends its pid and index to
+    log as it starts, and sleeps `seconds` in chunk `slow_chunk`."""
+
+    def task(bounds):
+        (index,) = bounds
+        with open(log, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()} {index}\n")
+        if index == slow_chunk:
+            time.sleep(seconds)
+        return [str(index)], BuildDiagnostics()
+
+    return task
+
+
+def _started(log) -> list[tuple[int, int]]:
+    text = log.read_text(encoding="ascii") if log.exists() else ""
+    return [tuple(map(int, line.split())) for line in text.splitlines()]
+
+
+def test_chunks_are_handed_out_on_demand_within_the_window(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    log = tmp_path / "started"
+    results = pipeline._chunk_results(_logging_task(log, 0, 0.5), [(i,) for i in range(40)], 2)
+    assert next(results)[0] == ["0"]
+    indices = {index for _, index in _started(log)}
+    # While chunk 0 slept, the other worker took every chunk the window allows,
+    # and none past it: the parent held at most the window's finished chunks.
+    window = 2 * pipeline._WINDOW_PER_WORKER
+    assert set(range(2, window)) <= indices <= set(range(window))
+    results.close()
+    assert_no_child_processes()
+
+
+def test_write_to_a_dead_worker_is_not_an_os_error(tmp_path, monkeypatch):
+    """A dead worker found when the parent hands it its next chunk is
+    RuntimeError (exit 2), never BrokenPipeError, which the CLI would report
+    as an input error."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    log = tmp_path / "started"
+    task = _logging_task(log, 1, 60)  # chunk 1 holds its worker until it is killed
+    results = pipeline._chunk_results(task, [(i,) for i in range(40)], 2)
+    assert next(results)[0] == ["0"]
+    deadline = time.monotonic() + 30
+    while not {0, 1, 2} <= {index for _, index in _started(log)}:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    for pid in {pid for pid, _ in _started(log)}:
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left for the pool to reap
+    with pytest.raises(RuntimeError, match="killed by signal 9"):
+        next(results)
+    assert_no_child_processes()
+
+
+def _unpicklable_error(bounds):
+    raise ValueError(lambda: None)
+
+
+def test_an_exception_that_does_not_pickle_comes_back_as_its_repr(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="ValueError") as raised:
+        list(pipeline._chunk_results(_unpicklable_error, [(0,), (1,)], 2))
+    assert "in a worker process" in str(raised.value.__cause__)
+    assert_no_child_processes()
+
+
+def test_without_fork_the_caller_does_the_work(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    log = tmp_path / "started"
+    results = list(pipeline._chunk_results(_logging_task(log), [(i,) for i in range(4)], 2))
+    assert [lines for lines, _ in results] == [["0"], ["1"], ["2"], ["3"]]
+    assert _started(log) == [(os.getpid(), i) for i in range(4)]
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
