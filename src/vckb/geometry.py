@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BBox:
-    """Axis-aligned box: top-left corner plus positive width and height."""
+    """Axis-aligned box: top-left corner plus positive width and height; a
+    plain record that nothing changes once it is built and checked."""
 
     x: int
     y: int

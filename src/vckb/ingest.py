@@ -12,7 +12,11 @@ For attribute triples (kind A) the object column holds the attribute text;
 for relationship triples (kind R) it holds an object id in the same image.
 Images may be declared explicitly with at most one I record (optionally
 carrying pixel dimensions) or implicitly by their first O/T/R record. Fields
-cannot contain tabs or newlines; blank lines are skipped.
+cannot contain tabs or newlines; blank lines are skipped. The file is read in
+one pass that builds each image's plain slotted records as its lines come.
+Each distinct raw name, predicate and attribute text is normalized once, so
+equal names share one string, and an error message is worked out only after
+a check fails.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
 with an optional weight column (default 1.0). Head, relation and tail must
@@ -133,7 +137,10 @@ def _write_lines(path, lines) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
+# The scene records are plain slotted records, as `CommonsenseTriple` is:
+# nothing changes them after `load_scene_corpus` (or the dataset reader)
+# builds them, and a frozen dataclass pays for every field it sets.
+@dataclass(slots=True)
 class GroundedObject:
     object_id: str
     image_id: str
@@ -146,7 +153,7 @@ class TripleKind(enum.Enum):
     RELATIONSHIP = "R"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SceneTriple:
     image_id: str
     subject_id: str
@@ -155,14 +162,14 @@ class SceneTriple:
     kind: TripleKind
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Region:
     image_id: str
     phrase: str
     bbox: BBox
 
 
-@dataclass
+@dataclass(slots=True)
 class ImageEntry:
     image_id: str
     width: int | None = None
@@ -257,116 +264,128 @@ def _parse_bbox(fields: list[str], path, line_number) -> BBox:
         raise MalformedRecord(path, line_number, str(exc)) from None
 
 
+# Triple kind code -> member: a dict lookup, cheaper than `TripleKind(code)`.
+_TRIPLE_KINDS = {kind.value: kind for kind in TripleKind}
+
+
 def load_scene_corpus(path) -> SceneCorpus:
-    """Load and validate a scene corpus file.
+    """Load and validate a scene corpus file in one pass over its lines.
+
+    The current image's entry, object ids and triple line numbers are looked
+    up only when a line names another image, so lines of one image that
+    resume later still land in its first-seen entry. Each distinct raw name,
+    predicate and attribute text is normalized once, and equal names share
+    one string object. A box is built straight from its fields; the error
+    message is worked out only after a check fails. Dangling triple ends and
+    boxes that overflow their image are checked once the whole file is read.
 
     Raises MalformedRecord (with line number) for schema violations,
     DanglingReference (a MalformedRecord) when a triple names an unknown
     object, EmptyCorpus when no records are present, and IoFailure when the
     file cannot be read.
     """
-    images: dict[str, ImageEntry] = {}
-    # Images with an I record; per image, object id -> line number of its O
-    # record, and the line number of each T record.
+    # Per image: its entry, object id -> line number of its O record, and the
+    # line number of each T record.
+    images: dict[str, tuple[ImageEntry, dict[str, int], list[int]]] = {}
+    # Images with an I record.
     declared: set[str] = set()
-    object_lines: dict[str, dict[str, int]] = {}
-    triple_lines: dict[str, list[int]] = {}
-
-    def entry_for(image_id: str) -> ImageEntry:
-        entry = images.get(image_id)
-        if entry is None:
-            entry = ImageEntry(image_id=image_id)
-            images[image_id] = entry
-            object_lines[image_id] = {}
-            triple_lines[image_id] = []
-        return entry
-
+    # Raw string -> its name; normalizing is idempotent, so names share the dict.
+    names: dict[str, str] = {}
+    kinds = _TRIPLE_KINDS
+    relationship = TripleKind.RELATIONSHIP
+    image_id = None
     for line_number, line in _read_lines(path):
         fields = line.split("\t")
+        # Any line with an image id switches the current image first: a line
+        # that then fails a check ends the load, so its entry is never seen.
+        if len(fields) > 1 and fields[1] != image_id:
+            state = images.get(fields[1])
+            if state is None:
+                state = images[fields[1]] = (ImageEntry(fields[1]), {}, [])
+            entry, object_lines, triple_lines = state
+            image_id = entry.image_id
         kind = fields[0]
-        if kind == "I":
+        if kind == "O":
+            if len(fields) != 8:
+                raise MalformedRecord(path, line_number, "O record needs 7 fields")
+            _, _, object_id, raw_name, x, y, w, h = fields
+            try:
+                bbox = BBox(int(x), int(y), int(w), int(h))
+            except ValueError:
+                bbox = _parse_bbox(fields[4:8], path, line_number)
+            name = names.get(raw_name)
+            if name is None:
+                name = _normalize_name(raw_name)
+                name = names[raw_name] = names.setdefault(name, name)
+            if not name:
+                raise MalformedRecord(path, line_number, "object name is empty")
+            if object_id in object_lines:
+                raise MalformedRecord(
+                    path, line_number, f"duplicate object id {object_id!r}"
+                )
+            object_lines[object_id] = line_number
+            entry.objects.append(GroundedObject(object_id, image_id, name, bbox))
+        elif kind == "T":
+            if len(fields) != 6:
+                raise MalformedRecord(path, line_number, "T record needs 5 fields")
+            _, _, kind_code, subject_id, raw_predicate, object_slot = fields
+            triple_kind = kinds.get(kind_code)
+            if triple_kind is None:
+                raise MalformedRecord(path, line_number, f"unknown triple kind {kind_code!r}")
+            predicate = names.get(raw_predicate)
+            if predicate is None:
+                predicate = _normalize_name(raw_predicate)
+                predicate = names[raw_predicate] = names.setdefault(predicate, predicate)
+            if triple_kind is not relationship:
+                text = names.get(object_slot)
+                if text is None:
+                    text = _normalize_name(object_slot)
+                    text = names[object_slot] = names.setdefault(text, text)
+                object_slot = text
+            entry.triples.append(
+                SceneTriple(image_id, subject_id, predicate, object_slot, triple_kind)
+            )
+            triple_lines.append(line_number)
+        elif kind == "R":
+            if len(fields) != 7:
+                raise MalformedRecord(path, line_number, "R record needs 6 fields")
+            _, _, x, y, w, h, phrase = fields
+            try:
+                bbox = BBox(int(x), int(y), int(w), int(h))
+            except ValueError:
+                bbox = _parse_bbox(fields[2:6], path, line_number)
+            phrase = phrase.strip()
+            if not phrase:
+                raise MalformedRecord(path, line_number, "region phrase is empty")
+            entry.regions.append(Region(image_id, phrase, bbox))
+        elif kind == "I":
             if len(fields) not in (2, 4):
                 raise MalformedRecord(path, line_number, "I record needs 1 or 3 fields")
-            image_id = fields[1]
             if image_id in declared:
                 raise MalformedRecord(path, line_number, f"duplicate I record for {image_id!r}")
             declared.add(image_id)
-            entry = entry_for(image_id)
             if len(fields) == 4:
                 width = _parse_int(fields[2], path, line_number, "width")
                 height = _parse_int(fields[3], path, line_number, "height")
                 if width <= 0 or height <= 0:
                     raise MalformedRecord(path, line_number, "image size must be positive")
                 entry.width, entry.height = width, height
-        elif kind == "O":
-            if len(fields) != 8:
-                raise MalformedRecord(path, line_number, "O record needs 7 fields")
-            _, image_id, object_id, name = fields[:4]
-            bbox = _parse_bbox(fields[4:8], path, line_number)
-            name = _normalize_name(name)
-            if not name:
-                raise MalformedRecord(path, line_number, "object name is empty")
-            entry = entry_for(image_id)
-            lines = object_lines[image_id]
-            if object_id in lines:
-                raise MalformedRecord(
-                    path, line_number, f"duplicate object id {object_id!r}"
-                )
-            lines[object_id] = line_number
-            entry.objects.append(
-                GroundedObject(object_id=object_id, image_id=image_id, name=name, bbox=bbox)
-            )
-        elif kind == "T":
-            if len(fields) != 6:
-                raise MalformedRecord(path, line_number, "T record needs 5 fields")
-            _, image_id, kind_code, subject_id, predicate, object_slot = fields
-            try:
-                triple_kind = TripleKind(kind_code)
-            except ValueError:
-                raise MalformedRecord(
-                    path, line_number, f"unknown triple kind {kind_code!r}"
-                ) from None
-            entry_for(image_id).triples.append(
-                SceneTriple(
-                    image_id=image_id,
-                    subject_id=subject_id,
-                    predicate=_normalize_name(predicate),
-                    object_slot=object_slot
-                    if triple_kind is TripleKind.RELATIONSHIP
-                    else _normalize_name(object_slot),
-                    kind=triple_kind,
-                )
-            )
-            triple_lines[image_id].append(line_number)
-        elif kind == "R":
-            if len(fields) != 7:
-                raise MalformedRecord(path, line_number, "R record needs 6 fields")
-            _, image_id, *coords, phrase = fields
-            bbox = _parse_bbox(coords, path, line_number)
-            if not phrase.strip():
-                raise MalformedRecord(path, line_number, "region phrase is empty")
-            entry_for(image_id).regions.append(
-                Region(image_id=image_id, phrase=phrase.strip(), bbox=bbox)
-            )
         else:
             raise MalformedRecord(path, line_number, f"unknown record type {kind!r}")
 
     if not images:
         raise EmptyCorpus(f"no records in {path}")
 
-    _validate_integrity(images, object_lines, triple_lines, path)
-    return SceneCorpus(images)
+    _validate_integrity(images.values(), path)
+    return SceneCorpus({image_id: entry for image_id, (entry, _, _) in images.items()})
 
 
-def _validate_integrity(
-    images: dict[str, ImageEntry],
-    object_lines: dict[str, dict[str, int]],
-    triple_lines: dict[str, list[int]],
-    path,
-) -> None:
-    for entry in images.values():
-        known = object_lines[entry.image_id]
-        for triple, line_number in zip(entry.triples, triple_lines[entry.image_id]):
+def _validate_integrity(images, path) -> None:
+    """Check each image's triple ends and, for a sized image, its object boxes,
+    images in first-seen order; images holds (entry, object lines, triple
+    lines) as `load_scene_corpus` builds them."""
+    for entry, known, triple_lines in images:
+        for triple, line_number in zip(entry.triples, triple_lines):
             if triple.subject_id not in known:
                 raise DanglingReference(
                     path, line_number,

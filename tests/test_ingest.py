@@ -706,3 +706,277 @@ def test_saved_scene_is_a_fixed_point(tmp_path_factory, lines):
     again.save(directory / "second.tsv")
     assert list(again.images()) == list(corpus.images())
     assert (directory / "second.tsv").read_bytes() == (directory / "first.tsv").read_bytes()
+
+
+def _reference_scene(text: str, path):
+    """Per-line reference for `load_scene_corpus`, from the documented rules:
+    {image id: (width, height, objects, triples, regions)} of a scene file's
+    text, images in first-seen order and records in file order, or the
+    MalformedRecord, DanglingReference or EmptyCorpus that the file must
+    raise.
+
+    Lines are split as in `_reference_kb`. A record's first field names its
+    kind (I, O, T or R) and its field count is checked first. Each box is
+    four integers, with a positive size, then a non-negative origin. Object
+    names, predicates and attribute text are normalized names; an object name
+    and a region phrase must be non-empty. Once every line is read, each
+    image in turn has its triples' subjects and relationship objects checked
+    in file order, then, if it has a size, its objects' boxes.
+    """
+    text = text.removeprefix("\ufeff")
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+
+    def name(raw):
+        return " ".join(raw.replace("_", " ").lower().split())
+
+    def integer(raw, what, line_number):
+        try:
+            return int(raw)
+        except ValueError:
+            raise MalformedRecord(path, line_number, f"{what} is not an integer: {raw!r}") from None
+
+    def box(raw, line_number):
+        x, y, w, h = (integer(value, "coordinate", line_number) for value in raw)
+        if w <= 0 or h <= 0:
+            raise MalformedRecord(path, line_number, f"box needs positive size, got {w}x{h}")
+        if x < 0 or y < 0:
+            raise MalformedRecord(
+                path, line_number, f"box origin must be non-negative, got ({x}, {y})"
+            )
+        return x, y, w, h
+
+    # Record kind -> (its field counts, the message for any other count).
+    shapes = {
+        "I": ((2, 4), "I record needs 1 or 3 fields"),
+        "O": ((8,), "O record needs 7 fields"),
+        "T": ((6,), "T record needs 5 fields"),
+        "R": ((7,), "R record needs 6 fields"),
+    }
+    images, sizes, object_lines, triple_lines = {}, {}, {}, {}
+    for line_number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        kind = fields[0]
+        if kind not in shapes:
+            raise MalformedRecord(path, line_number, f"unknown record type {kind!r}")
+        counts, message = shapes[kind]
+        if len(fields) not in counts:
+            raise MalformedRecord(path, line_number, message)
+        image_id = fields[1]
+        objects, triples, regions = images.setdefault(image_id, ([], [], []))
+        object_lines.setdefault(image_id, {})
+        triple_lines.setdefault(image_id, [])
+        if kind == "I":
+            if image_id in sizes:
+                raise MalformedRecord(path, line_number, f"duplicate I record for {image_id!r}")
+            sizes[image_id] = None
+            if len(fields) == 4:
+                width = integer(fields[2], "width", line_number)
+                height = integer(fields[3], "height", line_number)
+                if width <= 0 or height <= 0:
+                    raise MalformedRecord(path, line_number, "image size must be positive")
+                sizes[image_id] = (width, height)
+        elif kind == "O":
+            object_box = box(fields[4:8], line_number)
+            if not name(fields[3]):
+                raise MalformedRecord(path, line_number, "object name is empty")
+            if fields[2] in object_lines[image_id]:
+                raise MalformedRecord(path, line_number, f"duplicate object id {fields[2]!r}")
+            object_lines[image_id][fields[2]] = line_number
+            objects.append((fields[2], name(fields[3]), object_box))
+        elif kind == "T":
+            if fields[2] not in ("A", "R"):
+                raise MalformedRecord(path, line_number, f"unknown triple kind {fields[2]!r}")
+            slot = fields[5] if fields[2] == "R" else name(fields[5])
+            triples.append((fields[3], name(fields[4]), slot, fields[2]))
+            triple_lines[image_id].append(line_number)
+        else:
+            region_box = box(fields[2:6], line_number)
+            if not fields[6].strip():
+                raise MalformedRecord(path, line_number, "region phrase is empty")
+            regions.append((fields[6].strip(), region_box))
+    if not images:
+        raise EmptyCorpus(f"no records in {path}")
+    for image_id, (objects, triples, _) in images.items():
+        known = object_lines[image_id]
+        for (subject, _, slot, kind), line_number in zip(triples, triple_lines[image_id]):
+            if subject not in known:
+                raise DanglingReference(
+                    path, line_number, f"triple subject {subject!r} not in image {image_id!r}"
+                )
+            if kind == "R" and slot not in known:
+                raise DanglingReference(
+                    path, line_number, f"triple object {slot!r} not in image {image_id!r}"
+                )
+        size = sizes.get(image_id)
+        if size is not None:
+            for object_id, _, (x, y, w, h) in objects:
+                if x + w > size[0] or y + h > size[1]:
+                    raise MalformedRecord(
+                        path, known[object_id],
+                        f"object {object_id!r} box exceeds image {image_id!r} dimensions",
+                    )
+    return {
+        image_id: (*(sizes.get(image_id) or (None, None)), *records)
+        for image_id, records in images.items()
+    }
+
+
+def _loaded_scene(corpus):
+    """A loaded corpus in `_reference_scene`'s form, each record checked to
+    carry its image's id."""
+    images = {}
+    for entry in corpus.images():
+        records = [*entry.objects, *entry.triples, *entry.regions]
+        assert all(record.image_id == entry.image_id for record in records)
+        images[entry.image_id] = (
+            entry.width,
+            entry.height,
+            [(o.object_id, o.name, (o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h))
+             for o in entry.objects],
+            [(t.subject_id, t.predicate, t.object_slot, t.kind.value) for t in entry.triples],
+            [(r.phrase, (r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h)) for r in entry.regions],
+        )
+    return images
+
+
+def _assert_scene_load_agrees_with_reference(text, path):
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = _reference_scene(text, path)
+    except (MalformedRecord, EmptyCorpus) as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            load_scene_corpus(path)
+        assert type(excinfo.value) is type(exc)
+        assert str(excinfo.value) == str(exc)
+        if isinstance(exc, MalformedRecord):
+            assert (excinfo.value.line_number, excinfo.value.message) == (
+                exc.line_number, exc.message
+            )
+        return exc
+    assert _loaded_scene(load_scene_corpus(path)) == expected
+    return None
+
+
+def _scene_path(tmp_path_factory):
+    """One scene file path for every example of a property test."""
+    directory = tmp_path_factory.getbasetemp() / "scene-reference"
+    directory.mkdir(exist_ok=True)
+    return directory / "scene.tsv"
+
+
+@given(lines=_SCENES)
+@settings(max_examples=120, deadline=None)
+def test_scene_load_agrees_with_per_line_reference(tmp_path_factory, lines):
+    path = _scene_path(tmp_path_factory)
+    assert _assert_scene_load_agrees_with_reference("\n".join(lines) + "\n", path) is None
+
+
+def _mutated(lines, index, how, field, value):
+    """lines with one line changed: a field after the kind set to value, a
+    field added or dropped, or the line repeated just after itself."""
+    lines = list(lines)
+    index %= len(lines)
+    fields = lines[index].split("\t")
+    if how == "set":
+        fields[1 + (field - 1) % (len(fields) - 1)] = value
+    elif how == "add":
+        fields.append(value)
+    elif how == "drop":
+        fields.pop()
+    else:
+        lines.insert(index, lines[index])
+    lines[index] = "\t".join(fields)
+    return lines
+
+
+_SCENE_MUTATIONS = st.tuples(
+    st.integers(0, 63),
+    st.sampled_from(["set", "set", "set", "add", "drop", "repeat"]),
+    st.integers(1, 7),
+    st.sampled_from(["x", "0", "-1", "95", "1000", "", " _ ", "Q", "ghost", "R"]),
+)
+
+
+@given(lines=_SCENES, mutation=_SCENE_MUTATIONS)
+@settings(max_examples=200, deadline=None)
+def test_scene_load_agrees_with_reference_on_a_mutated_line(tmp_path_factory, lines, mutation):
+    lines = [line for line in lines if line.strip()]
+    path = _scene_path(tmp_path_factory)
+    _assert_scene_load_agrees_with_reference("\n".join(_mutated(lines, *mutation)) + "\n", path)
+
+
+_MUTATED_SCENE = [
+    "O\timg1\to1\tman\t10\t10\t20\t30",
+    "I\timg1\t100\t100",
+    "T\timg1\tA\to1\tis\ttall",
+    "O\timg2\to1\tcar\t0\t0\t5\t5",
+    "T\timg1\tR\to1\tnear\to2",
+    "R\timg1\t0\t0\t50\t50\ta tall man",
+    "O\timg1\to2\tdog\t40\t40\t10\t10",
+]
+
+
+@pytest.mark.parametrize(
+    "index, how, field, value, error, message",
+    [
+        (0, "set", 4, "x", MalformedRecord, "coordinate is not an integer: 'x'"),
+        (5, "set", 3, "x", MalformedRecord, "coordinate is not an integer: 'x'"),
+        (0, "set", 6, "0", MalformedRecord, "box needs positive size, got 0x30"),
+        (0, "set", 5, "-1", MalformedRecord, "box origin must be non-negative, got (10, -1)"),
+        (6, "set", 4, "95", MalformedRecord, "object 'o2' box exceeds image 'img1' dimensions"),
+        (2, "set", 2, "Q", MalformedRecord, "unknown triple kind 'Q'"),
+        (0, "set", 3, " _ ", MalformedRecord, "object name is empty"),
+        (5, "set", 6, " ", MalformedRecord, "region phrase is empty"),
+        (0, "drop", 0, "", MalformedRecord, "O record needs 7 fields"),
+        (1, "add", 0, "9", MalformedRecord, "I record needs 1 or 3 fields"),
+        (2, "drop", 0, "", MalformedRecord, "T record needs 5 fields"),
+        (5, "add", 0, "x", MalformedRecord, "R record needs 6 fields"),
+        (6, "set", 2, "o1", MalformedRecord, "duplicate object id 'o1'"),
+        (1, "repeat", 0, "", MalformedRecord, "duplicate I record for 'img1'"),
+        (2, "set", 3, "ghost", DanglingReference, "triple subject 'ghost' not in image 'img1'"),
+        (4, "set", 5, "ghost", DanglingReference, "triple object 'ghost' not in image 'img1'"),
+    ],
+    ids=[
+        "coordinate-x", "region-coordinate-x", "zero-width", "negative-origin",
+        "box-overflows-image", "unknown-triple-kind", "blank-name", "blank-phrase",
+        "o-field-count", "i-field-count", "t-field-count", "r-field-count",
+        "duplicate-object-id", "duplicate-i-record", "dangling-subject", "dangling-object",
+    ],
+)
+def test_scene_load_agrees_with_reference_on_each_bad_line(
+    tmp_path, index, how, field, value, error, message
+):
+    lines = _mutated(_MUTATED_SCENE, index, how, field, value)
+    exc = _assert_scene_load_agrees_with_reference("\n".join(lines) + "\n", tmp_path / "scene.tsv")
+    assert type(exc) is error
+    assert exc.message == message
+    assert exc.line_number == (index + 2 if how == "repeat" else index + 1)
+
+
+def test_loaded_scene_records_have_no_dict_and_share_names(tmp_path):
+    path = tmp_path / "scene.tsv"
+    path.write_text(
+        "I\timg1\t100\t100\n"
+        "O\timg1\to1\tTraffic_Light\t0\t0\t5\t5\n"
+        "O\timg2\to1\ttraffic  light\t0\t0\t5\t5\n"
+        "O\timg1\to2\ttraffic light\t0\t0\t5\t5\n"
+        "T\timg1\tA\to1\tIs\tRed\n"
+        "T\timg2\tA\to1\tis\tred\n"
+        "R\timg1\t0\t0\t9\t9\ta red light\n",
+        encoding="utf-8",
+    )
+    corpus = load_scene_corpus(path)
+    first, second = corpus.image("img1"), corpus.image("img2")
+    records = [first, *first.objects, *first.triples, *first.regions]
+    records += [obj.bbox for obj in first.objects] + [first.regions[0].bbox]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    (light,) = second.objects
+    assert first.objects[0].name == first.objects[1].name == light.name == "traffic light"
+    assert first.objects[0].name is first.objects[1].name is light.name
+    (is_red,), (again,) = first.triples, second.triples
+    assert is_red.predicate is again.predicate and is_red.object_slot is again.object_slot
