@@ -2,11 +2,12 @@
 
 Subcommands: ingest, build-seen, build-unseen, stats, export,
 export-instructions (from a dataset file), query. `_COMMANDS` gives each one
-only the flags it reads, so any other flag is a usage error. The build
-commands take one parameter, `--tau`; `--config` belongs to
-export-instructions and holds sampling fields only. Every value is checked
-before `--out` is opened. Exit codes: 0 success (or --help), 1 input or
-usage error, 2 internal invariant violation.
+only the flags it reads, so any other flag is a usage error, and each value
+has one flag. The build commands take one parameter, `--tau`;
+export-instructions takes the sampling values `--m --k --j --seed --sep` and
+the template file `--templates`. Every value is checked before `--out` is
+opened. Exit codes: 0 success (or --help, or a reader that closed stdout
+early), 1 input or usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .dataset import (
 )
 from .errors import VckbError
 from .ingest import load_kb, load_scene_corpus
-from .instructions import ExportConfig, InstructionTemplates, instruction_lines
+from .instructions import DEFAULT_SEP, ExportConfig, InstructionTemplates, instruction_lines
 from .lexicon import Lexicon
-from .pipeline import _check_tau, _dataset_line, _usable_cpus, export_records, render_dataset
-from .seen import DEFAULT_TAU
+from .pipeline import _dataset_line, _usable_cpus, export_records, render_dataset
+from .seen import DEFAULT_TAU, _check_tau
 from .taxonomy import Visibility, parse_category
 
 
@@ -53,14 +54,19 @@ _FLAGS = {
     "lexicon": dict(help="lexicon directory (default: bundled tables)"),
     "data": dict(help="previously exported dataset file"),
     "out": dict(help="output file"),
-    "config": dict(help="JSON file of sampling config fields"),
+    "templates": dict(help="instruction template file (default: the bundled one)"),
     "tau": dict(type=float, default=DEFAULT_TAU,
                 help="region overlap threshold, in (0, 1] (default: %(default)s)"),
-    "m": dict(type=int, help="seen tails sampled per pair"),
-    "k": dict(type=int, help="top unseen tails kept"),
-    "j": dict(type=int, help="random extra unseen tails"),
-    "seed": dict(type=int, help="sampling seed"),
-    "sep": dict(help="separator token for joined tails"),
+    "m": dict(type=int, default=ExportConfig.m,
+              help="seen tails sampled per pair (default: %(default)s)"),
+    "k": dict(type=int, default=ExportConfig.k,
+              help="top unseen tails kept (default: %(default)s)"),
+    "j": dict(type=int, default=ExportConfig.j,
+              help="random extra unseen tails (default: %(default)s)"),
+    "seed": dict(type=int, default=ExportConfig.seed,
+                 help="sampling seed (default: %(default)s)"),
+    "sep": dict(default=DEFAULT_SEP,
+                help="separator token for joined tails (default: %(default)s)"),
     "workers": dict(type=_worker_count, help="processes that build the images or read "
                     "the dataset records (default: the CPUs this process may run on, which "
                     "also cap it); the output is byte-identical for every count"),
@@ -139,13 +145,9 @@ def _cmd_build(args, render, with_kb: bool) -> int:
 def _cmd_instructions(args) -> int:
     """export-instructions: write the instruction samples of each record of --data."""
     _require(args, "data", "out")
-    _refuse_out_as_input(args, "data", "config")
-    config = ExportConfig.load(
-        args.config, m=args.m, k=args.k, j=args.j, seed=args.seed, sep_token=args.sep
-    )
-    if config.template_path and _same_file(config.template_path, args.out):
-        raise VckbError(f"the config's template_path and --out name the same file: {args.out}")
-    templates = InstructionTemplates.load(config.template_path)
+    _refuse_out_as_input(args, "data", "templates")
+    config = ExportConfig(m=args.m, k=args.k, j=args.j, seed=args.seed, sep_token=args.sep)
+    templates = InstructionTemplates.load(args.templates)
     render = partial(instruction_lines, config=config, templates=templates)
     render_dataset(args.data, args.out, render, workers=args.workers)
     return 0
@@ -191,7 +193,7 @@ _COMMANDS = {
                partial(_cmd_build, render=_dataset_line, with_kb=True)),
     "stats": ("report statistics of an exported dataset", ("data",), _cmd_stats),
     "export-instructions": ("generate instruction-tuning samples from a dataset file",
-                            ("data", "out", "config", "m", "k", "j", "seed", "sep",
+                            ("data", "out", "templates", "m", "k", "j", "seed", "sep",
                              "workers"), _cmd_instructions),
     "query": ("look up triples by object name and category",
               ("data", "lexicon", "name", "category"), _cmd_query),
@@ -221,7 +223,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's usage-error code 2 means internal error here
         return 0 if exc.code == 0 else 1
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout stopped early, as `| head` does: that is no
+        # error. Output still buffered goes to devnull, so exit prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (VckbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,9 @@ from the remainder. Tails are joined with the separator token. Sampling is
 seeded per pair from a hash of (seed, image id, object id, category), so
 output does not depend on iteration order. `ExportConfig` holds these
 sampling parameters only, and is checked whole when it is made; the build's
-overlap threshold tau is no part of it.
+overlap threshold tau is no part of it. The instruction template and the
+per-category descriptions come from a JSON template file
+(`InstructionTemplates.load`), the bundled one by default.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import hashlib
 import json
 import random
 import string
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvalidConfig, IoFailure, MalformedRecord
@@ -29,17 +31,6 @@ from .taxonomy import CategoryPath, Visibility
 DEFAULT_SEP = "[sep]"
 
 
-def _read_json(path):
-    """Parse a UTF-8 JSON file (optional byte-order mark)."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise InvalidConfig(f"bad JSON in {path}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ExportConfig:
     m: int = 3  # seen tails sampled per pair
@@ -47,7 +38,6 @@ class ExportConfig:
     j: int = 2  # random extra unseen tails
     seed: int = 0
     sep_token: str = DEFAULT_SEP
-    template_path: str | None = None
 
     def __post_init__(self):
         for name in ("m", "k", "j"):
@@ -66,24 +56,6 @@ class ExportConfig:
             raise InvalidConfig(f"seed must fit in 64 bits, got {self.seed}")
         if not isinstance(self.sep_token, str) or not self.sep_token:
             raise InvalidConfig("sep_token must be a non-empty string")
-        if self.template_path is not None and not isinstance(self.template_path, str):
-            raise InvalidConfig(
-                f"template_path must be a string or null, got {self.template_path!r}"
-            )
-
-    @classmethod
-    def load(cls, config_path=None, **overrides) -> "ExportConfig":
-        """Build a config from an optional JSON file plus keyword overrides."""
-        values = {} if config_path is None else _read_json(config_path)
-        if not isinstance(values, dict):
-            raise InvalidConfig(f"config must be a JSON object: {config_path}")
-        unknown = set(values) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        for key, value in overrides.items():
-            if value is not None:
-                values[key] = value
-        return cls(**values)
 
 
 # The keyword arguments instruction_lines passes to template.format.
@@ -127,12 +99,19 @@ class InstructionTemplates:
 
     @classmethod
     def load(cls, path=None) -> "InstructionTemplates":
-        """Load a template file; with no path, the one bundled with the package."""
+        """Load a UTF-8 JSON template file (a byte-order mark is allowed); with
+        no path, the one bundled with the package."""
         if path is None:
             bundled = resources.files("vckb").joinpath("data/instruction_templates.json")
             with resources.as_file(bundled) as bundled_path:
                 return cls.load(bundled_path)
-        payload = _read_json(path)
+        try:
+            with open(path, encoding="utf-8-sig") as handle:
+                payload = json.load(handle)
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise InvalidConfig(f"bad JSON in {path}: {exc}") from exc
         try:
             template, descriptions = payload["template"], payload["descriptions"]
         except (KeyError, TypeError) as exc:

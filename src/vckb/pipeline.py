@@ -23,21 +23,14 @@ from typing import NoReturn
 
 from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
 from .ingest import ImageEntry, KbIndex, SceneCorpus, _line_chunks, _write_lines
-from .errors import InvalidConfig
 from .lexicon import Lexicon
-from .seen import DEFAULT_TAU, BuildDiagnostics, CommonsenseTriple, build_seen
+from .seen import DEFAULT_TAU, BuildDiagnostics, CommonsenseTriple, _check_tau, build_seen
 from .unseen import build_unseen
 
 # Images per chunk: small enough to balance uneven images across workers and
 # to keep few lines in flight, large enough that passing a chunk's lines back
 # costs little next to building them.
 _CHUNK_IMAGES = 8
-
-
-def _check_tau(tau) -> None:
-    """The build's one rule for tau: a number in (0, 1]; nan and inf are not."""
-    if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0 < tau <= 1:
-        raise InvalidConfig(f"tau must be a number in (0, 1], got {tau!r}")
 
 
 def build_image_record(

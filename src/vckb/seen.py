@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, fields
 
-from .errors import EmptyPhrase
+from .errors import EmptyPhrase, InvalidConfig
 from .geometry import overlap_ratio
 from .ingest import GroundedObject, Region, SceneTriple, TripleKind
 from .lexicon import Lexicon
@@ -34,6 +34,12 @@ from .phrase import (
 from .taxonomy import CategoryPath
 
 DEFAULT_TAU = 0.5
+
+
+def _check_tau(tau) -> None:
+    """The build's one rule for tau: a number in (0, 1]; nan and inf are not."""
+    if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0 < tau <= 1:
+        raise InvalidConfig(f"tau must be a number in (0, 1], got {tau!r}")
 
 _COPULAS = frozenset({"is", "are", "was", "were", "am", "be", "been", "being"})
 
@@ -202,10 +208,10 @@ def localize(
 
     An object matches when its name's lemma is the head and the region box
     covers its box at ratio >= tau, the name tested first. Zero matches give
-    NO_MATCH, several give AMBIGUOUS.
+    NO_MATCH, several give AMBIGUOUS. A tau outside (0, 1] raises
+    `InvalidConfig`.
     """
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    _check_tau(tau)
     matches = [
         obj
         for obj in objects
@@ -233,8 +239,10 @@ def build_seen(
     tail noun's lemma lies in the region at ratio >= tau (`tail_unmatched`);
     only head grounding can discard a triple. Duplicate triples keep the first
     provenance encountered, with sources processed in the order scene triples,
-    co-occurrence, regions.
+    co-occurrence, regions. A tau outside (0, 1] raises `InvalidConfig`, even
+    for an image without regions.
     """
+    _check_tau(tau)
     if diagnostics is None:
         diagnostics = BuildDiagnostics()
     objects_by_id = {obj.object_id: obj for obj in objects}

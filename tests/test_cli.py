@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import vckb
 import vckb.ingest as ingest
 from vckb import (
     CommonsenseTriple,
@@ -275,45 +276,19 @@ def test_build_seen_output_bytes_are_pinned(fixture_paths, tmp_path, capsys, two
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("source", ["flags", "config"])
 def test_k_plus_j_below_one_writes_nothing(fixture_export, tmp_path, capsys, two_cpus,
-                                           source, workers, existing):
+                                           workers, existing):
     out = tmp_path / "samples.tsv"
     if existing:
         out.write_bytes(b"keep\n")
     argv = ["export-instructions", "--data", str(fixture_export), "--out", str(out),
-            "--workers", workers]
-    if source == "flags":
-        argv += ["--k", "0", "--j", "0"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"k": 0, "j": 0}))
-        argv += ["--config", str(config)]
+            "--workers", workers, "--k", "0", "--j", "0"]
     assert main(argv) == 1
     assert "unseen export needs k + j >= 1" in capsys.readouterr().err
     if existing:
         assert out.read_bytes() == b"keep\n"
     else:
         assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        ({"template_path": 0}, "template_path must be a string or null"),
-        ({"tau": True}, "unknown config keys: ['tau']"),  # --tau is the build's alone
-        ({"dedup_unseen": "no"}, "unknown config keys: ['dedup_unseen']"),
-    ],
-    ids=["template-path-number", "tau-bool", "dedup-unseen-string"],
-)
-def test_mistyped_config_field_is_input_error(fixture_export, tmp_path, capsys, payload, message):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
-    argv = ["export-instructions", "--data", str(fixture_export),
-            "--out", str(tmp_path / "samples.tsv"), "--config", str(config)]
-    assert main(argv) == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "samples.tsv").exists()
 
 
 def test_missing_scene_flag_is_input_error(capsys):
@@ -351,10 +326,11 @@ ACCEPTED_FLAGS = {
     "build-unseen": {"--kb", *_BUILD},
     "export": {"--kb", *_BUILD},
     "stats": {"--data"},
-    "export-instructions": {"--data", "--out", "--config", "--workers", *_SAMPLING},
+    "export-instructions": {"--data", "--out", "--templates", "--workers", *_SAMPLING},
     "query": {"--data", "--lexicon", "--name", "--category"},
 }
-# The 13 flags that every command used to accept, read or not.
+# The 13 flags that every command used to accept, read or not. No command
+# takes --config now: each value has one flag.
 _FORMER_COMMON = {"--scene", "--kb", "--lexicon", "--data", "--out", "--config", "--tau",
                   "--workers", *_SAMPLING}
 REMOVED_FLAGS = [
@@ -362,7 +338,9 @@ REMOVED_FLAGS = [
     for command, accepted in ACCEPTED_FLAGS.items()
     for flag in sorted(_FORMER_COMMON - accepted)
 ]
-FILE_FLAGS = ("--scene", "--kb", "--lexicon", "--data", "--config", "--out")
+FILE_FLAGS = ("--scene", "--kb", "--lexicon", "--data", "--templates", "--out")
+# The bundled template file, which --templates names by default.
+TEMPLATES_FILE = Path(vckb.__file__).parent / "data" / "instruction_templates.json"
 
 
 def _accepted_flags() -> dict[str, set[str]]:
@@ -380,7 +358,19 @@ def test_each_command_accepts_only_the_flags_it_reads():
     accepted = _accepted_flags()
     assert accepted == ACCEPTED_FLAGS
     assert sum(len(flags) for flags in accepted.values()) == 34
-    assert len(REMOVED_FLAGS) == 93 - 34
+    # 91 former flags (13 on each of 7 commands), 31 of them still accepted:
+    # --templates is new, and --name and --category were never common.
+    assert len(REMOVED_FLAGS) == 91 - 31
+    assert {command for command, flag in REMOVED_FLAGS if flag == "--config"} == set(
+        ACCEPTED_FLAGS
+    )
+
+
+def test_sampling_flag_defaults_are_the_export_config_defaults():
+    args = _build_parser().parse_args(["export-instructions"])
+    flags = ExportConfig(m=args.m, k=args.k, j=args.j, seed=args.seed, sep_token=args.sep)
+    assert flags == ExportConfig()
+    assert args.templates is None  # InstructionTemplates.load's bundled file
 
 
 def _valid_args(command, tmp_path, data, scene=DATA_DIR / "fixture_scene.tsv",
@@ -431,12 +421,12 @@ def test_kept_file_flag_is_read(fixture_export, tmp_path, capsys, command, flag)
 _OTHER_VALUE = {"--tau": "0.9", "--m": "1", "--k": "0", "--j": "0", "--seed": "14",
                 "--sep": "|", "--name": "man", "--category": "/Unseen/Action/CapableOf"}
 # File flags are checked by test_kept_file_flag_is_read, --workers by the
-# tests that log the worker pids; --config's value is a file that matters.
+# tests that log the worker pids; --templates names a file whose content matters.
 VALUE_FLAGS = [
     (command, flag)
     for command, accepted in _accepted_flags().items()
     for flag in sorted(accepted)
-    if flag == "--config" or flag not in {"--workers", *FILE_FLAGS}
+    if flag == "--templates" or flag not in {"--workers", *FILE_FLAGS}
 ]
 
 
@@ -457,9 +447,8 @@ def _half_covered_scene(tmp_path):
 def test_kept_value_flag_changes_output(fixture_export, tmp_path, capsys, command, flag):
     args = _valid_args(command, tmp_path, fixture_export, *_half_covered_scene(tmp_path))
     value = _OTHER_VALUE.get(flag)
-    if flag == "--config":  # test_each_config_field_changes_samples tries every field
-        value = str(tmp_path / "config.json")
-        Path(value).write_text(json.dumps({"sep_token": "|"}))
+    if flag == "--templates":
+        value = _write_templates(tmp_path, "{name}?")
     outputs = []
     for argv in ([command, *args], [command, *args, flag, value]):
         assert main(argv) == 0
@@ -468,33 +457,39 @@ def test_kept_value_flag_changes_output(fixture_export, tmp_path, capsys, comman
     assert outputs[0] != outputs[1]
 
 
-# For each ExportConfig field: a value other than its default, and flags that
-# the base run sets so that the field shows in the samples. Every fixture
-# unseen group has at most two tails, so k shows only at j = 0, and j only at
-# k < 2. template_path's file is written by the test.
-_OTHER_CONFIG = {
-    "m": (1, []),
-    "k": (1, ["--j", "0"]),
-    "j": (1, ["--k", "0"]),
-    "seed": (14, []),
-    "sep_token": ("|", []),
-    "template_path": (None, []),
+def _write_templates(tmp_path, template) -> str:
+    """A template file with `template` and the bundled descriptions."""
+    path = tmp_path / "templates.json"
+    descriptions = InstructionTemplates.load().descriptions
+    path.write_text(json.dumps({"template": template, "descriptions": descriptions}))
+    return str(path)
+
+
+# For each ExportConfig field: its flag, a value other than its default, and
+# flags that the base run sets so that the field shows in the samples. Every
+# fixture unseen group has at most two tails, so k shows only at j = 0, and j
+# only at k < 2. The template file, set by --templates, is written by the test.
+_OTHER_SAMPLING = {
+    "m": ("--m", "1", []),
+    "k": ("--k", "1", ["--j", "0"]),
+    "j": ("--j", "1", ["--k", "0"]),
+    "seed": ("--seed", "14", []),
+    "sep_token": ("--sep", "|", []),
+    "templates": ("--templates", None, []),
 }
 
 
-@pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(ExportConfig)])
+@pytest.mark.parametrize(
+    "field", [field.name for field in dataclasses.fields(ExportConfig)] + ["templates"]
+)
 def test_each_config_field_changes_samples(fixture_export, tmp_path, field):
-    assert field in _OTHER_CONFIG, f"no other value for config field {field!r}"
-    value, base_flags = _OTHER_CONFIG[field]
-    if field == "template_path":
-        value = str(tmp_path / "templates.json")
-        descriptions = InstructionTemplates.load().descriptions
-        Path(value).write_text(json.dumps({"template": "{name}?", "descriptions": descriptions}))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({field: value}))
+    assert field in _OTHER_SAMPLING, f"no flag for config field {field!r}"
+    flag, value, base_flags = _OTHER_SAMPLING[field]
+    if field == "templates":
+        value = _write_templates(tmp_path, "{name}?")
     base = ["export-instructions", "--data", str(fixture_export), *base_flags]
     outputs = []
-    for extra in ([], ["--config", str(config)]):
+    for extra in ([], [flag, value]):
         out = tmp_path / f"samples{len(outputs)}.tsv"
         assert main([*base, "--out", str(out), *extra]) == 0
         outputs.append(out.read_bytes())
@@ -507,7 +502,7 @@ def test_each_config_field_changes_samples(fixture_export, tmp_path, field):
     + [
         (c, f)
         for c in ("build-seen", "build-unseen", "export", "export-instructions")
-        for f in ("--scene", "--kb", "--data", "--config")
+        for f in ("--scene", "--kb", "--data", "--templates")
         if f in ACCEPTED_FLAGS[c]
     ],
 )
@@ -516,9 +511,10 @@ def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, co
         "--scene": DATA_DIR / "fixture_scene.tsv",
         "--kb": DATA_DIR / "fixture_kb.tsv",
         "--data": fixture_export,
-    }.get(flag)
+        "--templates": TEMPLATES_FILE,
+    }[flag]
     same = tmp_path / "input"
-    same.write_bytes(source.read_bytes() if source else b"{}")
+    same.write_bytes(source.read_bytes())
     before = same.read_bytes()
     argv = [command, *_valid_args(command, tmp_path, fixture_export),
             flag, str(same), "--out", str(same)]
@@ -527,11 +523,12 @@ def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, co
     assert same.read_bytes() == before
 
 
-@pytest.mark.parametrize("command", ["build-seen", "build-unseen", "export"])
+@pytest.mark.parametrize("command", ["build-seen", "build-unseen", "export",
+                                     "export-instructions"])
 def test_out_naming_a_refused_config_leaves_it_unchanged(fixture_export, tmp_path, capsys,
                                                          command):
-    # The build commands take no --config; a config file that --out also names
-    # is refused before it is opened for writing.
+    # No command takes --config; a config file that --out also names is
+    # refused before it is opened for writing.
     same = tmp_path / "config.json"
     same.write_text(json.dumps({"tau": 0.9}))
     before = same.read_bytes()
@@ -541,20 +538,6 @@ def test_out_naming_a_refused_config_leaves_it_unchanged(fixture_export, tmp_pat
     assert f"unrecognized arguments: --config {same}" in capsys.readouterr().err
     assert same.read_bytes() == before
     assert list(tmp_path.iterdir()) == [same]
-
-
-def test_out_naming_the_config_template_is_input_error(fixture_export, tmp_path, capsys):
-    template = tmp_path / "templates.json"
-    template.write_text(json.dumps(vars(InstructionTemplates.load())))
-    before = _sha256(template)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"template_path": str(template)}))
-    argv = ["export-instructions", "--data", str(fixture_export), "--config", str(config),
-            "--out", str(template)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"the config's template_path and --out name the same file: {template}" in err
-    assert _sha256(template) == before
 
 
 def _readme_cli_lines() -> list[str]:
@@ -613,38 +596,23 @@ def test_invalid_utf8_corpus_is_input_error(tmp_path, capsys):
 
 
 def test_invalid_utf8_config_is_input_error(fixture_export, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_bytes(b'{"sep_token": "\xff"}')
+    # The template file is the JSON file that export-instructions reads.
+    template = tmp_path / "templates.json"
+    template.write_bytes(TEMPLATES_FILE.read_bytes().replace(b"{name}", b"{name}\xff", 1))
     argv = ["export-instructions", "--data", str(fixture_export),
-            "--out", str(tmp_path / "x"), "--config", str(config)]
+            "--out", str(tmp_path / "x"), "--templates", str(template)]
     assert main(argv) == 1
-    assert "bad JSON" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("payload", ["3", "[]"], ids=["number", "list"])
-def test_non_object_config_is_input_error(fixture_export, tmp_path, capsys, payload):
-    config = tmp_path / "config.json"
-    config.write_text(payload)
-    argv = ["export-instructions", "--data", str(fixture_export),
-            "--out", str(tmp_path / "x"), "--config", str(config)]
-    assert main(argv) == 1
-    assert "config must be a JSON object" in capsys.readouterr().err
+    assert f"bad JSON in {template}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
 def test_unknown_template_field_is_input_error(fixture_export, tmp_path, capsys):
-    template = tmp_path / "templates.json"
-    template.write_text(json.dumps({
-        "template": "what is {bogus} about the {name}?",
-        "descriptions": InstructionTemplates.load().descriptions,
-    }))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"template_path": str(template)}))
+    template = _write_templates(tmp_path, "what is {bogus} about the {name}?")
     argv = ["export-instructions", "--data", str(fixture_export),
-            "--out", str(tmp_path / "x"), "--config", str(config)]
+            "--out", str(tmp_path / "x"), "--templates", template]
     assert main(argv) == 1
     assert "unknown template fields ['bogus']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_internal_error_is_exit_2(fixture_paths, tmp_path, capsys, monkeypatch):
@@ -858,6 +826,31 @@ def _modules_after(code: str) -> tuple[str, str]:
         capture_output=True, text=True, env=env, check=True,
     )
     return result.stdout.strip(), result.stderr
+
+
+def test_closed_stdout_is_no_error(tmp_path):
+    # `vckb query ... | head -n 1`: the reader takes one line and closes the
+    # pipe. The ~600 KB of output is far more than a pipe holds, so the
+    # command still has lines to write when it finds the pipe closed.
+    category = parse_category("/Seen/Space/LocatedNear")
+    car = make_object("o1", name="car")
+    triples = [CommonsenseTriple(car, category, f"tail number {i:06d}", Provenance.SCENE_TRIPLE)
+               for i in range(10_000)]
+    data = tmp_path / "dataset.tsv"
+    write_dataset([DatasetRecord("img1", [group_triples(car, triples)])], data)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "vckb", "query", "--data", str(data), "--name", "car",
+         "--category", category.text],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    first = process.stdout.readline()
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) == 0, stderr
+    assert stderr == b""
+    assert first == f"img1\to1\tcar\t{category.text}\ttail number 000000\t0.0\n".encode()
 
 
 def test_cli_import_leaves_process_pools_unloaded():

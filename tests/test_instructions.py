@@ -1,3 +1,5 @@
+import codecs
+import dataclasses
 import hashlib
 import json
 
@@ -204,34 +206,21 @@ def test_config_validation():
         ExportConfig(sep_token="")
 
 
-def test_config_file_with_overrides(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text('{"m": 5, "seed": 11, "sep_token": "<and>"}')
-    config = ExportConfig.load(path, m=2)
-    assert config.m == 2  # flag override wins
-    assert config.seed == 11
-    assert config.sep_token == "<and>"
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text('{"bogus": 1}')
-    with pytest.raises(InvalidConfig):
-        ExportConfig.load(path)
+def test_export_config_holds_the_sampling_values_only():
+    # Each value is set one way: a keyword here, a flag on the command line.
+    assert [field.name for field in dataclasses.fields(ExportConfig)] == [
+        "m", "k", "j", "seed", "sep_token"
+    ]
+    assert not hasattr(ExportConfig, "load")
 
 
 def test_config_with_byte_order_mark_loads(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text('{"m": 4}', encoding="utf-8-sig")
-    assert ExportConfig.load(path).m == 4
-
-
-@pytest.mark.parametrize("payload", ["3", "[]", '"m"', "null"])
-def test_config_must_be_an_object(tmp_path, payload):
-    path = tmp_path / "config.json"
-    path.write_text(payload)
-    with pytest.raises(InvalidConfig, match="config must be a JSON object"):
-        ExportConfig.load(path)
+    # The template file is the JSON file that export-instructions reads.
+    path = tmp_path / "templates.json"
+    payload = {"template": "{name}!", "descriptions": TEMPLATES.descriptions}
+    path.write_text(json.dumps(payload), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(codecs.BOM_UTF8)
+    assert InstructionTemplates.load(path) == InstructionTemplates(**payload)
 
 
 def _template_file(tmp_path, template):

@@ -253,9 +253,13 @@ def test_cli_tau_boundaries(tmp_path):
 def test_invalid_tau_is_refused_before_out_is_opened(tmp_path, lexicon, tau):
     scene, kb = write_inputs(tmp_path)
     out = tmp_path / "out.tsv"
+    corpus, kb = load_scene_corpus(scene), load_kb(kb)
     with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
-        export_records(load_scene_corpus(scene), lexicon, out, load_kb(kb), tau)
+        export_records(corpus, lexicon, out, kb, tau)
     assert not out.exists()
+    # One image's build follows the same rule.
+    with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
+        build_image_record(next(iter(corpus.images())), lexicon, kb, tau)
 
 
 @pytest.mark.parametrize("tau", ["0", "nan", "inf", "1.5"])

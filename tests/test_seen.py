@@ -25,7 +25,7 @@ from vckb import (
     parse_region_phrase,
     tokenize_and_tag,
 )
-from vckb.errors import EmptyPhrase
+from vckb.errors import EmptyPhrase, InvalidConfig
 from vckb.seen import BuildDiagnostics
 
 from conftest import make_object
@@ -258,9 +258,14 @@ class TestLocalize:
         assert found.object_id == "o1"
 
     def test_invalid_tau_rejected(self, lexicon):
+        # One rule for tau, in localize and in build_seen, even for an image
+        # that has no region to localize.
         region = Region(image_id="img1", phrase="a man", bbox=BBox(0, 0, 10, 10))
-        with pytest.raises(ValueError):
-            localize("man", region, [], 0.0, lexicon)
+        for tau in (0.0, True, float("nan"), "0.5"):
+            with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
+                localize("man", region, [], tau, lexicon)
+            with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
+                build_seen([], [], [], lexicon, tau)
 
 
 class TestBuildSeen:
