@@ -25,12 +25,12 @@ man = GroundedObject("o1", "demo", "man", BBox(10, 10, 50, 100))
 car = GroundedObject("o2", "demo", "car", BBox(200, 150, 120, 80))
 
 triples = [
-    SceneTriple("demo", "o1", "is", "tall", TripleKind.ATTRIBUTE),
-    SceneTriple("demo", "o1", "on", "o2", TripleKind.RELATIONSHIP),
+    SceneTriple("o1", "is", "tall", TripleKind.ATTRIBUTE),
+    SceneTriple("o1", "on", "o2", TripleKind.RELATIONSHIP),
 ]
 regions = [
-    Region("demo", "a thin man behind the yellow car", BBox(0, 0, 330, 240)),
-    Region("demo", "a dog", BBox(0, 0, 640, 480)),  # names no object: dropped
+    Region("a thin man behind the yellow car", BBox(0, 0, 330, 240)),
+    Region("a dog", BBox(0, 0, 640, 480)),  # names no object: dropped
 ]
 
 # The region box covers the man's box completely, so he is a candidate.

@@ -3,8 +3,9 @@ End-to-end: corpus to dataset to instruction samples
 ====================================================
 
 Runs the bundled 50-image fixture through the whole pipeline the way the CLI
-does, streaming: the build writes each record's line to disk as it is done,
-and the dataset file is read back one record at a time. The CLI equivalent
+does, streaming: the loader returns the scene's images as a list, the build
+writes each record's line to disk as it is done, and the dataset file is
+read back one record at a time. The CLI equivalent
 is `vckb export --scene ... --kb ... --out dataset.tsv`, then `vckb stats`,
 `vckb query` and `vckb export-instructions --data dataset.tsv`.
 """
@@ -30,16 +31,17 @@ from vckb import (
 data = Path(__file__).resolve().parent.parent / "tests" / "data"
 lexicon = Lexicon.default()
 
-corpus = load_scene_corpus(data / "fixture_scene.tsv")
+images = load_scene_corpus(data / "fixture_scene.tsv")
 kb = load_kb(data / "fixture_kb.tsv")
-print(f"loaded {len(corpus)} images, {corpus.bbox_count} boxes, {len(kb)} KB edges")
+boxes = sum(len(entry.objects) for entry in images)
+print(f"loaded {len(images)} images, {boxes} boxes, {len(kb)} KB edges")
 
 config = ExportConfig(m=3, k=2, j=1, seed=13)
 templates = InstructionTemplates.load()
 
 with tempfile.TemporaryDirectory() as tmp:
     dataset_path = Path(tmp) / "dataset.tsv"
-    diagnostics = export_records(corpus, lexicon, dataset_path, kb=kb)
+    diagnostics = export_records(images, lexicon, dataset_path, kb=kb)
     print("diagnostics:", diagnostics.as_dict())
 
     # Each pass reads the file again; no pass holds the whole dataset.

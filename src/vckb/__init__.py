@@ -22,11 +22,11 @@ from .ingest import (
     GroundedObject,
     KbIndex,
     Region,
-    SceneCorpus,
     SceneTriple,
     TripleKind,
     load_kb,
     load_scene_corpus,
+    save_scene_corpus,
 )
 from .instructions import (
     ExportConfig,

@@ -29,9 +29,15 @@ from .dataset import (
     record_line,
 )
 from .errors import VckbError
-from .ingest import load_kb, load_scene_corpus
-from .instructions import DEFAULT_SEP, ExportConfig, InstructionTemplates, instruction_lines
-from .lexicon import Lexicon
+from .ingest import load_kb, load_scene_corpus, save_scene_corpus
+from .instructions import (
+    DEFAULT_SEP,
+    ExportConfig,
+    InstructionTemplates,
+    _bundled_templates,
+    instruction_lines,
+)
+from .lexicon import Lexicon, _bundled_tables, _table_files
 from .pipeline import _dataset_line, _usable_cpus, export_records, render_dataset
 from .seen import DEFAULT_TAU, _check_tau
 from .taxonomy import Visibility, parse_category
@@ -90,24 +96,37 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _refuse_out_as_input(args, *flags: str) -> None:
-    """Writing --out truncates it, so no input file the command reads may be it."""
+    """Writing --out truncates it, so no file the command reads may be it: the
+    --scene, --kb or --data file, the template file or one of the six lexicon
+    tables, the bundled ones included when --templates or --lexicon is left
+    out."""
+    if not args.out:
+        return
     for flag in flags:
-        path = getattr(args, flag)
-        if path and args.out and _same_file(path, args.out):
+        given = getattr(args, flag)
+        if flag == "lexicon":
+            paths = _table_files(given or _bundled_tables()).values()
+        elif flag == "templates":
+            paths = [given or _bundled_templates()]
+        else:
+            paths = [given] if given else []
+        if any(_same_file(path, args.out) for path in paths):
             raise VckbError(f"--{flag} and --out name the same file: {args.out}")
 
 
 def _cmd_ingest(args) -> int:
+    """Load and check --scene (and --kb), write --scene's normalized form to
+    --out if given, and print the counts as one JSON object."""
     _require(args, "scene")
     _refuse_out_as_input(args, "kb")  # --scene may be --out: it is normalized in place
-    corpus = load_scene_corpus(args.scene)
+    images = load_scene_corpus(args.scene)
     kb = load_kb(args.kb) if args.kb else None
     if args.out:
-        corpus.save(args.out)
+        save_scene_corpus(images, args.out)
     summary = {
-        "images": len(corpus),
-        "bboxes": corpus.bbox_count,
-        "unique_object_names": corpus.unique_object_names,
+        "images": len(images),
+        "bboxes": sum(len(entry.objects) for entry in images),
+        "unique_object_names": len({obj.name for entry in images for obj in entry.objects}),
     }
     if kb is not None:
         summary["kb_edges"] = len(kb)
@@ -131,12 +150,12 @@ def _cmd_build(args, render, with_kb: bool) -> int:
     inputs = ("scene", "kb") if with_kb else ("scene",)
     _require(args, *inputs, "out")
     _check_tau(args.tau)
-    _refuse_out_as_input(args, *inputs)
+    _refuse_out_as_input(args, *inputs, "lexicon")
     lexicon = _lexicon(args)
-    corpus = load_scene_corpus(args.scene)
+    images = load_scene_corpus(args.scene)
     kb = load_kb(args.kb) if with_kb else None
     diagnostics = export_records(
-        corpus, lexicon, args.out, kb, args.tau, workers=args.workers, render=render
+        images, lexicon, args.out, kb, args.tau, workers=args.workers, render=render
     )
     print(json.dumps({"diagnostics": diagnostics.as_dict()}), file=sys.stderr)
     return 0

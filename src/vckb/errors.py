@@ -50,7 +50,8 @@ class NotAnNP(VckbError):
 
 
 class InvalidConfig(VckbError):
-    """A sampling config field, or the build's tau, violates its invariants."""
+    """A sampling value, the build's tau, or the instruction template file
+    violates its invariants."""
 
 
 class IoFailure(VckbError):

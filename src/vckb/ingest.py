@@ -13,10 +13,12 @@ for relationship triples (kind R) it holds an object id in the same image.
 Images may be declared explicitly with at most one I record (optionally
 carrying pixel dimensions) or implicitly by their first O/T/R record. Fields
 cannot contain tabs or newlines; blank lines are skipped. The file is read in
-one pass that builds each image's plain slotted records as its lines come.
-Each distinct raw name, predicate and attribute text is normalized once, so
-equal names share one string, and an error message is worked out only after
-a check fails.
+one pass that builds each image's plain slotted records as its lines come,
+and `load_scene_corpus` returns the images as a list, in first-seen order;
+`save_scene_corpus` writes such a list back out in normalized form. Each
+distinct raw name, predicate and attribute text is normalized once, so equal
+names share one string, and an error message is worked out only after a
+check fails.
 
 KB file format: UTF-8, tab-separated `head <tab> relation <tab> tail`
 with an optional weight column (default 1.0). Head, relation and tail must
@@ -155,7 +157,6 @@ class TripleKind(enum.Enum):
 
 @dataclass(slots=True)
 class SceneTriple:
-    image_id: str
     subject_id: str
     predicate: str
     object_slot: str  # attribute text (A) or object id (R)
@@ -164,7 +165,6 @@ class SceneTriple:
 
 @dataclass(slots=True)
 class Region:
-    image_id: str
     phrase: str
     bbox: BBox
 
@@ -179,60 +179,31 @@ class ImageEntry:
     regions: list[Region] = field(default_factory=list)
 
 
-class SceneCorpus:
-    """Validated in-memory index of a scene corpus, keyed by image id."""
+def save_scene_corpus(images: list[ImageEntry], path) -> None:
+    """Write images back out in the normalized form `load_scene_corpus` reads:
+    per image its I record, then its O, T and R records in load order."""
+    _write_lines(path, _scene_lines(images))
 
-    def __init__(self, images: dict[str, ImageEntry]):
-        self._images = images
 
-    def __len__(self) -> int:
-        return len(self._images)
-
-    @property
-    def image_ids(self) -> list[str]:
-        return list(self._images)
-
-    def image(self, image_id: str) -> ImageEntry:
-        return self._images[image_id]
-
-    def images(self):
-        return iter(self._images.values())
-
-    @property
-    def bbox_count(self) -> int:
-        return sum(len(entry.objects) for entry in self._images.values())
-
-    @property
-    def unique_object_names(self) -> int:
-        return len(
-            {obj.name for entry in self._images.values() for obj in entry.objects}
-        )
-
-    def save(self, path) -> None:
-        """Write the corpus back out in its normalized on-disk form."""
-        _write_lines(path, self._record_lines())
-
-    def _record_lines(self):
-        for entry in self._images.values():
-            size = "" if entry.width is None else f"\t{entry.width}\t{entry.height}"
-            yield f"I\t{entry.image_id}{size}"
-            for obj in entry.objects:
-                box = obj.bbox
-                yield (
-                    f"O\t{entry.image_id}\t{obj.object_id}\t{obj.name}"
-                    f"\t{box.x}\t{box.y}\t{box.w}\t{box.h}"
-                )
-            for triple in entry.triples:
-                yield (
-                    f"T\t{entry.image_id}\t{triple.kind.value}"
-                    f"\t{triple.subject_id}\t{triple.predicate}\t{triple.object_slot}"
-                )
-            for region in entry.regions:
-                box = region.bbox
-                yield (
-                    f"R\t{entry.image_id}\t{box.x}\t{box.y}\t{box.w}\t{box.h}"
-                    f"\t{region.phrase}"
-                )
+def _scene_lines(images: list[ImageEntry]):
+    for entry in images:
+        image_id = entry.image_id
+        size = "" if entry.width is None else f"\t{entry.width}\t{entry.height}"
+        yield f"I\t{image_id}{size}"
+        for obj in entry.objects:
+            box = obj.bbox
+            yield (
+                f"O\t{image_id}\t{obj.object_id}\t{obj.name}"
+                f"\t{box.x}\t{box.y}\t{box.w}\t{box.h}"
+            )
+        for triple in entry.triples:
+            yield (
+                f"T\t{image_id}\t{triple.kind.value}"
+                f"\t{triple.subject_id}\t{triple.predicate}\t{triple.object_slot}"
+            )
+        for region in entry.regions:
+            box = region.bbox
+            yield f"R\t{image_id}\t{box.x}\t{box.y}\t{box.w}\t{box.h}\t{region.phrase}"
 
 
 def _parse_int(value: str, path, line_number, what: str) -> int:
@@ -268,8 +239,9 @@ def _parse_bbox(fields: list[str], path, line_number) -> BBox:
 _TRIPLE_KINDS = {kind.value: kind for kind in TripleKind}
 
 
-def load_scene_corpus(path) -> SceneCorpus:
-    """Load and validate a scene corpus file in one pass over its lines.
+def load_scene_corpus(path) -> list[ImageEntry]:
+    """Load and validate a scene corpus file in one pass over its lines, and
+    return its images in first-seen order.
 
     The current image's entry, object ids and triple line numbers are looked
     up only when a line names another image, so lines of one image that
@@ -343,7 +315,7 @@ def load_scene_corpus(path) -> SceneCorpus:
                     text = names[object_slot] = names.setdefault(text, text)
                 object_slot = text
             entry.triples.append(
-                SceneTriple(image_id, subject_id, predicate, object_slot, triple_kind)
+                SceneTriple(subject_id, predicate, object_slot, triple_kind)
             )
             triple_lines.append(line_number)
         elif kind == "R":
@@ -357,7 +329,7 @@ def load_scene_corpus(path) -> SceneCorpus:
             phrase = phrase.strip()
             if not phrase:
                 raise MalformedRecord(path, line_number, "region phrase is empty")
-            entry.regions.append(Region(image_id, phrase, bbox))
+            entry.regions.append(Region(phrase, bbox))
         elif kind == "I":
             if len(fields) not in (2, 4):
                 raise MalformedRecord(path, line_number, "I record needs 1 or 3 fields")
@@ -377,7 +349,7 @@ def load_scene_corpus(path) -> SceneCorpus:
         raise EmptyCorpus(f"no records in {path}")
 
     _validate_integrity(images.values(), path)
-    return SceneCorpus({image_id: entry for image_id, (entry, _, _) in images.items()})
+    return [entry for entry, _, _ in images.values()]
 
 
 def _validate_integrity(images, path) -> None:

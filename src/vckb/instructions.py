@@ -31,6 +31,11 @@ from .taxonomy import CategoryPath, Visibility
 DEFAULT_SEP = "[sep]"
 
 
+def _bundled_templates():
+    """The template file bundled with the package."""
+    return resources.files("vckb").joinpath("data/instruction_templates.json")
+
+
 @dataclass(frozen=True)
 class ExportConfig:
     m: int = 3  # seen tails sampled per pair
@@ -102,8 +107,7 @@ class InstructionTemplates:
         """Load a UTF-8 JSON template file (a byte-order mark is allowed); with
         no path, the one bundled with the package."""
         if path is None:
-            bundled = resources.files("vckb").joinpath("data/instruction_templates.json")
-            with resources.as_file(bundled) as bundled_path:
+            with resources.as_file(_bundled_templates()) as bundled_path:
                 return cls.load(bundled_path)
         try:
             with open(path, encoding="utf-8-sig") as handle:

@@ -55,35 +55,31 @@ class Lexicon:
     @classmethod
     def load(cls, directory) -> "Lexicon":
         """Load a lexicon from a directory of the six table files."""
-        directory = Path(directory)
-        sets = {}
-        for name in _SET_FILES:
-            sets[name] = frozenset(word for word, _ in _read_entries(directory / name))
-        maps = {}
-        for name in _MAP_FILES:
-            table = {}
-            for word, lemma in _read_entries(directory / name, require_lemma=True):
-                table[word] = lemma
-            maps[name] = table
-        return cls(
-            determiners=sets["determiners"],
-            prepositions=sets["prepositions"],
-            adjectives=sets["adjectives"],
-            irregular_participles=maps["irregular_participles"],
-            irregular_plurals=maps["irregular_plurals"],
-            known_nouns=sets["known_nouns"],
-        )
+        files = _table_files(directory)
+        sets = {name: frozenset(word for word, _ in _read_entries(files[name]))
+                for name in _SET_FILES}
+        maps = {name: dict(_read_entries(files[name], require_lemma=True))
+                for name in _MAP_FILES}
+        return cls(**sets, **maps)
 
     @classmethod
     def default(cls) -> "Lexicon":
         """Load the tables bundled with the package."""
-        root = resources.files("vckb").joinpath("data/lexicon")
-        with resources.as_file(root) as path:
+        with resources.as_file(_bundled_tables()) as path:
             return cls.load(path)
 
 
-def _read_entries(stem: Path, require_lemma: bool = False):
-    path = stem.with_suffix(".txt")
+def _bundled_tables():
+    """The directory of the tables bundled with the package."""
+    return resources.files("vckb").joinpath("data/lexicon")
+
+
+def _table_files(directory) -> dict[str, Path]:
+    """Each table's name and the file of `directory` that `Lexicon.load` reads it from."""
+    return {name: Path(directory, f"{name}.txt") for name in (*_SET_FILES, *_MAP_FILES)}
+
+
+def _read_entries(path: Path, require_lemma: bool = False):
     entries = []
     for number, raw in _read_lines(path):
         line = raw.split("#", 1)[0].strip()

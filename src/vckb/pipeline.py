@@ -22,7 +22,7 @@ from functools import partial
 from typing import NoReturn
 
 from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
-from .ingest import ImageEntry, KbIndex, SceneCorpus, _line_chunks, _write_lines
+from .ingest import ImageEntry, KbIndex, _line_chunks, _write_lines
 from .lexicon import Lexicon
 from .seen import DEFAULT_TAU, BuildDiagnostics, CommonsenseTriple, _check_tau, build_seen
 from .unseen import build_unseen
@@ -310,7 +310,7 @@ def _write_chunks(
 
 
 def export_records(
-    corpus: SceneCorpus,
+    images: list[ImageEntry],
     lexicon: Lexicon,
     path,
     kb: KbIndex | None = None,
@@ -318,13 +318,14 @@ def export_records(
     workers: int = 1,
     render: Callable[[DatasetRecord], Iterable[str]] = _dataset_line,
 ) -> BuildDiagnostics:
-    """Build every image and write the lines `render` makes of its record to
-    `path`, in corpus order; by default, the record's dataset line.
+    """Build each image of `images`, as `load_scene_corpus` returns them, and
+    write the lines `render` makes of its record to `path`, in list order; by
+    default, the record's dataset line.
 
     With `workers` > 1, up to min(workers, usable CPUs) forked processes
     build and render the chunks; where `os.fork` is missing, or with one
     worker, the calling process does. The bytes written never depend on
-    `workers`, and the returned diagnostics are merged in corpus order. An
+    `workers`, and the returned diagnostics are merged in list order. An
     input error in a worker raises what the calling process would raise; a
     worker that dies raises RuntimeError and leaves `path` incomplete. Fork
     copies only the calling thread, so call this with more than one worker
@@ -332,12 +333,11 @@ def export_records(
     `InvalidConfig` before `path` is opened.
     """
     _check_tau(tau)
-    entries = list(corpus.images())
     bounds = [
-        (start, min(start + _CHUNK_IMAGES, len(entries)))
-        for start in range(0, len(entries), _CHUNK_IMAGES)
+        (start, min(start + _CHUNK_IMAGES, len(images)))
+        for start in range(0, len(images), _CHUNK_IMAGES)
     ]
-    task = partial(_build_chunk, entries, lexicon, kb, tau, render)
+    task = partial(_build_chunk, images, lexicon, kb, tau, render)
     return _write_chunks(path, task, bounds, workers)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -39,17 +40,17 @@ def fixture_paths():
 def test_ingest_reports_counts(fixture_paths, capsys):
     scene, kb = fixture_paths
     assert main(["ingest", "--scene", scene, "--kb", kb]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["images"] == 50
-    assert summary["bboxes"] > 0
-    assert summary["kb_edges"] == 48
+    assert capsys.readouterr().out == (
+        '{"images": 50, "bboxes": 204, "unique_object_names": 20, "kb_edges": 48}\n'
+    )
 
 
 def test_ingest_writes_normalized_copy(fixture_paths, tmp_path, capsys):
     scene, _ = fixture_paths
     out = tmp_path / "normalized.tsv"
     assert main(["ingest", "--scene", scene, "--out", str(out)]) == 0
-    assert out.exists()
+    # The committed fixture is already in normalized form.
+    assert _sha256(out) == FIXTURE_SCENE_SHA256 == _sha256(Path(scene))
     in_place = tmp_path / "in_place.tsv"  # --scene may be --out: normalized in place
     in_place.write_bytes(Path(scene).read_bytes())
     assert main(["ingest", "--scene", str(in_place), "--out", str(in_place)]) == 0
@@ -229,6 +230,8 @@ def test_export_instructions_from_data(fixture_paths, tmp_path, capsys):
 # that alters either file on purpose updates these values and records why.
 FIXTURE_DATASET_SHA256 = "0d269430f3c35ff56b9d9c79cf811ddcb06ea6f6b0f3365ff09f5bceb6e76241"
 FIXTURE_SAMPLES_SHA256 = "fcdc496bcfa7da88e19f3c1d44139226d4fc4e5387dc776c667d0a6cba483857"
+# sha256 of the fixture scene file, which `ingest --out` writes back unchanged.
+FIXTURE_SCENE_SHA256 = "fdf772650aeee6afb6698e67b19167b2d0df875bdc735ebbd873c573bb8516b4"
 # sha256 of the fixture's build-unseen output.
 FIXTURE_UNSEEN_SHA256 = "85f2cd211ce2c2c2b7a66d2c09149b7357fb65ddc5820eb119788b218dab9aa8"
 # sha256 of the fixture's build-seen output, built without a KB, at each tau.
@@ -341,6 +344,8 @@ REMOVED_FLAGS = [
 FILE_FLAGS = ("--scene", "--kb", "--lexicon", "--data", "--templates", "--out")
 # The bundled template file, which --templates names by default.
 TEMPLATES_FILE = Path(vckb.__file__).parent / "data" / "instruction_templates.json"
+# The bundled lexicon directory, which --lexicon names by default.
+LEXICON_DIR = Path(vckb.__file__).parent / "data" / "lexicon"
 
 
 def _accepted_flags() -> dict[str, set[str]]:
@@ -523,6 +528,45 @@ def test_out_naming_an_input_is_input_error(fixture_export, tmp_path, capsys, co
     assert same.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "command, target, flag",
+    [
+        ("export-instructions", "data/instruction_templates.json", "--templates"),
+        ("build-seen", "data/lexicon/known_nouns.txt", "--lexicon"),
+    ],
+    ids=["templates", "lexicon"],
+)
+def test_out_naming_a_bundled_input_is_input_error(fixture_export, tmp_path, command, target,
+                                                   flag):
+    # The command runs from a copy of the package, so the bundled file it
+    # would read with the flag left out, and that --out names, is the copy's.
+    package = tmp_path / "src" / "vckb"
+    shutil.copytree(Path(vckb.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    same = package / target
+    before = same.read_bytes()
+    argv = [sys.executable, "-m", "vckb", command,
+            *_valid_args(command, tmp_path, fixture_export), "--out", str(same)]
+    result = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(package.parent)})
+    assert result.returncode == 1, result.stderr
+    assert f"error: {flag} and --out name the same file: {same}\n" == result.stderr
+    assert same.read_bytes() == before
+
+
+@pytest.mark.parametrize("table", sorted(p.name for p in LEXICON_DIR.glob("*.txt")))
+def test_out_naming_a_lexicon_table_is_input_error(fixture_export, tmp_path, capsys, table):
+    lexicon = tmp_path / "lexicon"
+    shutil.copytree(LEXICON_DIR, lexicon)
+    same = lexicon / table
+    before = same.read_bytes()
+    argv = ["export", *_valid_args("export", tmp_path, fixture_export),
+            "--lexicon", str(lexicon), "--out", str(same)]
+    assert main(argv) == 1
+    assert f"--lexicon and --out name the same file: {same}" in capsys.readouterr().err
+    assert same.read_bytes() == before
+
+
 @pytest.mark.parametrize("command", ["build-seen", "build-unseen", "export",
                                      "export-instructions"])
 def test_out_naming_a_refused_config_leaves_it_unchanged(fixture_export, tmp_path, capsys,
@@ -680,7 +724,7 @@ def test_slow_first_chunk_keeps_corpus_order(fixture_paths, tmp_path, monkeypatc
 
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
     scene, kb = fixture_paths
-    first = next(iter(ingest.load_scene_corpus(scene).images())).image_id
+    first = ingest.load_scene_corpus(scene)[0].image_id
     parent = os.getpid()
     build = pipeline.build_image_record
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vckb.ingest as ingest
-from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus
+from vckb import TripleKind, import_dataset, load_kb, load_scene_corpus, save_scene_corpus
 from vckb.errors import DanglingReference, EmptyCorpus, EmptyKb, MalformedRecord
 from vckb.ingest import _line_chunks, _read_lines
 from vckb.taxonomy import KB_RELATION_LEAVES, CategoryPath, Visibility
@@ -15,10 +15,11 @@ from conftest import DATA_DIR, KbRow, make_kb
 
 
 def test_toy_corpus_counts(toy_scene):
-    corpus = load_scene_corpus(toy_scene)
-    assert len(corpus) == 1
-    assert corpus.bbox_count == 2
-    entry = corpus.image("img1")
+    images = load_scene_corpus(toy_scene)
+    assert type(images) is list
+    (entry,) = images
+    assert entry.image_id == "img1"
+    assert len(entry.objects) == 2
     assert len(entry.triples) == 2
     assert len(entry.regions) == 1
     assert entry.width == 640
@@ -27,14 +28,13 @@ def test_toy_corpus_counts(toy_scene):
 def test_names_normalized(tmp_path):
     path = tmp_path / "scene.tsv"
     path.write_text("O\timg1\to1\t Traffic   LIGHT \t0\t0\t5\t5\n")
-    corpus = load_scene_corpus(path)
-    (obj,) = corpus.image("img1").objects
+    ((obj,),) = [entry.objects for entry in load_scene_corpus(path)]
     assert obj.name == "traffic light"
 
 
 def test_triple_kinds(toy_scene):
-    corpus = load_scene_corpus(toy_scene)
-    kinds = {t.kind for t in corpus.image("img1").triples}
+    (entry,) = load_scene_corpus(toy_scene)
+    kinds = {t.kind for t in entry.triples}
     assert kinds == {TripleKind.ATTRIBUTE, TripleKind.RELATIONSHIP}
 
 
@@ -125,7 +125,7 @@ def test_repeated_image_record_rejected(tmp_path):
 def test_image_record_after_its_objects_is_legal(tmp_path):
     path = tmp_path / "scene.tsv"
     path.write_text("O\timg1\to1\tcar\t0\t0\t10\t10\nI\timg1\t100\t100\n")
-    entry = load_scene_corpus(path).image("img1")
+    (entry,) = load_scene_corpus(path)
     assert (entry.width, entry.height) == (100, 100)
     assert [obj.object_id for obj in entry.objects] == ["o1"]
 
@@ -168,13 +168,14 @@ def test_empty_corpus(tmp_path):
 def test_counts_match_file_rescan(data_dir):
     """Loaded statistics equal counts recomputed from the raw file."""
     path = data_dir / "fixture_scene.tsv"
-    corpus = load_scene_corpus(path)
+    images = load_scene_corpus(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     image_ids = {l.split("\t")[1] for l in lines if l}
     object_lines = [l for l in lines if l.startswith("O\t")]
-    assert len(corpus) == len(image_ids)
-    assert corpus.bbox_count == len(object_lines)
-    assert corpus.unique_object_names == len(
+    objects = [obj for entry in images for obj in entry.objects]
+    assert len(images) == len(image_ids)
+    assert len(objects) == len(object_lines)
+    assert len({obj.name for obj in objects}) == len(
         {l.split("\t")[3] for l in object_lines}
     )
 
@@ -182,22 +183,22 @@ def test_counts_match_file_rescan(data_dir):
 def test_load_deterministic(toy_scene):
     first = load_scene_corpus(toy_scene)
     second = load_scene_corpus(toy_scene)
-    assert first.image_ids == second.image_ids
-    assert first.image("img1").objects == second.image("img1").objects
-    assert first.image("img1").triples == second.image("img1").triples
+    assert [entry.image_id for entry in first] == [entry.image_id for entry in second]
+    assert first[0].objects == second[0].objects
+    assert first[0].triples == second[0].triples
 
 
 def test_save_round_trips(toy_scene, tmp_path):
-    corpus = load_scene_corpus(toy_scene)
+    (entry,) = load_scene_corpus(toy_scene)
     out = tmp_path / "normalized.tsv"
-    corpus.save(out)
-    again = load_scene_corpus(out)
-    assert again.image("img1").objects == corpus.image("img1").objects
-    assert again.image("img1").triples == corpus.image("img1").triples
-    assert again.image("img1").regions == corpus.image("img1").regions
+    save_scene_corpus([entry], out)
+    (again,) = load_scene_corpus(out)
+    assert again.objects == entry.objects
+    assert again.triples == entry.triples
+    assert again.regions == entry.regions
     # Normalized output is stable.
     out2 = tmp_path / "normalized2.tsv"
-    again.save(out2)
+    save_scene_corpus([again], out2)
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -582,8 +583,7 @@ def test_invalid_utf8_line_counts_blank_lines_and_carriage_returns(tmp_path):
 def test_bom_scene_loads(tmp_path):
     path = tmp_path / "scene.tsv"
     path.write_text("I\timg1\nO\timg1\to1\tman\t0\t0\t5\t5\n", encoding="utf-8-sig")
-    corpus = load_scene_corpus(path)
-    assert corpus.image_ids == ["img1"]
+    assert [entry.image_id for entry in load_scene_corpus(path)] == ["img1"]
 
 
 def test_bom_kb_keeps_first_head(tmp_path):
@@ -700,11 +700,11 @@ def test_saved_scene_is_a_fixed_point(tmp_path_factory, lines):
     directory = tmp_path_factory.getbasetemp() / "scene-fixed-point"
     directory.mkdir(exist_ok=True)
     (directory / "scene.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    corpus = load_scene_corpus(directory / "scene.tsv")
-    corpus.save(directory / "first.tsv")
+    images = load_scene_corpus(directory / "scene.tsv")
+    save_scene_corpus(images, directory / "first.tsv")
     again = load_scene_corpus(directory / "first.tsv")
-    again.save(directory / "second.tsv")
-    assert list(again.images()) == list(corpus.images())
+    save_scene_corpus(again, directory / "second.tsv")
+    assert again == images
     assert (directory / "second.tsv").read_bytes() == (directory / "first.tsv").read_bytes()
 
 
@@ -825,14 +825,14 @@ def _reference_scene(text: str, path):
     }
 
 
-def _loaded_scene(corpus):
-    """A loaded corpus in `_reference_scene`'s form, each record checked to
+def _loaded_scene(images):
+    """Loaded images in `_reference_scene`'s form, each object checked to
     carry its image's id."""
-    images = {}
-    for entry in corpus.images():
-        records = [*entry.objects, *entry.triples, *entry.regions]
-        assert all(record.image_id == entry.image_id for record in records)
-        images[entry.image_id] = (
+    assert type(images) is list
+    loaded = {}
+    for entry in images:
+        assert all(obj.image_id == entry.image_id for obj in entry.objects)
+        loaded[entry.image_id] = (
             entry.width,
             entry.height,
             [(o.object_id, o.name, (o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h))
@@ -840,7 +840,8 @@ def _loaded_scene(corpus):
             [(t.subject_id, t.predicate, t.object_slot, t.kind.value) for t in entry.triples],
             [(r.phrase, (r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h)) for r in entry.regions],
         )
-    return images
+    assert len(loaded) == len(images)  # one entry per image id
+    return loaded
 
 
 def _assert_scene_load_agrees_with_reference(text, path):
@@ -969,8 +970,8 @@ def test_loaded_scene_records_have_no_dict_and_share_names(tmp_path):
         "R\timg1\t0\t0\t9\t9\ta red light\n",
         encoding="utf-8",
     )
-    corpus = load_scene_corpus(path)
-    first, second = corpus.image("img1"), corpus.image("img2")
+    first, second = load_scene_corpus(path)
+    assert (first.image_id, second.image_id) == ("img1", "img2")
     records = [first, *first.objects, *first.triples, *first.regions]
     records += [obj.bbox for obj in first.objects] + [first.regions[0].bbox]
     for record in records:

@@ -62,7 +62,7 @@ def triples_of(record):
 
 def test_unseen_deduplicated_against_seen(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
-    entry = load_scene_corpus(scene).image("img1")
+    entry = load_scene_corpus(scene)[0]
     record, _ = build_image_record(entry, lexicon, load_kb(kb))
     triples = triples_of(record)
     # "play car" repeats the seen triple (man, play, car); "grow up" does not.
@@ -72,8 +72,7 @@ def test_unseen_deduplicated_against_seen(tmp_path, lexicon):
 
 def test_layer_switches(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
-    corpus = load_scene_corpus(scene)
-    entry = corpus.image("img1")
+    entry = load_scene_corpus(scene)[0]
 
     seen_only, _ = build_image_record(entry, lexicon, None)
     assert all(
@@ -98,8 +97,8 @@ def test_layer_switches(tmp_path, lexicon):
 
 def test_empty_image_keeps_record(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
-    corpus = load_scene_corpus(scene)
-    export_records(corpus, lexicon, tmp_path / "out.tsv")
+    images = load_scene_corpus(scene)
+    export_records(images, lexicon, tmp_path / "out.tsv")
     records = list(iter_dataset(tmp_path / "out.tsv"))
     assert [r.image_id for r in records] == ["img1", "img2"]
     assert records[1].entries == []
@@ -107,10 +106,10 @@ def test_empty_image_keeps_record(tmp_path, lexicon):
 
 def test_worker_counts_agree_on_records(tmp_path, lexicon):
     scene, kb = write_inputs(tmp_path)
-    corpus = load_scene_corpus(scene)
+    images = load_scene_corpus(scene)
     kb_index = load_kb(kb)
     built, diag_built = [], BuildDiagnostics()
-    for entry in corpus.images():
+    for entry in images:
         record, diagnostics = build_image_record(entry, lexicon, kb_index)
         built.append(record)
         diag_built.merge(diagnostics)
@@ -119,7 +118,7 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
     for workers in (1, 4):
         path = tmp_path / f"streamed_w{workers}.tsv"
         diagnostics = export_records(
-            corpus, lexicon, path, kb=kb_index, workers=workers
+            images, lexicon, path, kb=kb_index, workers=workers
         )
         streamed[workers] = (import_dataset(path), diagnostics.as_dict())
     assert streamed[1] == streamed[4]
@@ -132,22 +131,22 @@ def test_worker_counts_agree_on_records(tmp_path, lexicon):
 def test_warm_lexicon_forks_the_cold_bytes(tmp_path, data_dir, monkeypatch):
     """Workers that inherit a warm tagger memo write what a cold build writes."""
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # a pool even on one CPU
-    corpus = load_scene_corpus(data_dir / "fixture_scene.tsv")
+    images = load_scene_corpus(data_dir / "fixture_scene.tsv")
     kb = load_kb(data_dir / "fixture_kb.tsv")
     warm = Lexicon.default()
-    for entry in corpus.images():
+    for entry in images:
         build_image_record(entry, warm, kb)
-    export_records(corpus, warm, tmp_path / "warm.tsv", kb=kb, workers=2)
-    export_records(corpus, Lexicon.default(), tmp_path / "cold.tsv", kb=kb, workers=1)
+    export_records(images, warm, tmp_path / "warm.tsv", kb=kb, workers=2)
+    export_records(images, Lexicon.default(), tmp_path / "cold.tsv", kb=kb, workers=1)
     assert (tmp_path / "warm.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_is_rejected(tmp_path, lexicon, workers):
     scene, _ = write_inputs(tmp_path)
-    corpus = load_scene_corpus(scene)
+    images = load_scene_corpus(scene)
     with pytest.raises(ValueError, match="workers"):
-        export_records(corpus, lexicon, tmp_path / "out.tsv", workers=workers)
+        export_records(images, lexicon, tmp_path / "out.tsv", workers=workers)
     assert not (tmp_path / "out.tsv").exists()
 
 
@@ -253,13 +252,13 @@ def test_cli_tau_boundaries(tmp_path):
 def test_invalid_tau_is_refused_before_out_is_opened(tmp_path, lexicon, tau):
     scene, kb = write_inputs(tmp_path)
     out = tmp_path / "out.tsv"
-    corpus, kb = load_scene_corpus(scene), load_kb(kb)
+    images, kb = load_scene_corpus(scene), load_kb(kb)
     with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
-        export_records(corpus, lexicon, out, kb, tau)
+        export_records(images, lexicon, out, kb, tau)
     assert not out.exists()
     # One image's build follows the same rule.
     with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
-        build_image_record(next(iter(corpus.images())), lexicon, kb, tau)
+        build_image_record(images[0], lexicon, kb, tau)
 
 
 @pytest.mark.parametrize("tau", ["0", "nan", "inf", "1.5"])
@@ -359,16 +358,16 @@ def _images(draw):
         name = st.sampled_from([obj.name for obj in objects])
         ids = st.sampled_from([obj.object_id for obj in objects])
         attributes = st.builds(
-            SceneTriple, st.just("img1"), ids, st.sampled_from(["is", "has", "are"]),
+            SceneTriple, ids, st.sampled_from(["is", "has", "are"]),
             _WORD, st.just(TripleKind.ATTRIBUTE),
         )
         relationships = st.builds(
-            SceneTriple, st.just("img1"), ids, st.sampled_from(["on", "play", "is", "holding"]),
+            SceneTriple, ids, st.sampled_from(["on", "play", "is", "holding"]),
             ids, st.just(TripleKind.RELATIONSHIP),
         )
         triples = draw(st.lists(attributes | relationships, max_size=4))
     regions = draw(
-        st.lists(st.builds(Region, st.just("img1"), _phrases(name), _REGION_BOXES), max_size=6)
+        st.lists(st.builds(Region, _phrases(name), _REGION_BOXES), max_size=6)
     )
     return ImageEntry("img1", objects=objects, triples=triples, regions=regions)
 

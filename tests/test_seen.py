@@ -33,7 +33,6 @@ from conftest import make_object
 
 def attribute(subject, text, predicate="is"):
     return SceneTriple(
-        image_id="img1",
         subject_id=subject,
         predicate=predicate,
         object_slot=text,
@@ -43,7 +42,6 @@ def attribute(subject, text, predicate="is"):
 
 def relationship(subject, predicate, obj):
     return SceneTriple(
-        image_id="img1",
         subject_id=subject,
         predicate=predicate,
         object_slot=obj,
@@ -136,7 +134,7 @@ class TestMapSceneTriple:
             "O\timg1\to2\tcar\t5\t5\t5\t5\n"
             f"T\timg1\t{record}\n"
         )
-        entry = load_scene_corpus(path).image("img1")
+        (entry,) = load_scene_corpus(path)
         (scene_triple,) = entry.triples
         mapped = map_scene_triple(scene_triple, index(*entry.objects), lexicon)
         assert (mapped.category.text, mapped.tail) == (category, tail)
@@ -225,7 +223,7 @@ class TestLocalize:
         ]
 
     def test_unique_match(self, lexicon):
-        region = Region(image_id="img1", phrase="a man", bbox=BBox(0, 0, 100, 150))
+        region = Region(phrase="a man", bbox=BBox(0, 0, 100, 150))
         found = localize("man", region, self.fixture_objects(), 0.5, lexicon)
         assert found.object_id == "o1"
 
@@ -233,11 +231,11 @@ class TestLocalize:
         objects = self.fixture_objects() + [
             make_object("o4", name="man", box=(70, 10, 50, 100))
         ]
-        region = Region(image_id="img1", phrase="a man", bbox=BBox(0, 0, 640, 480))
+        region = Region(phrase="a man", bbox=BBox(0, 0, 640, 480))
         assert localize("man", region, objects, 0.5, lexicon) is MatchFailure.AMBIGUOUS
 
     def test_no_match(self, lexicon):
-        region = Region(image_id="img1", phrase="a dog", bbox=BBox(0, 0, 100, 150))
+        region = Region(phrase="a dog", bbox=BBox(0, 0, 100, 150))
         assert (
             localize("dog", region, self.fixture_objects(), 0.5, lexicon)
             is MatchFailure.NO_MATCH
@@ -245,7 +243,7 @@ class TestLocalize:
 
     def test_below_threshold_is_no_match(self, lexicon):
         # Object only half covered by the region at tau=0.9.
-        region = Region(image_id="img1", phrase="a man", bbox=BBox(0, 0, 35, 110))
+        region = Region(phrase="a man", bbox=BBox(0, 0, 35, 110))
         assert (
             localize("man", region, self.fixture_objects(), 0.9, lexicon)
             is MatchFailure.NO_MATCH
@@ -253,14 +251,14 @@ class TestLocalize:
 
     def test_plural_object_name_matches_lemma(self, lexicon):
         objects = [make_object("o1", name="cars", box=(0, 0, 50, 50))]
-        region = Region(image_id="img1", phrase="a car", bbox=BBox(0, 0, 60, 60))
+        region = Region(phrase="a car", bbox=BBox(0, 0, 60, 60))
         found = localize("car", region, objects, 0.5, lexicon)
         assert found.object_id == "o1"
 
     def test_invalid_tau_rejected(self, lexicon):
         # One rule for tau, in localize and in build_seen, even for an image
         # that has no region to localize.
-        region = Region(image_id="img1", phrase="a man", bbox=BBox(0, 0, 10, 10))
+        region = Region(phrase="a man", bbox=BBox(0, 0, 10, 10))
         for tau in (0.0, True, float("nan"), "0.5"):
             with pytest.raises(InvalidConfig, match=r"tau must be a number in \(0, 1\]"):
                 localize("man", region, [], tau, lexicon)
@@ -276,7 +274,6 @@ class TestBuildSeen:
         triples = [attribute("o1", "tall")]
         regions = [
             Region(
-                image_id="img1",
                 phrase="a thin running man",
                 bbox=BBox(0, 0, 70, 120),
             )
@@ -309,7 +306,7 @@ class TestBuildSeen:
 
     def test_duplicates_keep_first_provenance(self, lexicon):
         man = make_object("o1", name="man", box=(0, 0, 50, 100))
-        region = Region(image_id="img1", phrase="a tall man", bbox=BBox(0, 0, 60, 110))
+        region = Region(phrase="a tall man", bbox=BBox(0, 0, 60, 110))
         result = build_seen([man], [attribute("o1", "tall")], [region], lexicon)
         (triple,) = result
         assert triple.tail == "tall"
@@ -321,7 +318,7 @@ class TestBuildSeen:
         args = (
             [man, car],
             [attribute("o1", "tall"), relationship("o1", "on", "o2")],
-            [Region(image_id="img1", phrase="a thin man", bbox=BBox(0, 0, 70, 120))],
+            [Region(phrase="a thin man", bbox=BBox(0, 0, 70, 120))],
         )
         assert build_seen(*args, lexicon) == build_seen(*args, lexicon)
 
@@ -332,8 +329,8 @@ class TestBuildSeen:
             [man],
             [attribute("o1", "person")],  # noun attribute: not mapped
             [
-                Region(image_id="img1", phrase="the the the", bbox=BBox(0, 0, 10, 10)),
-                Region(image_id="img1", phrase="a dog", bbox=BBox(0, 0, 640, 480)),
+                Region(phrase="the the the", bbox=BBox(0, 0, 10, 10)),
+                Region(phrase="a dog", bbox=BBox(0, 0, 640, 480)),
             ],
             lexicon,
             diagnostics=diagnostics,
@@ -454,7 +451,7 @@ object_lists = st.lists(st.tuples(st.sampled_from(OBJECT_NAMES), object_boxes), 
         for i, (name, box) in enumerate(drawn)
     ]
 )
-regions = st.builds(lambda phrase, box: Region("img1", phrase, box), phrases, region_boxes)
+regions = st.builds(Region, phrases, region_boxes)
 
 
 @st.composite
