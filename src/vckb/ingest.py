@@ -392,6 +392,11 @@ class KbIndex:
     ):
         self._by_head = by_head
         self._edge_count = edge_count
+        # Per lexicon, each object name's ranked edges (`unseen._ranked_edges`):
+        # kept here so that they go with the KB, and keyed by the lexicon
+        # object itself, which the key keeps alive, so no other KB or lexicon
+        # can read them.
+        self._ranked: dict = {}
 
     def __len__(self) -> int:
         return self._edge_count

@@ -6,6 +6,14 @@ extracted from region phrases whose heads are grounded to same-named object
 boxes by overlap ratio, the names compared before any box is measured. Names
 are keyed by `phrase.name_keys`: lemmas ground heads, head nouns end tails.
 
+Texts recur across boxes and images, so each distinct text is read once per
+process, on the lexicon's memo: a region phrase's tagging, parse and
+extracted (leaf, tail) pairs (`_phrase_reading`), and a predicate or
+attribute text's leaf and tail words (`_predicate_reading`). Only geometry,
+grounding and deduplication are done per box. Each memo is cleared when it
+reaches its cap (`_PHRASE_MEMO_CAP`, `_PREDICATE_MEMO_CAP`), so it stays
+bounded however many distinct texts a corpus holds.
+
 `CommonsenseTriple` is a plain record that checks nothing when built. Each
 builder emits valid triples by construction: a tail that is not blank, and a
 seen provenance on a seen leaf (`unseen` gives `KB_RETRIEVAL` on the unseen
@@ -34,6 +42,12 @@ from .phrase import (
 from .taxonomy import CategoryPath
 
 DEFAULT_TAU = 0.5
+
+# Distinct texts each memo holds at most; a memo that reaches its cap is
+# cleared. A phrase's reading takes about 250 bytes besides its key, so a full
+# phrase memo holds about 8 MB.
+_PHRASE_MEMO_CAP = 1 << 15
+_PREDICATE_MEMO_CAP = 1 << 15
 
 
 def _check_tau(tau) -> None:
@@ -123,6 +137,20 @@ def _first_seen_category(words: list[str], lexicon: Lexicon) -> CategoryPath | N
     return None
 
 
+def _predicate_reading(text: str, lexicon: Lexicon) -> tuple[CategoryPath | None, str]:
+    """A predicate or attribute text's words without copulas and the seen leaf
+    of the first of them that maps to one (None if none does), as (leaf,
+    words joined by spaces); read once per distinct text."""
+    memo = lexicon._memo.setdefault("predicates", {})
+    reading = memo.get(text)
+    if reading is None:
+        if len(memo) >= _PREDICATE_MEMO_CAP:
+            memo.clear()
+        words = _strip_copulas(text.split())
+        reading = memo[text] = (_first_seen_category(words, lexicon), " ".join(words))
+    return reading
+
+
 def map_scene_triple(
     triple: SceneTriple,
     objects_by_id: dict[str, GroundedObject],
@@ -135,22 +163,20 @@ def map_scene_triple(
     """
     head = objects_by_id[triple.subject_id]
     if triple.kind is TripleKind.ATTRIBUTE:
-        words = _strip_copulas(
-            (triple.predicate + " " + triple.object_slot).split()
+        category, tail = _predicate_reading(
+            triple.predicate + " " + triple.object_slot, lexicon
         )
-        category = _first_seen_category(words, lexicon)
         if category is None:
             return None
-        tail = " ".join(words)
     else:
-        words = _strip_copulas(triple.predicate.split())
+        category, words = _predicate_reading(triple.predicate, lexicon)
         if not words:
             return None
         # Bare verb stems ("play", "hold") look like nouns to suffix
         # rules; relationship predicates default to active verbs.
-        category = _first_seen_category(words, lexicon) or CategoryPath.SEEN_CAPABLE_OF
+        category = category or CategoryPath.SEEN_CAPABLE_OF
         tail_object = objects_by_id[triple.object_slot]
-        tail = " ".join(words) + " " + name_keys(tail_object.name, lexicon)[1]
+        tail = words + " " + name_keys(tail_object.name, lexicon)[1]
     return CommonsenseTriple(
         head=head, category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE
     )
@@ -190,6 +216,36 @@ def extract_region_triples(parse: PhraseParse) -> list[tuple[str, CategoryPath, 
     elif parse.kind is PhraseKind.VP_PHRASE:
         out.append((root, pos_to_seen_category(parse.verb.pos), parse.verb.complement))
     return out
+
+
+# A phrase the memo has not read yet; None is a phrase read as unparseable.
+_UNREAD = object()
+
+
+def _phrase_reading(
+    phrase: str, lexicon: Lexicon
+) -> tuple[str, str | None, tuple[tuple[CategoryPath, str], ...]] | None:
+    """A region phrase's root noun, the head noun of its prepositional tail
+    (None unless it is a prepositional phrase), and the (leaf, tail) pairs
+    `extract_region_triples` gives it; None when the phrase has no tokens or
+    the grammar rejects it. Read once per distinct text."""
+    memo = lexicon._memo.setdefault("phrases", {})
+    reading = memo.get(phrase, _UNREAD)
+    if reading is _UNREAD:
+        if len(memo) >= _PHRASE_MEMO_CAP:
+            memo.clear()
+        try:
+            parse = parse_region_phrase(tokenize_and_tag(phrase, lexicon))
+        except EmptyPhrase:
+            parse = None
+        if parse is not None:
+            tail_noun = parse.tail_head_noun if parse.kind is PhraseKind.PP_PHRASE else None
+            pairs = tuple((category, tail) for _, category, tail in extract_region_triples(parse))
+            reading = (parse.root_noun, tail_noun, pairs)
+        else:
+            reading = None
+        memo[phrase] = reading
+    return reading
 
 
 class MatchFailure(enum.Enum):
@@ -261,29 +317,25 @@ def build_seen(
     collected.extend(cooccurrence_triples(objects))
 
     for region in regions:
-        try:
-            tokens = tokenize_and_tag(region.phrase, lexicon)
-        except EmptyPhrase:
+        reading = _phrase_reading(region.phrase, lexicon)
+        if reading is None:
             diagnostics.unparseable += 1
             continue
-        parse = parse_region_phrase(tokens)
-        if parse is None:
-            diagnostics.unparseable += 1
-            continue
-        named = objects_by_lemma.get(parse.root_noun, [])
-        target = localize(parse.root_noun, region, named, tau, lexicon)
+        root, tail_noun, pairs = reading
+        named = objects_by_lemma.get(root, [])
+        target = localize(root, region, named, tau, lexicon)
         if target is MatchFailure.NO_MATCH:
             diagnostics.no_match += 1
             continue
         if target is MatchFailure.AMBIGUOUS:
             diagnostics.ambiguous += 1
             continue
-        if parse.kind is PhraseKind.PP_PHRASE and not any(
+        if tail_noun is not None and not any(
             overlap_ratio(region.bbox, obj.bbox) >= tau
-            for obj in objects_by_lemma.get(parse.tail_head_noun, ())
+            for obj in objects_by_lemma.get(tail_noun, ())
         ):
             diagnostics.tail_unmatched += 1
-        for _, category, tail in extract_region_triples(parse):
+        for category, tail in pairs:
             collected.append(
                 CommonsenseTriple(
                     head=target,

@@ -6,6 +6,7 @@ from vckb import (
     Lexicon,
     Provenance,
     Visibility,
+    build_unseen,
     dedup_against_seen,
     kb_relation_to_category,
     load_kb,
@@ -15,7 +16,7 @@ from vckb import (
 )
 import vckb.unseen as unseen_module
 from vckb.errors import EmptyPhrase
-from vckb.phrase import tokenize_and_tag
+from vckb.phrase import name_keys, tokenize_and_tag
 from vckb.seen import CommonsenseTriple
 from vckb.unseen import _tail_lemmas
 from vckb.taxonomy import CategoryPath
@@ -261,3 +262,77 @@ def test_sort_mentions_always_first(lexicon, tails, scores):
     mention_flags = ["car" in t.tail or "dog" in t.tail for t in ranked]
     # All mentioning tails precede all non-mentioning tails.
     assert mention_flags == sorted(mention_flags, reverse=True)
+
+
+# The whole unseen order of a box. Names share lemmas ("car"/"cars",
+# "man"/"men"), and KB heads are drawn from both forms, so a head may be a
+# name's surface form or its lemma. Tails may mention other image objects'
+# lemmas, and seen triples reuse the KB's tails. Few weights make equal weights,
+# one (leaf, tail) at two weights and one tail under two leaves at one weight
+# common; 0.0 and -0.0 are equal weights written differently, so only the
+# first of two equal maxima, as `retrieve_unseen` keeps it, writes the same
+# score.
+_ORDER_NAMES = ("car", "cars", "man", "men", "dog", "traffic lights")
+_ORDER_HEADS = ("car", "cars", "man", "men", "dog", "traffic light", "traffic lights")
+_ORDER_RELATIONS = (
+    "UsedFor", "CapableOf", "HasProperty", "ReceivesAction", "LocatedNear", "CreatedBy", "IsA"
+)
+_ORDER_TAILS = ("drive", "hit by a car", "chase dogs", "bark", "help men", "road")
+_ORDER_WEIGHTS = (-0.0, 0.0, 1.0, 2.5)
+_SEEN_LEAVES = (
+    CategoryPath.SEEN_HAS_PROPERTY,
+    CategoryPath.SEEN_LOCATED_NEAR,
+    CategoryPath.SEEN_RELATEDNESS,
+    CategoryPath.SEEN_CAPABLE_OF,
+    CategoryPath.SEEN_RECEIVES_ACTION,
+)
+
+
+@st.composite
+def unseen_images(draw):
+    """One image's objects, and each object's seen triples by object id."""
+    names = draw(st.lists(st.sampled_from(_ORDER_NAMES), min_size=1, max_size=4))
+    objects = [make_object(object_id=f"o{i}", name=name) for i, name in enumerate(names)]
+    seen_pairs = st.tuples(st.sampled_from(_SEEN_LEAVES), st.sampled_from(_ORDER_TAILS))
+    seen = {
+        obj.object_id: [
+            seen_triple(obj, tail, category)
+            for category, tail in draw(st.lists(seen_pairs, max_size=3))
+        ]
+        for obj in objects
+    }
+    return objects, seen
+
+
+@given(
+    edges=st.lists(
+        st.builds(
+            KbRow,
+            head=st.sampled_from(_ORDER_HEADS),
+            relation=st.sampled_from(_ORDER_RELATIONS),
+            tail=st.sampled_from(_ORDER_TAILS),
+            weight=st.sampled_from(_ORDER_WEIGHTS),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    images=st.lists(unseen_images(), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_build_unseen_is_the_reference_order(lexicon, edges, images):
+    """Per box, `build_unseen` gives retrieval, dedup and object-aware sort's
+    list, scores written alike; images after the first read the per-name
+    memo that earlier ones filled."""
+    kb = make_kb(edges)
+    for objects, seen in images:
+        got = build_unseen(objects, seen, kb, lexicon)
+        image_lemmas = {name_keys(obj.name, lexicon)[0] for obj in objects}
+        for obj in objects:
+            expected = object_aware_sort(
+                dedup_against_seen(retrieve_unseen(obj, kb, lexicon), seen[obj.object_id]),
+                image_lemmas,
+                lexicon,
+            )
+            assert [(t, repr(t.score)) for t in got[obj.object_id]] == [
+                (t, repr(t.score)) for t in expected
+            ]
