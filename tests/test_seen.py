@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from vckb import (
     BBox,
     CategoryPath,
-    CommonsenseTriple,
     GroundedObject,
     MatchFailure,
-    PhraseKind,
     Provenance,
     Region,
     SceneTriple,
@@ -17,18 +15,17 @@ from vckb import (
     build_seen,
     cooccurrence_triples,
     extract_region_triples,
-    lemmatize,
     load_scene_corpus,
     localize,
     map_scene_triple,
-    overlap_ratio,
     parse_region_phrase,
     tokenize_and_tag,
 )
-from vckb.errors import EmptyPhrase, InvalidConfig
+from vckb.errors import InvalidConfig
 from vckb.seen import BuildDiagnostics
 
 from conftest import make_object
+from record_reference import reference_build_seen, reference_cooccurrence, reference_localize
 
 
 def attribute(subject, text, predicate="is"):
@@ -340,85 +337,9 @@ class TestBuildSeen:
         assert diagnostics.no_match == 1
 
 
-# Geometry-first references: grounding measures every box before it compares
-# names, and co-occurrence walks every ordered object pair. The seen layer
-# compares names first and must agree with them exactly.
-
-
-def reference_localize(head_name, region, objects, tau, lexicon):
-    candidates = [obj for obj in objects if overlap_ratio(region.bbox, obj.bbox) >= tau]
-    matches = [obj for obj in candidates if lemmatize(obj.name, lexicon) == head_name]
-    if not matches:
-        return MatchFailure.NO_MATCH
-    if len(matches) > 1:
-        return MatchFailure.AMBIGUOUS
-    return matches[0]
-
-
-def reference_cooccurrence(objects):
-    out = []
-    for a in objects:
-        emitted = set()
-        for b in objects:
-            if b is a or b.name == a.name or b.name in emitted:
-                continue
-            emitted.add(b.name)
-            out.append(
-                CommonsenseTriple(
-                    head=a,
-                    category=CategoryPath.SEEN_LOCATED_NEAR,
-                    tail=b.name,
-                    provenance=Provenance.CO_OCCURRENCE,
-                )
-            )
-    return out
-
-
-def reference_build_seen(objects, triples, regions, lexicon, tau):
-    diagnostics = BuildDiagnostics()
-    objects_by_id = {obj.object_id: obj for obj in objects}
-    collected = []
-    for triple in triples:
-        mapped = map_scene_triple(triple, objects_by_id, lexicon)
-        if mapped is None:
-            diagnostics.not_mapped += 1
-        else:
-            collected.append(mapped)
-    collected.extend(reference_cooccurrence(objects))
-    for region in regions:
-        try:
-            parse = parse_region_phrase(tokenize_and_tag(region.phrase, lexicon))
-        except EmptyPhrase:
-            parse = None
-        if parse is None:
-            diagnostics.unparseable += 1
-            continue
-        target = reference_localize(parse.root_noun, region, objects, tau, lexicon)
-        if target is MatchFailure.NO_MATCH:
-            diagnostics.no_match += 1
-            continue
-        if target is MatchFailure.AMBIGUOUS:
-            diagnostics.ambiguous += 1
-            continue
-        if parse.kind is PhraseKind.PP_PHRASE:
-            candidate_names = {
-                lemmatize(obj.name, lexicon)
-                for obj in objects
-                if overlap_ratio(region.bbox, obj.bbox) >= tau
-            }
-            if parse.tail_head_noun not in candidate_names:
-                diagnostics.tail_unmatched += 1
-        for _, category, tail in extract_region_triples(parse):
-            collected.append(
-                CommonsenseTriple(
-                    head=target, category=category, tail=tail,
-                    provenance=Provenance.REGION_PHRASE,
-                )
-            )
-    deduped = {}
-    for triple in collected:
-        deduped.setdefault(triple.key, triple)
-    return sorted(deduped.values(), key=lambda t: t.key), diagnostics
+# Geometry-first references (`record_reference`): grounding measures every box
+# before it compares names, and co-occurrence walks every ordered object pair.
+# The seen layer compares names first and must agree with them exactly.
 
 
 # Plural pairs and a multiword name, so surface names and lemmas differ; a
@@ -476,7 +397,12 @@ class TestNamesBeforeGeometry:
     @given(object_lists)
     @settings(max_examples=200)
     def test_cooccurrence_matches_pairwise_loop(self, objects):
-        assert cooccurrence_triples(objects) == reference_cooccurrence(objects)
+        triples = cooccurrence_triples(objects)
+        assert [(t.head.object_id, t.tail) for t in triples] == reference_cooccurrence(objects)
+        for triple in triples:
+            assert triple.category is CategoryPath.SEEN_LOCATED_NEAR
+            assert triple.provenance is Provenance.CO_OCCURRENCE
+            assert triple.score == 0.0
 
     @given(images(), taus)
     @settings(max_examples=300)
@@ -487,5 +413,8 @@ class TestNamesBeforeGeometry:
         expected, expected_diagnostics = reference_build_seen(
             objects, triples, regions, lexicon, tau
         )
-        assert result == expected
-        assert diagnostics.as_dict() == expected_diagnostics.as_dict()
+        got = {obj.object_id: [] for obj in objects}
+        for t in result:
+            got[t.head.object_id].append((t.category.text, t.tail, t.provenance.value))
+        assert got == expected
+        assert diagnostics.as_dict() == expected_diagnostics
