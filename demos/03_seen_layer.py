@@ -3,7 +3,9 @@ Building the seen layer of one image
 ====================================
 
 Three sources feed it: scene-graph triples mapped by part of speech,
-object co-occurrence, and region phrases grounded by overlap ratio.
+object co-occurrence, and region phrases grounded by overlap ratio. The
+triples come back by object id: a triple holds its leaf and tail, and its
+object is the one it is filed under.
 """
 
 from vckb import (
@@ -21,8 +23,8 @@ from vckb.seen import BuildDiagnostics
 
 lexicon = Lexicon.default()
 
-man = GroundedObject("o1", "demo", "man", BBox(10, 10, 50, 100))
-car = GroundedObject("o2", "demo", "car", BBox(200, 150, 120, 80))
+man = GroundedObject("o1", "man", BBox(10, 10, 50, 100))
+car = GroundedObject("o2", "car", BBox(200, 150, 120, 80))
 
 triples = [
     SceneTriple("o1", "is", "tall", TripleKind.ATTRIBUTE),
@@ -38,7 +40,9 @@ print("overlap(region, man) =", overlap_ratio(regions[0].bbox, man.bbox))
 print("localized:", localize("man", regions[0], [man, car], 0.5, lexicon))
 
 diagnostics = BuildDiagnostics()
-for triple in build_seen([man, car], triples, regions, lexicon, diagnostics=diagnostics):
-    print(f"({triple.head.name}, {triple.category.text}, {triple.tail})"
-          f"   [{triple.provenance.value}]")
+seen = build_seen([man, car], triples, regions, lexicon, diagnostics=diagnostics)
+for obj in (man, car):
+    for triple in seen[obj.object_id]:
+        print(f"({obj.name}, {triple.category.text}, {triple.tail})"
+              f"   [{triple.provenance.value}]")
 print("diagnostics:", diagnostics.as_dict())

@@ -24,10 +24,10 @@ from vckb import (
 lexicon = Lexicon.default()
 
 # The object is annotated with the plural name; its synset covers both forms.
-man = GroundedObject("o1", "demo", "men", BBox(0, 0, 50, 100))
+man = GroundedObject("o1", "men", BBox(0, 0, 50, 100))
 print("synset for 'men':", make_synset(man, lexicon))
 print("synset for 'traffic lights':",
-      make_synset(GroundedObject("x", "demo", "traffic lights", BBox(0, 0, 5, 5)), lexicon))
+      make_synset(GroundedObject("x", "traffic lights", BBox(0, 0, 5, 5)), lexicon))
 
 # One tab-separated `head relation tail weight` edge per line.
 edges = [
@@ -49,6 +49,7 @@ print("\nretrieved:")
 for triple in triples:
     print(f"  ({triple.category.text}, {triple.tail})  weight={triple.score}")
 
-# The image also contains a car, so "hit by a car" outranks everything.
-ranked = object_aware_sort(triples, {"man", "car"}, lexicon)
+# The triples hold no head: the sort is told whose they are. The image also
+# contains a car, so "hit by a car" outranks everything.
+ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
 print("\nobject-aware order:", [t.tail for t in ranked])

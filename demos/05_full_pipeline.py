@@ -49,7 +49,8 @@ with tempfile.TemporaryDirectory() as tmp:
 
     category = parse_category("/Unseen/Action/UsedFor")
     hits = query(iter_dataset(dataset_path), "car", category, lexicon)
-    print("\ncar is used for:", sorted({t.tail for t in hits}))
+    # Each hit is (image id, object, triple).
+    print("\ncar is used for:", sorted({t.tail for _, _, t in hits}))
 
     # The lines export-instructions writes for the first three images.
     lines = [

@@ -182,14 +182,13 @@ def _cmd_query(args) -> int:
     _require(args, "data")
     lexicon = _lexicon(args)
     category = parse_category(args.category)
-    for triple in query(iter_dataset(args.data), args.name, category, lexicon):
-        head = triple.head
+    for image_id, obj, triple in query(iter_dataset(args.data), args.name, category, lexicon):
         print(
             "\t".join(
                 (
-                    head.image_id,
-                    head.object_id,
-                    _escape(head.name),
+                    image_id,
+                    obj.object_id,
+                    _escape(obj.name),
                     triple.category.text,
                     _escape(triple.tail),
                     repr(triple.score),

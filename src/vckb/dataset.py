@@ -19,6 +19,11 @@ repeated runs over identical inputs are byte-identical.
 writes a file of them; `iter_dataset` streams the records back, and
 `import_dataset` is its list form.
 
+A record holds each fact of its line once, as the line does: the image id
+on the record, each object on its entry, and each triple as its leaf, tail,
+provenance and score, filed under its entry's object. `query` hands out a
+triple with its record's image id and its entry's object.
+
 A record's rules are checked where a line enters, once: names and tails
 must not be blank once unescaped, and a triple's provenance must fit its
 leaf (`_check_triple`). Triples and entries are plain records that check
@@ -257,7 +262,7 @@ def _read_record(fields: list[str], path, line_number: int) -> DatasetRecord:
         w = _count(fields, i + 4, "w", path, line_number)
         h = _count(fields, i + 5, "h", path, line_number)
         try:
-            obj = GroundedObject(object_id, image_id, name, BBox(x, y, w, h))
+            obj = GroundedObject(object_id, name, BBox(x, y, w, h))
         except ValueError as exc:
             raise MalformedRecord(path, line_number, str(exc)) from None
         group_count = _count(fields, i + 6, "group count", path, line_number)
@@ -299,7 +304,7 @@ def _read_record(fields: list[str], path, line_number: int) -> DatasetRecord:
                     if not tail.strip() or not 0 <= score < math.inf:
                         raise ValueError
                     triples.append(
-                        CommonsenseTriple(obj, category, tail, provenances[provenance], score)
+                        CommonsenseTriple(category, tail, provenances[provenance], score)
                     )
             except (ValueError, KeyError):
                 _group_error(category, fields[start:i], path, line_number)
@@ -382,8 +387,10 @@ def query(
     object_name: str,
     category: CategoryPath,
     lexicon: Lexicon,
-) -> list[CommonsenseTriple]:
-    """All triples for a head name (lemma match) in one category.
+) -> list[tuple[str, GroundedObject, CommonsenseTriple]]:
+    """All triples for a head name (lemma match) in one category, each as an
+    (image id, object, triple) hit: the id of its record, and the object of
+    its entry.
 
     Unseen results keep their stored object-aware order. A name that
     normalizes to nothing names no object, and raises VckbError.
@@ -392,10 +399,10 @@ def query(
     if not name:
         raise VckbError(f"object name is empty: {object_name!r}")
     target = name_keys(name, lexicon)[0]
-    out: list[CommonsenseTriple] = []
+    out: list[tuple[str, GroundedObject, CommonsenseTriple]] = []
     for record in records:
         for entry in record.entries:
             if name_keys(entry.obj.name, lexicon)[0] != target:
                 continue
-            out.extend(entry.group(category))
+            out.extend((record.image_id, entry.obj, triple) for triple in entry.group(category))
     return out

@@ -145,7 +145,6 @@ def _write_lines(path, lines) -> None:
 @dataclass(slots=True)
 class GroundedObject:
     object_id: str
-    image_id: str
     name: str  # lowercase, whitespace-normalized
     bbox: BBox
 
@@ -296,7 +295,7 @@ def load_scene_corpus(path) -> list[ImageEntry]:
                     path, line_number, f"duplicate object id {object_id!r}"
                 )
             object_lines[object_id] = line_number
-            entry.objects.append(GroundedObject(object_id, image_id, name, bbox))
+            entry.objects.append(GroundedObject(object_id, name, bbox))
         elif kind == "T":
             if len(fields) != 6:
                 raise MalformedRecord(path, line_number, "T record needs 5 fields")
@@ -392,10 +391,8 @@ class KbIndex:
     ):
         self._by_head = by_head
         self._edge_count = edge_count
-        # Per lexicon, each object name's ranked edges (`unseen._ranked_edges`):
-        # kept here so that they go with the KB, and keyed by the lexicon
-        # object itself, which the key keeps alive, so no other KB or lexicon
-        # can read them.
+        # Each synset's ranked edges (`unseen._ranked_edges`), kept here so
+        # that they go with the KB.
         self._ranked: dict = {}
 
     def __len__(self) -> int:

@@ -24,7 +24,7 @@ from typing import NoReturn
 from .dataset import DatasetRecord, _chunk_records, group_triples, record_line
 from .ingest import ImageEntry, KbIndex, _line_chunks, _write_lines
 from .lexicon import Lexicon
-from .seen import DEFAULT_TAU, BuildDiagnostics, CommonsenseTriple, _check_tau, build_seen
+from .seen import DEFAULT_TAU, BuildDiagnostics, _check_tau, build_seen
 from .unseen import build_unseen
 
 # Images per chunk: small enough to balance uneven images across workers and
@@ -41,22 +41,17 @@ def build_image_record(
 ) -> tuple[DatasetRecord, BuildDiagnostics]:
     """Build one image's record; the unseen layer is built exactly when `kb`
     is given. Seen triples are always built; they deduplicate the unseen
-    layer even where a renderer leaves them out."""
+    layer even where a renderer leaves them out. Each object's entry groups
+    its seen triples, then its unseen ones."""
     diagnostics = BuildDiagnostics()
     objects = entry.objects
     seen = build_seen(objects, entry.triples, entry.regions, lexicon, tau, diagnostics)
-    seen_by_object: dict[str, list[CommonsenseTriple]] = {}
-    for triple in seen:
-        seen_by_object.setdefault(triple.head.object_id, []).append(triple)
-
-    unseen_by_object: dict[str, list[CommonsenseTriple]] = {}
-    if kb is not None:
-        unseen_by_object = build_unseen(objects, seen_by_object, kb, lexicon)
-
+    unseen = None if kb is None else build_unseen(objects, seen, kb, lexicon)
     entries = []
     for obj in objects:
-        seen_triples = seen_by_object.get(obj.object_id, [])
-        triples = seen_triples + unseen_by_object.get(obj.object_id, [])
+        triples = seen[obj.object_id]
+        if unseen is not None:
+            triples = triples + unseen[obj.object_id]
         entries.append(group_triples(obj, triples))
     return DatasetRecord(image_id=entry.image_id, entries=entries), diagnostics
 

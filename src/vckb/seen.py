@@ -14,9 +14,12 @@ grounding and deduplication are done per box. Each memo is cleared when it
 reaches its cap (`_PHRASE_MEMO_CAP`, `_PREDICATE_MEMO_CAP`), so it stays
 bounded however many distinct texts a corpus holds.
 
-`CommonsenseTriple` is a plain record that checks nothing when built. Each
-builder emits valid triples by construction: a tail that is not blank, and a
-seen provenance on a seen leaf (`unseen` gives `KB_RETRIEVAL` on the unseen
+A `CommonsenseTriple` is a leaf, a tail, a provenance and a score. It holds
+no head: every builder returns each object's triples by object id, and a
+record files them under their object's entry, so the object is written once.
+It is a plain record that checks nothing when built. Each builder emits
+valid triples by construction: a tail that is not blank, and a seen
+provenance on a seen leaf (`unseen` gives `KB_RETRIEVAL` on the unseen
 leaves). The dataset reader checks the same rules where a line enters
 (`dataset._check_triple`).
 """
@@ -70,19 +73,14 @@ class Provenance(enum.Enum):
 
 @dataclass(slots=True)
 class CommonsenseTriple:
-    """A grounded head, a taxonomy leaf, and a tail phrase; a plain record
-    that checks nothing (see the module docstring for where its rules hold)."""
+    """A taxonomy leaf and a tail phrase of the object it is filed under; a
+    plain record that checks nothing (see the module docstring for where its
+    rules hold)."""
 
-    head: GroundedObject
     category: CategoryPath
     tail: str
     provenance: Provenance
     score: float = 0.0  # KB edge weight; 0 for seen triples
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Identity used for deduplication."""
-        return (self.head.object_id, self.category.text, self.tail)
 
 
 @dataclass
@@ -156,12 +154,11 @@ def map_scene_triple(
     objects_by_id: dict[str, GroundedObject],
     lexicon: Lexicon,
 ) -> CommonsenseTriple | None:
-    """Map one scene-graph triple to a seen commonsense triple.
+    """Map one scene-graph triple to a seen commonsense triple of its subject.
 
     Returns None (NotMapped) when the predicate carries no mappable
     part of speech.
     """
-    head = objects_by_id[triple.subject_id]
     if triple.kind is TripleKind.ATTRIBUTE:
         category, tail = _predicate_reading(
             triple.predicate + " " + triple.object_slot, lexicon
@@ -177,26 +174,21 @@ def map_scene_triple(
         category = category or CategoryPath.SEEN_CAPABLE_OF
         tail_object = objects_by_id[triple.object_slot]
         tail = words + " " + name_keys(tail_object.name, lexicon)[1]
-    return CommonsenseTriple(
-        head=head, category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE
-    )
+    return CommonsenseTriple(category, tail, Provenance.SCENE_TRIPLE)
 
 
-def cooccurrence_triples(objects: list[GroundedObject]) -> list[CommonsenseTriple]:
-    """Directed LocatedNear triples from each object to every distinct object
-    name of the image other than its own, names in first-seen order."""
-    names = dict.fromkeys(obj.name for obj in objects)
-    return [
-        CommonsenseTriple(
-            head=obj,
-            category=CategoryPath.SEEN_LOCATED_NEAR,
-            tail=name,
-            provenance=Provenance.CO_OCCURRENCE,
-        )
+def cooccurrence_triples(objects: list[GroundedObject]) -> dict[str, list[CommonsenseTriple]]:
+    """Each object's LocatedNear triples, by object id: one to every distinct
+    object name of the image other than its own, names in first-seen order.
+    The objects of an image share one triple per name."""
+    near = {
+        name: CommonsenseTriple(CategoryPath.SEEN_LOCATED_NEAR, name, Provenance.CO_OCCURRENCE)
+        for name in dict.fromkeys(obj.name for obj in objects)
+    }
+    return {
+        obj.object_id: [triple for name, triple in near.items() if name != obj.name]
         for obj in objects
-        for name in names
-        if name != obj.name
-    ]
+    }
 
 
 def extract_region_triples(parse: PhraseParse) -> list[tuple[str, CategoryPath, str]]:
@@ -288,15 +280,16 @@ def build_seen(
     lexicon: Lexicon,
     tau: float = DEFAULT_TAU,
     diagnostics: BuildDiagnostics | None = None,
-) -> list[CommonsenseTriple]:
-    """All seen triples of one image, deduplicated and deterministically ordered.
+) -> dict[str, list[CommonsenseTriple]]:
+    """Each object's seen triples, by object id, every object listed; each
+    list is deduplicated and ordered by (leaf text, tail).
 
     Region-derived spatial tails stay textual even when no object with the
     tail noun's lemma lies in the region at ratio >= tau (`tail_unmatched`);
-    only head grounding can discard a triple. Duplicate triples keep the first
-    provenance encountered, with sources processed in the order scene triples,
-    co-occurrence, regions. A tau outside (0, 1] raises `InvalidConfig`, even
-    for an image without regions.
+    only head grounding can discard a triple. Of the triples of one object,
+    leaf and tail, the first is kept, with sources processed in the order
+    scene triples, co-occurrence, regions. A tau outside (0, 1] raises
+    `InvalidConfig`, even for an image without regions.
     """
     _check_tau(tau)
     if diagnostics is None:
@@ -306,15 +299,21 @@ def build_seen(
     for obj in objects:
         objects_by_lemma.setdefault(name_keys(obj.name, lexicon)[0], []).append(obj)
 
-    collected: list[CommonsenseTriple] = []
+    # Per object id, its triples by (leaf text, tail), the first one kept.
+    kept: dict[str, dict[tuple[str, str], CommonsenseTriple]] = {
+        obj.object_id: {} for obj in objects
+    }
     for triple in triples:
         mapped = map_scene_triple(triple, objects_by_id, lexicon)
         if mapped is None:
             diagnostics.not_mapped += 1
         else:
-            collected.append(mapped)
+            kept[triple.subject_id].setdefault((mapped.category.text, mapped.tail), mapped)
 
-    collected.extend(cooccurrence_triples(objects))
+    for object_id, near in cooccurrence_triples(objects).items():
+        own = kept[object_id]
+        for triple in near:
+            own.setdefault((triple.category.text, triple.tail), triple)
 
     for region in regions:
         reading = _phrase_reading(region.phrase, lexicon)
@@ -335,17 +334,11 @@ def build_seen(
             for obj in objects_by_lemma.get(tail_noun, ())
         ):
             diagnostics.tail_unmatched += 1
+        own = kept[target.object_id]
         for category, tail in pairs:
-            collected.append(
-                CommonsenseTriple(
-                    head=target,
-                    category=category,
-                    tail=tail,
-                    provenance=Provenance.REGION_PHRASE,
+            if (category.text, tail) not in own:
+                own[category.text, tail] = CommonsenseTriple(
+                    category, tail, Provenance.REGION_PHRASE
                 )
-            )
 
-    deduped: dict[tuple[str, str, str], CommonsenseTriple] = {}
-    for triple in collected:
-        deduped.setdefault(triple.key, triple)
-    return sorted(deduped.values(), key=lambda t: t.key)
+    return {object_id: [own[key] for key in sorted(own)] for object_id, own in kept.items()}

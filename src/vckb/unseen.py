@@ -6,10 +6,11 @@ edges of the six unseen relations with their leaves. The triples are
 deduplicated against the object's seen triples, and finally sorted so that
 tails mentioning other objects' lemmas in the same image rank first.
 
-Names recur across boxes and images, so `build_unseen` ranks each distinct
-name's KB edges once per process and KB (`_ranked_edges`, kept on the
-`KbIndex`); per box it only drops the edges its seen triples duplicate and
-moves the tails that mention another image object to the front. Each
+The triples are returned by object id and hold no head, as the seen layer's
+do. Names recur across boxes and images, so `build_unseen` ranks each
+distinct synset's KB edges once per process and KB (`_ranked_edges`, kept on
+the `KbIndex`); per box it only drops the edges its seen triples duplicate
+and moves the tails that mention another image object to the front. Each
 distinct tail's lemmas are found once too (`_tail_lemmas`, on the lexicon).
 Both memos are cleared when they reach their caps (`_RANKED_MEMO_CAP`,
 `_TAIL_LEMMAS_CAP`). `retrieve_unseen`, `dedup_against_seen` and
@@ -26,7 +27,7 @@ from .seen import CommonsenseTriple, Provenance
 from .taxonomy import CategoryPath
 
 # Distinct keys each memo holds at most; a memo that reaches its cap is
-# cleared. A name's entry holds one reference per ranked edge.
+# cleared. A synset's entry holds one reference per ranked edge.
 _RANKED_MEMO_CAP = 1 << 12
 _TAIL_LEMMAS_CAP = 1 << 16
 
@@ -42,7 +43,7 @@ def make_synset(obj: GroundedObject, lexicon: Lexicon) -> tuple[str, ...]:
 def retrieve_unseen(
     obj: GroundedObject, kb: KbIndex, lexicon: Lexicon
 ) -> list[CommonsenseTriple]:
-    """All KB triples for the object's synset: one lookup per synset form,
+    """All KB triples of the object's synset: one lookup per synset form,
     whose edges carry their unseen leaves.
 
     Duplicates on (category, tail) keep the highest edge weight. Output is
@@ -54,13 +55,7 @@ def retrieve_unseen(
             key = (category.text, tail)
             current = best.get(key)
             if current is None or weight > current.score:
-                best[key] = CommonsenseTriple(
-                    head=obj,
-                    category=category,
-                    tail=tail,
-                    provenance=Provenance.KB_RETRIEVAL,
-                    score=weight,
-                )
+                best[key] = CommonsenseTriple(category, tail, Provenance.KB_RETRIEVAL, weight)
     return [best[key] for key in sorted(best)]
 
 
@@ -93,18 +88,17 @@ def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
 
 def object_aware_sort(
     triples: list[CommonsenseTriple],
+    head: GroundedObject,
     image_lemmas: set[str],
     lexicon: Lexicon,
 ) -> list[CommonsenseTriple]:
-    """Rank triples whose tails mention another image object first.
+    """Rank the head object's triples whose tails mention another image
+    object first.
 
     Stable sort on (mentions-an-image-object DESC, score DESC, tail ASC);
     the head object's own lemma never counts as a mention.
     """
-    if not triples:
-        return []
-    head_lemma = name_keys(triples[0].head.name, lexicon)[0]
-    relevant = image_lemmas - {head_lemma}
+    relevant = image_lemmas - {name_keys(head.name, lexicon)[0]}
 
     def sort_key(triple: CommonsenseTriple):
         mentions = bool(_tail_lemmas(triple.tail, lexicon) & relevant)
@@ -118,25 +112,26 @@ def _ranked_edges(
 ) -> tuple[tuple[CategoryPath, str, float], ...]:
     """The KB's own (leaf, tail, weight) edges of the object's synset, one per
     (leaf, tail), the first of its highest weight kept as `retrieve_unseen`
-    keeps it, ordered by (-weight, tail, leaf text); ranked once per name.
+    keeps it, ordered by (-weight, tail, leaf text); ranked once per synset.
 
     The entry holds the KB's edge tuples, not new ones: a tuple holding an
     enum member is never untracked by the garbage collector, so copies would
     add to every full collection even for a name that is met once.
     """
-    memo = kb._ranked.setdefault(lexicon, {})
-    ranked = memo.get(obj.name)
+    memo = kb._ranked
+    synset = make_synset(obj, lexicon)
+    ranked = memo.get(synset)
     if ranked is None:
         if len(memo) >= _RANKED_MEMO_CAP:
             memo.clear()
         best: dict[tuple[str, str], tuple[CategoryPath, str, float]] = {}
-        for form in make_synset(obj, lexicon):
+        for form in synset:
             for edge in kb.lookup(form):
                 key = (edge[0].text, edge[1])
                 current = best.get(key)
                 if current is None or edge[2] > current[2]:
                     best[key] = edge
-        ranked = memo[obj.name] = tuple(
+        ranked = memo[synset] = tuple(
             sorted(best.values(), key=lambda edge: (-edge[2], edge[1], edge[0].text))
         )
     return ranked
@@ -144,14 +139,15 @@ def _ranked_edges(
 
 def build_unseen(
     objects: list[GroundedObject],
-    seen_by_object: dict[str, list[CommonsenseTriple]],
+    seen: dict[str, list[CommonsenseTriple]],
     kb: KbIndex,
     lexicon: Lexicon,
 ) -> dict[str, list[CommonsenseTriple]]:
-    """Sorted unseen triples per object id for one image: for each object,
-    `object_aware_sort(dedup_against_seen(retrieve_unseen(...), seen), ...)`.
+    """Sorted unseen triples per object id for one image, given its seen
+    triples per object id: for each object, `object_aware_sort(
+    dedup_against_seen(retrieve_unseen(...), seen), ...)`.
 
-    Per box, the name's ranked edges (`_ranked_edges`) are filtered against
+    Per box, the synset's ranked edges (`_ranked_edges`) are filtered against
     the box's seen (relation, tail) pairs, and split stably into the tails
     that mention another image object and the rest. That is the reference's
     order. `retrieve_unseen` orders by (leaf text, tail), and the filter keeps
@@ -164,16 +160,14 @@ def build_unseen(
     kb_retrieval = Provenance.KB_RETRIEVAL
     out: dict[str, list[CommonsenseTriple]] = {}
     for obj in objects:
-        seen_keys = {
-            (t.category.relation.text, t.tail) for t in seen_by_object.get(obj.object_id, ())
-        }
+        seen_keys = {(t.category.relation.text, t.tail) for t in seen.get(obj.object_id, ())}
         relevant = lemmas - {name_keys(obj.name, lexicon)[0]}
         mentioning: list[CommonsenseTriple] = []
         rest: list[CommonsenseTriple] = []
         for category, tail, weight in _ranked_edges(obj, kb, lexicon):
             if (category.relation.text, tail) in seen_keys:
                 continue
-            triple = CommonsenseTriple(obj, category, tail, kb_retrieval, weight)
+            triple = CommonsenseTriple(category, tail, kb_retrieval, weight)
             if relevant and not relevant.isdisjoint(_tail_lemmas(tail, lexicon)):
                 mentioning.append(triple)
             else:

@@ -47,10 +47,8 @@ def keyed_samples(record, config, templates):
     }
 
 
-def make_object(object_id="o1", image_id="img1", name="man", box=(0, 0, 10, 10)):
-    return GroundedObject(
-        object_id=object_id, image_id=image_id, name=name, bbox=BBox(*box)
-    )
+def make_object(object_id="o1", name="man", box=(0, 0, 10, 10)):
+    return GroundedObject(object_id=object_id, name=name, bbox=BBox(*box))
 
 
 def assert_no_child_processes():

@@ -108,9 +108,7 @@ def test_criterion_2_taxonomy_golden_suite(tmp_path):
                 else Provenance.SCENE_TRIPLE
             )
             triples.setdefault(name, []).append(
-                CommonsenseTriple(
-                    head=obj, category=category, tail=tail, provenance=provenance
-                )
+                CommonsenseTriple(category=category, tail=tail, provenance=provenance)
             )
         record = DatasetRecord(
             image_id="img1",
@@ -166,7 +164,7 @@ def test_criterion_4_cooccurrence_property():
             )
             for i in range(n)
         ]
-        triples = cooccurrence_triples(objects)
+        triples = [t for near in cooccurrence_triples(objects).values() for t in near]
         assert len(triples) == n * (n - 1)
         assert all(t.category.text == "/Seen/Space/LocatedNear" for t in triples)
 
@@ -265,7 +263,6 @@ def test_criterion_5_unseen_retrieval_oracle(lexicon):
             man = make_object(name="man")
             triples = [
                 CommonsenseTriple(
-                    head=man,
                     category=parse_category("/Unseen/Action/CapableOf"),
                     tail=tail,
                     provenance=Provenance.KB_RETRIEVAL,
@@ -273,7 +270,7 @@ def test_criterion_5_unseen_retrieval_oracle(lexicon):
                 )
                 for tail in tails
             ]
-            ranked = object_aware_sort(triples, {"man", "car", "dog"}, lexicon)
+            ranked = object_aware_sort(triples, man, {"man", "car", "dog"}, lexicon)
             flags = [("car" in t.tail or "dog" in t.tail) for t in ranked]
             assert flags == sorted(flags, reverse=True)
 
@@ -376,14 +373,12 @@ def test_criterion_8_instruction_format_property():
         obj = make_object("o1", name="man")
         triples = [
             CommonsenseTriple(
-                head=obj, category=seen_cat, tail=f"s{i}",
-                provenance=Provenance.SCENE_TRIPLE,
+                category=seen_cat, tail=f"s{i}", provenance=Provenance.SCENE_TRIPLE
             )
             for i in range(n_seen)
         ] + [
             CommonsenseTriple(
-                head=obj, category=unseen_cat, tail=f"u{i}",
-                provenance=Provenance.KB_RETRIEVAL,
+                category=unseen_cat, tail=f"u{i}", provenance=Provenance.KB_RETRIEVAL
             )
             for i in range(n_unseen)
         ]

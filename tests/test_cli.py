@@ -107,7 +107,7 @@ def test_query_escapes_name_and_tail(tmp_path, capsys):
     category = parse_category("/Seen/Property/HasProperty")
     tails = ["ta\tll\nx", "carriage\rreturn", "back\\slash", "all\\\t\n\r", "plain"]
     car = make_object("o1", name="car")
-    triples = [CommonsenseTriple(car, category, tail, Provenance.SCENE_TRIPLE) for tail in tails]
+    triples = [CommonsenseTriple(category, tail, Provenance.SCENE_TRIPLE) for tail in tails]
     data = tmp_path / "dataset.tsv"
     write_dataset([DatasetRecord("img1", [group_triples(car, triples)])], data)
     argv = ["query", "--data", str(data), "--name", "car", "--category", category.text]
@@ -878,7 +878,7 @@ def test_closed_stdout_is_no_error(tmp_path):
     # command still has lines to write when it finds the pipe closed.
     category = parse_category("/Seen/Space/LocatedNear")
     car = make_object("o1", name="car")
-    triples = [CommonsenseTriple(car, category, f"tail number {i:06d}", Provenance.SCENE_TRIPLE)
+    triples = [CommonsenseTriple(category, f"tail number {i:06d}", Provenance.SCENE_TRIPLE)
                for i in range(10_000)]
     data = tmp_path / "dataset.tsv"
     write_dataset([DatasetRecord("img1", [group_triples(car, triples)])], data)

@@ -31,7 +31,7 @@ from vckb.taxonomy import CategoryPath, Visibility
 from conftest import make_object, write_dataset
 
 
-def triple(obj, category_text, tail, provenance=None, score=0.0):
+def triple(category_text, tail, provenance=None, score=0.0):
     category = parse_category(category_text)
     if provenance is None:
         provenance = (
@@ -39,15 +39,13 @@ def triple(obj, category_text, tail, provenance=None, score=0.0):
             if category_text.startswith("/Unseen")
             else Provenance.SCENE_TRIPLE
         )
-    return CommonsenseTriple(
-        head=obj, category=category, tail=tail, provenance=provenance, score=score
-    )
+    return CommonsenseTriple(category=category, tail=tail, provenance=provenance, score=score)
 
 
 @pytest.fixture
 def sample_records():
-    man = make_object("o1", image_id="img1", name="man", box=(10, 10, 50, 100))
-    car = make_object("o2", image_id="img1", name="car", box=(200, 150, 120, 80))
+    man = make_object("o1", name="man", box=(10, 10, 50, 100))
+    car = make_object("o2", name="car", box=(200, 150, 120, 80))
     records = [
         DatasetRecord(
             image_id="img1",
@@ -55,13 +53,13 @@ def sample_records():
                 group_triples(
                     man,
                     [
-                        triple(man, "/Seen/Space/LocatedNear", "car"),
-                        triple(man, "/Seen/Property/HasProperty", "tall"),
-                        triple(man, "/Unseen/Action/CapableOf", "grow up", score=1.5),
-                        triple(man, "/Unseen/Action/CapableOf", "read book", score=0.5),
+                        triple("/Seen/Space/LocatedNear", "car"),
+                        triple("/Seen/Property/HasProperty", "tall"),
+                        triple("/Unseen/Action/CapableOf", "grow up", score=1.5),
+                        triple("/Unseen/Action/CapableOf", "read book", score=0.5),
                     ],
                 ),
-                group_triples(car, [triple(car, "/Seen/Space/LocatedNear", "man")]),
+                group_triples(car, [triple("/Seen/Space/LocatedNear", "man")]),
             ],
         )
     ]
@@ -116,11 +114,11 @@ def test_round_trip_with_tricky_tails(tmp_path):
             group_triples(
                 obj,
                 [
-                    triple(obj, "/Seen/Property/HasProperty", "tab\there"),
-                    triple(obj, "/Seen/Property/HasProperty", "new\nline"),
-                    triple(obj, "/Seen/Property/HasProperty", "carriage\rreturn"),
-                    triple(obj, "/Seen/Property/HasProperty", "both\\\t\n\r"),
-                    triple(obj, "/Seen/Property/HasProperty", "literal\\t backslash-t"),
+                    triple("/Seen/Property/HasProperty", "tab\there"),
+                    triple("/Seen/Property/HasProperty", "new\nline"),
+                    triple("/Seen/Property/HasProperty", "carriage\rreturn"),
+                    triple("/Seen/Property/HasProperty", "both\\\t\n\r"),
+                    triple("/Seen/Property/HasProperty", "literal\\t backslash-t"),
                 ],
             )
         ],
@@ -278,8 +276,8 @@ def test_stats_distinct_by_name(tmp_path):
     record = DatasetRecord(
         image_id="img1",
         entries=[
-            group_triples(a, [triple(a, "/Seen/Property/HasProperty", "red")]),
-            group_triples(b, [triple(b, "/Seen/Property/HasProperty", "red")]),
+            group_triples(a, [triple("/Seen/Property/HasProperty", "red")]),
+            group_triples(b, [triple("/Seen/Property/HasProperty", "red")]),
         ],
     )
     assert compute_stats([record]).per_category["/Seen/Property/HasProperty"] == 1
@@ -295,12 +293,12 @@ def test_stats_survive_round_trip(sample_records, tmp_path):
 
 def test_query_by_name_and_category(sample_records, lexicon):
     hits = query(sample_records, "man", CategoryPath.SEEN_LOCATED_NEAR, lexicon)
-    assert [t.tail for t in hits] == ["car"]
+    assert [t.tail for _, _, t in hits] == ["car"]
 
 
 def test_query_lemmatizes_argument(sample_records, lexicon):
     hits = query(sample_records, "cars", CategoryPath.SEEN_LOCATED_NEAR, lexicon)
-    assert [t.tail for t in hits] == ["man"]
+    assert [t.tail for _, _, t in hits] == ["man"]
 
 
 def test_query_normalizes_argument(lexicon):
@@ -308,13 +306,35 @@ def test_query_normalizes_argument(lexicon):
     records = [
         DatasetRecord(
             image_id="img1",
-            entries=[group_triples(light, [triple(light, "/Seen/Space/LocatedNear", "road")])],
+            entries=[group_triples(light, [triple("/Seen/Space/LocatedNear", "road")])],
         )
     ]
     hits = query(records, "traffic light", CategoryPath.SEEN_LOCATED_NEAR, lexicon)
-    assert [t.tail for t in hits] == ["road"]
+    assert [t.tail for _, _, t in hits] == ["road"]
     for name in ("Traffic_Light", "  traffic   LIGHTS "):
         assert query(records, name, CategoryPath.SEEN_LOCATED_NEAR, lexicon) == hits
+
+
+def test_query_hits_carry_their_record_image_id(lexicon):
+    # Two records each hold object o1, both named car: the hits tell them
+    # apart only by their records' image ids.
+    records = [
+        DatasetRecord(
+            image_id=image_id,
+            entries=[
+                group_triples(
+                    make_object("o1", name="car"), [triple("/Seen/Property/HasProperty", tail)]
+                )
+            ],
+        )
+        for image_id, tail in (("img1", "red"), ("img2", "blue"))
+    ]
+    hits = query(records, "car", CategoryPath.SEEN_HAS_PROPERTY, lexicon)
+    assert [(image_id, obj.object_id, t.tail) for image_id, obj, t in hits] == [
+        ("img1", "o1", "red"),
+        ("img2", "o1", "blue"),
+    ]
+    assert [obj for _, obj, _ in hits] == [r.entries[0].obj for r in records]
 
 
 def test_query_unknown_name_empty(sample_records, lexicon):
@@ -329,7 +349,7 @@ def test_query_refuses_name_that_normalizes_to_nothing(sample_records, lexicon, 
 
 def test_query_preserves_unseen_order(sample_records, lexicon):
     hits = query(sample_records, "man", CategoryPath.UNSEEN_CAPABLE_OF, lexicon)
-    assert [t.tail for t in hits] == ["grow up", "read book"]
+    assert [t.tail for _, _, t in hits] == ["grow up", "read book"]
 
 
 def _unescape_by_loop(text):
@@ -395,9 +415,9 @@ def _record(fields):
     image_id, objects = fields
     entries = []
     for object_id, (name, box, triples) in objects.items():
-        obj = GroundedObject(object_id, image_id, name, box)
+        obj = GroundedObject(object_id, name, box)
         triples = [
-            triple(obj, category.text, tail, score=score,
+            triple(category.text, tail, score=score,
                    provenance=None if category.visibility is Visibility.UNSEEN else provenance)
             for category, provenance, tail, score in triples
         ]
@@ -463,7 +483,7 @@ def _reference_record(fields, path, line_number):
             raise malformed("object name is empty")
         x, y, w, h = (reader.take_int(what) for what in "xywh")
         try:
-            obj = GroundedObject(object_id, image_id, name, BBox(x, y, w, h))
+            obj = GroundedObject(object_id, name, BBox(x, y, w, h))
         except ValueError as exc:
             raise malformed(str(exc)) from None
         groups = []
@@ -492,7 +512,7 @@ def _reference_record(fields, path, line_number):
                     _check_triple(category, tail, provenance)
                 except ValueError as exc:
                     raise malformed(str(exc)) from None
-                triples.append(CommonsenseTriple(obj, category, tail, provenance, score))
+                triples.append(CommonsenseTriple(category, tail, provenance, score))
             groups.append(CategoryGroup(category, triples))
         entries.append(ObjectEntry(obj, groups))
     if reader.index != len(fields):

@@ -826,12 +826,10 @@ def _reference_scene(text: str, path):
 
 
 def _loaded_scene(images):
-    """Loaded images in `_reference_scene`'s form, each object checked to
-    carry its image's id."""
+    """Loaded images in `_reference_scene`'s form."""
     assert type(images) is list
     loaded = {}
     for entry in images:
-        assert all(obj.image_id == entry.image_id for obj in entry.objects)
         loaded[entry.image_id] = (
             entry.width,
             entry.height,

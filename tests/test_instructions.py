@@ -32,16 +32,12 @@ TEMPLATES = InstructionTemplates.load()
 
 
 def record_with_tails(seen_tails=(), unseen_tails=(), image_id="img1"):
-    obj = make_object("o1", image_id=image_id, name="man", box=(10, 20, 30, 40))
+    obj = make_object("o1", name="man", box=(10, 20, 30, 40))
     triples = [
-        CommonsenseTriple(
-            head=obj, category=SEEN, tail=tail, provenance=Provenance.SCENE_TRIPLE
-        )
+        CommonsenseTriple(category=SEEN, tail=tail, provenance=Provenance.SCENE_TRIPLE)
         for tail in seen_tails
     ] + [
-        CommonsenseTriple(
-            head=obj, category=UNSEEN, tail=tail, provenance=Provenance.KB_RETRIEVAL
-        )
+        CommonsenseTriple(category=UNSEEN, tail=tail, provenance=Provenance.KB_RETRIEVAL)
         for tail in unseen_tails
     ]
     return DatasetRecord(image_id=image_id, entries=[group_triples(obj, triples)])

@@ -81,7 +81,7 @@ MEMOS = {
     "predicates": (
         seen_module, "_PREDICATE_MEMO_CAP", lambda lexicon, kb: lexicon._memo["predicates"]
     ),
-    "ranked": (unseen_module, "_RANKED_MEMO_CAP", lambda lexicon, kb: kb._ranked[lexicon]),
+    "ranked": (unseen_module, "_RANKED_MEMO_CAP", lambda lexicon, kb: kb._ranked),
     "tail_lemmas": (
         unseen_module, "_TAIL_LEMMAS_CAP", lambda lexicon, kb: lexicon._memo["tail_lemmas"]
     ),

@@ -57,13 +57,17 @@ def index(*objects):
     return {obj.object_id: obj for obj in objects}
 
 
+def flat(by_object):
+    """(object id, triple) of each triple of a builder's per-object lists."""
+    return [(object_id, t) for object_id, triples in by_object.items() for t in triples]
+
+
 class TestMapSceneTriple:
     def test_attribute_adjective(self, lexicon, two_objects):
         man, car = two_objects
         mapped = map_scene_triple(attribute("o1", "tall"), index(man, car), lexicon)
         assert mapped.category.text == "/Seen/Property/HasProperty"
         assert mapped.tail == "tall"
-        assert mapped.head is man
         assert mapped.provenance is Provenance.SCENE_TRIPLE
 
     def test_relationship_preposition(self, lexicon, two_objects):
@@ -149,22 +153,22 @@ class TestCooccurrence:
     def test_pair_both_directions(self):
         man = make_object("o1", name="man")
         car = make_object("o2", name="car", box=(20, 0, 5, 5))
-        triples = cooccurrence_triples([man, car])
-        assert {(t.head.object_id, t.tail) for t in triples} == {
+        triples = flat(cooccurrence_triples([man, car]))
+        assert {(object_id, t.tail) for object_id, t in triples} == {
             ("o1", "car"),
             ("o2", "man"),
         }
-        assert all(t.category.text == "/Seen/Space/LocatedNear" for t in triples)
+        assert all(t.category.text == "/Seen/Space/LocatedNear" for _, t in triples)
 
     def test_single_object_empty(self):
-        assert cooccurrence_triples([make_object()]) == []
+        assert flat(cooccurrence_triples([make_object()])) == []
 
     def test_three_distinct_names_six_triples(self):
         objects = [
             make_object(f"o{i}", name=name, box=(i * 20, 0, 5, 5))
             for i, name in enumerate(["man", "car", "dog"], start=1)
         ]
-        triples = cooccurrence_triples(objects)
+        triples = flat(cooccurrence_triples(objects))
         # Brute-force enumeration of ordered pairs.
         expected = {
             (a.object_id, b.name)
@@ -173,11 +177,11 @@ class TestCooccurrence:
             if a is not b and a.name != b.name
         }
         assert len(triples) == 6
-        assert {(t.head.object_id, t.tail) for t in triples} == expected
+        assert {(object_id, t.tail) for object_id, t in triples} == expected
 
     def test_same_name_pairs_suppressed(self):
         men = [make_object(f"o{i}", name="man", box=(i * 20, 0, 5, 5)) for i in (1, 2)]
-        assert cooccurrence_triples(men) == []
+        assert flat(cooccurrence_triples(men)) == []
 
     @given(st.integers(0, 20))
     @settings(max_examples=50)
@@ -186,7 +190,7 @@ class TestCooccurrence:
             make_object(f"o{i}", name=f"name{i}", box=(i * 10, 0, 5, 5))
             for i in range(n)
         ]
-        assert len(cooccurrence_triples(objects)) == n * (n - 1)
+        assert len(flat(cooccurrence_triples(objects))) == n * (n - 1)
 
 
 class TestExtractRegionTriples:
@@ -275,8 +279,8 @@ class TestBuildSeen:
                 bbox=BBox(0, 0, 70, 120),
             )
         ]
-        result = build_seen([man, car], triples, regions, lexicon)
-        assert [(t.head.object_id, t.category.text, t.tail) for t in result] == [
+        result = flat(build_seen([man, car], triples, regions, lexicon))
+        assert [(object_id, t.category.text, t.tail) for object_id, t in result] == [
             ("o1", "/Seen/Action/CapableOf", "run"),
             ("o1", "/Seen/Property/HasProperty", "tall"),
             ("o1", "/Seen/Property/HasProperty", "thin"),
@@ -285,7 +289,7 @@ class TestBuildSeen:
         ]
 
     def test_zero_objects_empty(self, lexicon):
-        assert build_seen([], [], [], lexicon) == []
+        assert flat(build_seen([], [], [], lexicon)) == []
 
     def test_all_seen_and_grounded(self, lexicon):
         man = make_object("o1", name="man", box=(10, 10, 50, 100))
@@ -296,16 +300,15 @@ class TestBuildSeen:
             [],
             lexicon,
         )
-        for triple in result:
+        for _, triple in flat(result):
             assert triple.category.visibility is Visibility.SEEN
-            assert triple.head.image_id == "img1"
             assert triple.tail.strip()
 
     def test_duplicates_keep_first_provenance(self, lexicon):
         man = make_object("o1", name="man", box=(0, 0, 50, 100))
         region = Region(phrase="a tall man", bbox=BBox(0, 0, 60, 110))
         result = build_seen([man], [attribute("o1", "tall")], [region], lexicon)
-        (triple,) = result
+        ((_, triple),) = flat(result)
         assert triple.tail == "tall"
         assert triple.provenance is Provenance.SCENE_TRIPLE
 
@@ -368,7 +371,7 @@ phrases = st.one_of(
 )
 object_lists = st.lists(st.tuples(st.sampled_from(OBJECT_NAMES), object_boxes), max_size=8).map(
     lambda drawn: [
-        GroundedObject(object_id=f"o{i}", image_id="img1", name=name, bbox=box)
+        GroundedObject(object_id=f"o{i}", name=name, bbox=box)
         for i, (name, box) in enumerate(drawn)
     ]
 )
@@ -397,9 +400,9 @@ class TestNamesBeforeGeometry:
     @given(object_lists)
     @settings(max_examples=200)
     def test_cooccurrence_matches_pairwise_loop(self, objects):
-        triples = cooccurrence_triples(objects)
-        assert [(t.head.object_id, t.tail) for t in triples] == reference_cooccurrence(objects)
-        for triple in triples:
+        triples = flat(cooccurrence_triples(objects))
+        assert [(object_id, t.tail) for object_id, t in triples] == reference_cooccurrence(objects)
+        for _, triple in triples:
             assert triple.category is CategoryPath.SEEN_LOCATED_NEAR
             assert triple.provenance is Provenance.CO_OCCURRENCE
             assert triple.score == 0.0
@@ -413,8 +416,9 @@ class TestNamesBeforeGeometry:
         expected, expected_diagnostics = reference_build_seen(
             objects, triples, regions, lexicon, tau
         )
-        got = {obj.object_id: [] for obj in objects}
-        for t in result:
-            got[t.head.object_id].append((t.category.text, t.tail, t.provenance.value))
+        got = {
+            object_id: [(t.category.text, t.tail, t.provenance.value) for t in triples]
+            for object_id, triples in result.items()
+        }
         assert got == expected
         assert diagnostics.as_dict() == expected_diagnostics

@@ -70,39 +70,30 @@ class TestRetrieve:
         assert by_tail["factory"] == 1.0
 
 
-def unseen_triple(obj, tail, score=1.0, category=CategoryPath.UNSEEN_CAPABLE_OF):
+def unseen_triple(tail, score=1.0, category=CategoryPath.UNSEEN_CAPABLE_OF):
     return CommonsenseTriple(
-        head=obj,
-        category=category,
-        tail=tail,
-        provenance=Provenance.KB_RETRIEVAL,
-        score=score,
+        category=category, tail=tail, provenance=Provenance.KB_RETRIEVAL, score=score
     )
 
 
-def seen_triple(obj, tail, category=CategoryPath.SEEN_CAPABLE_OF):
-    return CommonsenseTriple(
-        head=obj, category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE
-    )
+def seen_triple(tail, category=CategoryPath.SEEN_CAPABLE_OF):
+    return CommonsenseTriple(category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE)
 
 
 class TestDedupAgainstSeen:
     def test_exact_duplicate_removed(self, lexicon):
-        man = make_object(name="man")
-        unseen = [unseen_triple(man, "play skateboard")]
-        seen = [seen_triple(man, "play skateboard")]
+        unseen = [unseen_triple("play skateboard")]
+        seen = [seen_triple("play skateboard")]
         assert dedup_against_seen(unseen, seen) == []
 
     def test_non_duplicate_kept(self, lexicon):
-        man = make_object(name="man")
-        unseen = [unseen_triple(man, "grow up")]
-        seen = [seen_triple(man, "play skateboard")]
+        unseen = [unseen_triple("grow up")]
+        seen = [seen_triple("play skateboard")]
         assert dedup_against_seen(unseen, seen) == unseen
 
     def test_same_tail_different_relation_kept(self, lexicon):
-        man = make_object(name="man")
-        unseen = [unseen_triple(man, "hit", category=CategoryPath.UNSEEN_RECEIVES_ACTION)]
-        seen = [seen_triple(man, "hit")]  # CapableOf, not ReceivesAction
+        unseen = [unseen_triple("hit", category=CategoryPath.UNSEEN_RECEIVES_ACTION)]
+        seen = [seen_triple("hit")]  # CapableOf, not ReceivesAction
         assert dedup_against_seen(unseen, seen) == unseen
 
     def test_empty_input(self):
@@ -113,54 +104,54 @@ class TestObjectAwareSort:
     def test_image_object_mention_ranks_first(self, lexicon):
         man = make_object(name="man")
         triples = [
-            unseen_triple(man, "grow up", score=5.0),
+            unseen_triple("grow up", score=5.0),
             unseen_triple(
-                man, "hit by a car", score=1.0, category=CategoryPath.UNSEEN_RECEIVES_ACTION
+                "hit by a car", score=1.0, category=CategoryPath.UNSEEN_RECEIVES_ACTION
             ),
         ]
-        ranked = object_aware_sort(triples, {"man", "car"}, lexicon)
+        ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
         assert ranked[0].tail == "hit by a car"
 
     def test_own_lemma_excluded(self, lexicon):
         man = make_object(name="man")
         triples = [
-            unseen_triple(man, "help a man", score=1.0),
-            unseen_triple(man, "grow up", score=5.0),
+            unseen_triple("help a man", score=1.0),
+            unseen_triple("grow up", score=5.0),
         ]
         # "man" is the head's own lemma, so it is not an image-object mention.
-        ranked = object_aware_sort(triples, {"man"}, lexicon)
+        ranked = object_aware_sort(triples, man, {"man"}, lexicon)
         assert ranked[0].tail == "grow up"
 
     def test_plural_tail_token_matches_image_lemma(self, lexicon):
         man = make_object(name="man")
         triples = [
-            unseen_triple(man, "wash cars", score=0.5),
-            unseen_triple(man, "grow up", score=5.0),
+            unseen_triple("wash cars", score=0.5),
+            unseen_triple("grow up", score=5.0),
         ]
-        ranked = object_aware_sort(triples, {"man", "car"}, lexicon)
+        ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
         assert ranked[0].tail == "wash cars"
 
     def test_no_mentions_order_by_score_then_tail(self, lexicon):
         man = make_object(name="man")
         triples = [
-            unseen_triple(man, "beta", score=1.0),
-            unseen_triple(man, "alpha", score=1.0),
-            unseen_triple(man, "delta", score=3.0),
-            unseen_triple(man, "gamma", score=2.0),
+            unseen_triple("beta", score=1.0),
+            unseen_triple("alpha", score=1.0),
+            unseen_triple("delta", score=3.0),
+            unseen_triple("gamma", score=2.0),
         ]
-        ranked = object_aware_sort(triples, {"man"}, lexicon)
+        ranked = object_aware_sort(triples, man, {"man"}, lexicon)
         assert [t.tail for t in ranked] == ["delta", "gamma", "alpha", "beta"]
 
     def test_empty(self, lexicon):
-        assert object_aware_sort([], set(), lexicon) == []
+        assert object_aware_sort([], make_object(), set(), lexicon) == []
 
     def test_permutation(self, lexicon):
         man = make_object(name="man")
         triples = [
-            unseen_triple(man, tail, score=s)
+            unseen_triple(tail, score=s)
             for tail, s in [("a", 1.0), ("b", 2.0), ("c", 1.0), ("drive a car", 0.0)]
         ]
-        ranked = object_aware_sort(triples, {"man", "car"}, lexicon)
+        ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
         assert sorted(t.tail for t in ranked) == sorted(t.tail for t in triples)
 
     def test_tail_lemmas_tagged_once_and_match_tagger(self, monkeypatch):
@@ -190,11 +181,11 @@ class TestObjectAwareSort:
 
     def test_deterministic(self, lexicon):
         man = make_object(name="man")
-        triples = [unseen_triple(man, t, score=s) for t, s in
+        triples = [unseen_triple(t, score=s) for t, s in
                    [("x", 1.0), ("y", 1.0), ("ride a horse", 2.0)]]
         lemmas = {"man", "horse"}
-        assert object_aware_sort(triples, lemmas, lexicon) == object_aware_sort(
-            triples, lemmas, lexicon
+        assert object_aware_sort(triples, man, lemmas, lexicon) == object_aware_sort(
+            triples, man, lemmas, lexicon
         )
 
 
@@ -255,10 +246,10 @@ def test_retrieve_equals_brute_force(lexicon, edges, name):
 def test_sort_mentions_always_first(lexicon, tails, scores):
     man = make_object(name="man")
     triples = [
-        unseen_triple(man, tail, score=scores[i]) for i, tail in enumerate(tails)
+        unseen_triple(tail, score=scores[i]) for i, tail in enumerate(tails)
     ]
     lemmas = {"man", "car", "dog"}
-    ranked = object_aware_sort(triples, lemmas, lexicon)
+    ranked = object_aware_sort(triples, man, lemmas, lexicon)
     mention_flags = ["car" in t.tail or "dog" in t.tail for t in ranked]
     # All mentioning tails precede all non-mentioning tails.
     assert mention_flags == sorted(mention_flags, reverse=True)
@@ -296,7 +287,7 @@ def unseen_images(draw):
     seen_pairs = st.tuples(st.sampled_from(_SEEN_LEAVES), st.sampled_from(_ORDER_TAILS))
     seen = {
         obj.object_id: [
-            seen_triple(obj, tail, category)
+            seen_triple(tail, category)
             for category, tail in draw(st.lists(seen_pairs, max_size=3))
         ]
         for obj in objects
@@ -321,7 +312,7 @@ def unseen_images(draw):
 @settings(max_examples=300, deadline=None)
 def test_build_unseen_is_the_reference_order(lexicon, edges, images):
     """Per box, `build_unseen` gives retrieval, dedup and object-aware sort's
-    list, scores written alike; images after the first read the per-name
+    list, scores written alike; images after the first read the per-synset
     memo that earlier ones filled."""
     kb = make_kb(edges)
     for objects, seen in images:
@@ -330,6 +321,7 @@ def test_build_unseen_is_the_reference_order(lexicon, edges, images):
         for obj in objects:
             expected = object_aware_sort(
                 dedup_against_seen(retrieve_unseen(obj, kb, lexicon), seen[obj.object_id]),
+                obj,
                 image_lemmas,
                 lexicon,
             )
