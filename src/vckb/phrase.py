@@ -11,11 +11,11 @@ without any external NLP dependency. The grammar recognizes
     NP     := DET* (ADJ | VBG | VBN)* NOUN+
 
 The four patterns are one production, NP (VBG NP? | VBN)? (PREP NP)?, which
-the parser walks once, left to right. Anything else is rejected as
-unparseable rather than guessed. Pre-noun VBN participles are treated like
-adjectives ("a striped shirt"); suffix tagging makes many bare adjectives
-look like participles and rejecting those noun phrases would lose far too
-much.
+the parser walks once, left to right, per distinct tag sequence. Anything
+else is rejected as unparseable rather than guessed. Pre-noun VBN
+participles are treated like adjectives ("a striped shirt"); suffix tagging
+makes many bare adjectives look like participles and rejecting those noun
+phrases would lose far too much.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class PhraseKind(enum.Enum):
     VP_PHRASE = "VP_PHRASE"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerbInfo:
     lemma: str
     surface: str
@@ -72,7 +72,7 @@ class VerbInfo:
     complement: str  # full simplified verbal text, e.g. "hit by a car"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PhraseParse:
     kind: PhraseKind
     root_noun: str
@@ -268,88 +268,89 @@ def _lemma_for(word: str, pos: Pos, lexicon: Lexicon) -> str:
     return word
 
 
+def _token_as(word: str, pos: Pos, memo: dict, lexicon: Lexicon) -> TaggedToken:
+    """The word's token under a tag that is not its provisional one, made on
+    first use and memoized under (word, tag)."""
+    key = (word, pos)
+    token = memo.get(key)
+    if token is None:
+        token = memo[key] = TaggedToken(word, _lemma_for(word, pos, lexicon), pos)
+    return token
+
+
+# The tags after which a word from the adjective set stays an adjective.
+_NOMINAL = (Pos.ADJ, Pos.NOUN, Pos.VBG, Pos.VBN)
+
+
 def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
     """Lowercase, strip punctuation, tag, and lemmatize a phrase.
 
-    Each distinct word is tagged once per lexicon: its provisional tag and
-    its token for each final tag are memoized on the lexicon, so the memo
-    grows with the vocabulary, not with the number of phrases. The tokens
-    are immutable and shared; the returned list is fresh.
+    One right-to-left pass over the merged words tags them. Each distinct
+    word's token under its provisional tag is memoized on the lexicon, keyed
+    by the word; a merged multiword token, and the noun token of an
+    adjective that nothing nominal follows, are memoized under (word, tag)
+    once first used. The memo grows with the vocabulary, not with the number
+    of phrases. The tokens are immutable and shared; the returned list is
+    fresh.
 
     Raises EmptyPhrase when nothing tokenizable remains.
     """
     words = _split_words(phrase)
     if not words:
         raise EmptyPhrase(f"no tokens in phrase: {phrase!r}")
-    words, tags = _merge_multiword(words, lexicon)
-    memo = lexicon._memo.setdefault("tokens", {})
-    for i, word in enumerate(words):
-        if tags[i] is None:
-            pos = memo.get(word)
-            if pos is None:
-                pos = memo[word] = _provisional_pos(word, lexicon)
-            tags[i] = pos
-    # Adjective/noun ambiguity is positional: a word from the adjective set
-    # is an adjective only when something nominal can follow it.
-    for i in range(len(words) - 1, -1, -1):
-        if tags[i] is Pos.ADJ:
-            if i == len(words) - 1 or tags[i + 1] not in (
-                Pos.ADJ,
-                Pos.NOUN,
-                Pos.VBG,
-                Pos.VBN,
-            ):
-                tags[i] = Pos.NOUN
+    words, forced = _merge_multiword(words, lexicon)
+    memo = lexicon._memo.get("words")
+    if memo is None:
+        memo = lexicon._memo["words"] = {}
     tokens = []
-    for key in zip(words, tags):
-        token = memo.get(key)
-        if token is None:
-            word, tag = key
-            token = memo[key] = TaggedToken(word, _lemma_for(word, tag, lexicon), tag)
+    nominal_follows = False
+    for word, pos in zip(reversed(words), reversed(forced)):
+        if pos is None:
+            token = memo.get(word)
+            if token is None:
+                pos = _provisional_pos(word, lexicon)
+                token = memo[word] = TaggedToken(word, _lemma_for(word, pos, lexicon), pos)
+            # Adjective/noun ambiguity is positional: a word from the
+            # adjective set is an adjective only when something nominal
+            # follows it.
+            if token.pos is Pos.ADJ and not nominal_follows:
+                token = _token_as(word, Pos.NOUN, memo, lexicon)
+        else:
+            token = _token_as(word, pos, memo, lexicon)
         tokens.append(token)
+        nominal_follows = token.pos in _NOMINAL
+    tokens.reverse()
     return tokens
 
 
-@dataclass(frozen=True)
-class _NPSpan:
-    end: int
-    det_surface: str | None
-    properties: tuple[str, ...]  # ADJ lemmas and pre-noun VBN surfaces
-    vbg_lemmas: tuple[str, ...]
-    head: str
+_MODIFIERS = (Pos.ADJ, Pos.VBG, Pos.VBN)
 
 
-def _parse_np(tokens: list[TaggedToken], start: int) -> _NPSpan | None:
-    i = start
-    det_surface = None
-    while i < len(tokens) and tokens[i].pos is Pos.DET:
-        if det_surface is None:
-            det_surface = tokens[i].surface
+def _np_walk(tags: tuple[Pos, ...], i: int):
+    """The noun phrase that starts at tags[i], DET* (ADJ | VBG | VBN)* NOUN+,
+    as token indices: (end, first determiner, properties, first VBG, head).
+    Properties are (index, read its surface) pairs: an adjective gives its
+    lemma and a pre-noun VBN its surface. None when no noun follows."""
+    end = len(tags)
+    det = None
+    while i < end and tags[i] is Pos.DET:
+        if det is None:
+            det = i
         i += 1
-    properties: list[str] = []
-    vbg_lemmas: list[str] = []
-    while i < len(tokens) and tokens[i].pos in (Pos.ADJ, Pos.VBG, Pos.VBN):
-        token = tokens[i]
-        if token.pos is Pos.ADJ:
-            properties.append(token.lemma)
-        elif token.pos is Pos.VBN:
-            properties.append(token.surface)
-        else:
-            vbg_lemmas.append(token.lemma)
+    properties = []
+    vbg = None
+    while i < end and (tag := tags[i]) in _MODIFIERS:
+        if tag is not Pos.VBG:
+            properties.append((i, tag is Pos.VBN))
+        elif vbg is None:
+            vbg = i
         i += 1
-    nouns = []
-    while i < len(tokens) and tokens[i].pos is Pos.NOUN:
-        nouns.append(tokens[i])
+    start = i
+    while i < end and tags[i] is Pos.NOUN:
         i += 1
-    if not nouns:
+    if i == start:
         return None
-    return _NPSpan(
-        end=i,
-        det_surface=det_surface,
-        properties=tuple(properties),
-        vbg_lemmas=tuple(vbg_lemmas),
-        head=nouns[-1].lemma,
-    )
+    return i, det, tuple(properties), vbg, i - 1
 
 
 def simplify_np(tokens: list[TaggedToken]) -> str:
@@ -358,10 +359,10 @@ def simplify_np(tokens: list[TaggedToken]) -> str:
     "the yellow car" simplifies to "car". Raises NotAnNP when the span is
     not a single noun phrase.
     """
-    span = _parse_np(list(tokens), 0)
-    if span is None or span.end != len(tokens):
+    span = _np_walk(tuple([token.pos for token in tokens]), 0)
+    if span is None or span[0] != len(tokens):
         raise NotAnNP(" ".join(t.surface for t in tokens))
-    return span.head
+    return tokens[span[4]].lemma
 
 
 def name_keys(name: str, lexicon: Lexicon) -> tuple[str, str]:
@@ -383,52 +384,85 @@ def name_keys(name: str, lexicon: Lexicon) -> tuple[str, str]:
     return keys
 
 
+# Each tag sequence's parse plan (`_plan`), or None for a sequence outside
+# the grammar. Plans depend on the tags alone, and a few sequences cover
+# almost every phrase; the memo is cleared when it reaches its cap.
+_PLAN_CAP = 1 << 12
+_PLANS: dict[tuple[Pos, ...], tuple | None] = {}
+_UNPLANNED = object()
+
+
+def _plan(tags: tuple[Pos, ...]):
+    """One left-to-right walk of NP (VBG NP? | VBN)? (PREP NP)? over the tags,
+    as the token indices a parse reads: (root properties, root's first VBG,
+    root head, verb, preposition, tail head, verb complement), each None
+    where the phrase has none; None when the tags are outside the grammar.
+    Properties and the complement are (index, read its surface) pairs."""
+    root = _np_walk(tags, 0)
+    if root is None:
+        return None
+    end = len(tags)
+    i, _, properties, participle, head = root
+    verb = prep = tail = None
+    complement = []
+    if i < end and tags[i] in (Pos.VBG, Pos.VBN):
+        verb = i
+        complement.append((verb, True))
+        i += 1
+        if tags[verb] is Pos.VBG and i < end and tags[i] is not Pos.PREP:
+            span = _np_walk(tags, i)
+            if span is None:
+                return None
+            i = span[0]
+            complement.append((span[4], False))
+    if i < end:
+        if tags[i] is not Pos.PREP:
+            return None
+        span = _np_walk(tags, i + 1)
+        if span is None or span[0] != end:
+            return None
+        prep, tail = i, span[4]
+        complement.append((prep, True))
+        # Passive agents keep their determiner: "hit by a car".
+        if verb is not None and tags[verb] is Pos.VBN and span[1] is not None:
+            complement.append((span[1], True))
+        complement.append((tail, False))
+    return properties, participle, head, verb, prep, tail, tuple(complement)
+
+
+def _texts(tokens: list[TaggedToken], picks) -> list[str]:
+    """The picked tokens' texts, for (index, read its surface) pairs."""
+    return [tokens[i].surface if surface else tokens[i].lemma for i, surface in picks]
+
+
 def parse_region_phrase(tokens: list[TaggedToken]) -> PhraseParse | None:
     """Parse tagged tokens against the region-phrase grammar.
 
-    One left-to-right walk of ``NP (VBG NP? | VBN)? (PREP NP)?``. Returns
-    None for token sequences outside the grammar; callers count those in
-    their diagnostics and skip the phrase.
+    The tokens' tag sequence is walked once per process (`_plan`) into the
+    indices of the tokens a parse reads, and the parse is filled from the
+    tokens by index. Returns None for token sequences outside the grammar;
+    callers count those in their diagnostics and skip the phrase.
     """
-    tokens = list(tokens)
-    root = _parse_np(tokens, 0)
-    if root is None:
+    tags = tuple([token.pos for token in tokens])
+    plan = _PLANS.get(tags, _UNPLANNED)
+    if plan is _UNPLANNED:
+        if len(_PLANS) >= _PLAN_CAP:
+            _PLANS.clear()
+        plan = _PLANS[tags] = _plan(tags)
+    if plan is None:
         return None
-    end = len(tokens)
-    i = root.end
-    verb = None
-    parts: list[str] = []
-    if i < end and tokens[i].pos in (Pos.VBG, Pos.VBN):
-        verb = tokens[i]
-        parts.append(verb.surface)
-        i += 1
-        if verb.pos is Pos.VBG and i < end and tokens[i].pos is not Pos.PREP:
-            obj = _parse_np(tokens, i)
-            if obj is None:
-                return None
-            parts.append(obj.head)
-            i = obj.end
-    prep = tail = None
-    if i < end:
-        if tokens[i].pos is not Pos.PREP:
-            return None
-        tail = _parse_np(tokens, i + 1)
-        if tail is None or tail.end != end:
-            return None
-        prep = tokens[i].surface
-        parts.append(prep)
-        # Passive agents keep their determiner: "hit by a car".
-        if verb is not None and verb.pos is Pos.VBN and tail.det_surface is not None:
-            parts.append(tail.det_surface)
-        parts.append(tail.head)
-    base = dict(
-        root_noun=root.head,
-        adjectives=root.properties,
-        np_participle=root.vbg_lemmas[0] if root.vbg_lemmas else None,
-    )
+    properties, participle, head, verb, prep, tail, complement = plan
+    root = tokens[head].lemma
+    adjectives = tuple(_texts(tokens, properties))
+    if participle is not None:
+        participle = tokens[participle].lemma
     if verb is not None:
-        info = VerbInfo(verb.lemma, verb.surface, verb.pos, complement=" ".join(parts))
-        return PhraseParse(kind=PhraseKind.VP_PHRASE, verb=info, **base)
-    if tail is not None:
-        return PhraseParse(kind=PhraseKind.PP_PHRASE, prep=prep, tail_head_noun=tail.head, **base)
-    return PhraseParse(kind=PhraseKind.NP, **base)
+        verb = tokens[verb]
+        info = VerbInfo(verb.lemma, verb.surface, verb.pos, " ".join(_texts(tokens, complement)))
+        return PhraseParse(PhraseKind.VP_PHRASE, root, adjectives, participle, verb=info)
+    if prep is not None:
+        return PhraseParse(
+            PhraseKind.PP_PHRASE, root, adjectives, participle, tokens[prep].surface,
+            tokens[tail].lemma,
+        )
+    return PhraseParse(PhraseKind.NP, root, adjectives, participle)

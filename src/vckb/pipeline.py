@@ -144,10 +144,6 @@ def _serve_chunks(
     try:
         for fd in inherited:
             os.close(fd)
-        # What a worker inherits outlives it: frozen, it is left out of the
-        # worker's full collections, which would walk (and so copy) the KB
-        # index's pages.
-        gc.freeze()
         while index := os.read(tasks, 4):
             try:
                 message = pickle.dumps((task(bounds[int.from_bytes(index, "little")]), None), -1)
@@ -176,6 +172,10 @@ def _fork_worker(task: _Task, bounds: list[tuple[int, ...]], workers: list[_Work
             os.close(fd)
         raise
     if pid == 0:
+        # What a worker inherits outlives it: frozen before the worker
+        # allocates anything, it is left out of every collection the worker
+        # runs, which would walk (and so copy) the KB index's pages.
+        gc.freeze()
         # The child keeps only its own two ends: a sibling's task pipe left
         # open here would keep that sibling from seeing its parent go away.
         inherited = [tasks_write, results_read]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import vckb
+import vckb.phrase as phrase_module
 import vckb.seen as seen_module
 import vckb.unseen as unseen_module
 from vckb import Lexicon, build_image_record, build_unseen, load_kb, load_scene_corpus
@@ -85,6 +86,7 @@ MEMOS = {
     "tail_lemmas": (
         unseen_module, "_TAIL_LEMMAS_CAP", lambda lexicon, kb: lexicon._memo["tail_lemmas"]
     ),
+    "plans": (phrase_module, "_PLAN_CAP", lambda lexicon, kb: phrase_module._PLANS),
 }
 
 
@@ -92,6 +94,8 @@ MEMOS = {
 def test_memos_stay_within_their_caps_and_keep_the_bytes(monkeypatch, cap):
     for module, name, _ in MEMOS.values():
         monkeypatch.setattr(module, name, cap)
+    # The plan memo is the process's, not the lexicon's: it starts empty here.
+    monkeypatch.setattr(phrase_module, "_PLANS", {})
     lexicon = Lexicon.default()
     kb = load_kb(KB)
     held = {memo: set() for memo in MEMOS}

@@ -1,3 +1,4 @@
+import gc
 import os
 import signal
 import subprocess
@@ -139,6 +140,54 @@ def test_warm_lexicon_forks_the_cold_bytes(tmp_path, data_dir, monkeypatch):
     export_records(images, warm, tmp_path / "warm.tsv", kb=kb, workers=2)
     export_records(images, Lexicon.default(), tmp_path / "cold.tsv", kb=kb, workers=1)
     assert (tmp_path / "warm.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
+
+
+# The write end of the pipe each forked child reports its first collection
+# on, while a test listens; None otherwise.
+_first_collection_pipe = None
+_fork_hook_registered = False
+
+
+def _listen_for_first_collection():
+    """Runs in each forked child after the at-fork hooks registered before it.
+    The child's first container allocation from here on collects: the young
+    generation's threshold drops to 1 until that collection has reported the
+    freeze count it ran at."""
+    if _first_collection_pipe is None:
+        return
+    thresholds = gc.get_threshold()
+
+    def report(phase, info):
+        if phase == "start":
+            gc.callbacks.remove(report)
+            gc.set_threshold(*thresholds)
+            os.write(_first_collection_pipe, b"%d\n" % gc.get_freeze_count())
+
+    gc.callbacks.append(report)
+    gc.set_threshold(1, *thresholds[1:])
+
+
+def test_workers_freeze_what_they_inherit_before_they_allocate(tmp_path, data_dir, monkeypatch):
+    """A worker's first collection runs once it has frozen the heap it
+    inherited, so no collection it runs walks (and so copies) its parent's
+    objects: from fork on, its first container allocation would collect."""
+    global _first_collection_pipe, _fork_hook_registered
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    images = load_scene_corpus(data_dir / "fixture_scene.tsv")
+    kb = load_kb(data_dir / "fixture_kb.tsv")
+    if not _fork_hook_registered:
+        os.register_at_fork(after_in_child=_listen_for_first_collection)
+        _fork_hook_registered = True
+    read_end, _first_collection_pipe = os.pipe()
+    try:
+        export_records(images, Lexicon.default(), tmp_path / "out.tsv", kb=kb, workers=2)
+    finally:
+        os.close(_first_collection_pipe)
+        _first_collection_pipe = None
+    with os.fdopen(read_end, "rb") as reports:
+        freeze_counts = [int(line) for line in reports]
+    assert len(freeze_counts) == 2  # one first collection per worker
+    assert all(count > 0 for count in freeze_counts), freeze_counts
 
 
 @pytest.mark.parametrize("workers", [0, -3])
