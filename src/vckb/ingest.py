@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -379,16 +380,29 @@ def _validate_integrity(images, path) -> None:
                     )
 
 
+# The unseen leaves in `KB_RELATION_LEAVES` order, and each one's relation
+# label to its index there: the leaf code a `KbIndex` keeps per edge.
+_KB_LEAVES = tuple(KB_RELATION_LEAVES.values())
+_KB_LEAF_CODES = {relation: code for code, relation in enumerate(KB_RELATION_LEAVES)}
+
+
 class KbIndex:
     """KB edges by normalized head name: each head's (leaf, tail, weight)
     edges in file order, the leaf looked up in `taxonomy.KB_RELATION_LEAVES`.
     Rows of a relation without a leaf are not kept, but `len` counts every
     row of the file. Only `load_kb` makes one, so every KB is read by its
-    rules."""
+    rules.
 
-    def __init__(
-        self, by_head: dict[str, tuple[tuple[CategoryPath, str, float], ...]], edge_count: int
-    ):
+    Each head's edges are held as three columns, not as a tuple per edge:
+    leaf codes (indices into `_KB_LEAVES`) as `bytes`, tails as a tuple of
+    the KB's shared name strings, weights as an `array('d')`. So the
+    garbage collector tracks two objects per head (the array and the tuple
+    of columns), not one per edge, and a forked worker that reads a head's
+    edges writes only to the reference counts of its columns and its tail
+    strings. `lookup` zips the columns back into new tuples.
+    """
+
+    def __init__(self, by_head: dict[str, tuple[bytes, tuple[str, ...], array]], edge_count: int):
         self._by_head = by_head
         self._edge_count = edge_count
         # Each synset's ranked edges (`unseen._ranked_edges`), kept here so
@@ -399,9 +413,14 @@ class KbIndex:
         return self._edge_count
 
     def lookup(self, head: str) -> tuple[tuple[CategoryPath, str, float], ...]:
-        """The (leaf, tail, weight) edges of one head in file order; () for a
-        head without edges of the unseen relations."""
-        return self._by_head.get(head, ())
+        """The (leaf, tail, weight) edges of one head in file order, as new
+        tuples of the shared tail strings; () for a head without edges of
+        the unseen relations."""
+        columns = self._by_head.get(head)
+        if columns is None:
+            return ()
+        codes, tails, weights = columns
+        return tuple(zip(map(_KB_LEAVES.__getitem__, codes), tails, weights))
 
 
 def _kb_row_error(fields: list[str], path, line_number: int) -> NoReturn:
@@ -419,11 +438,13 @@ def load_kb(path) -> KbIndex:
     """Load a tab-separated KB edge file in one loop over its lines.
 
     Each row is checked, counted in `len` whatever its relation, and, if its
-    relation is one of the unseen layer's, appended to its head's edges as it
-    is read. Only the names of those rows are normalized: once per distinct
-    raw string, with equal names sharing one string object, so the index
-    holds each distinct head and tail once. The error message is worked out
-    only for a row that fails a check.
+    relation is one of the unseen layer's, its leaf code, tail and weight are
+    appended to its head's one flat list as it is read. Only the names of
+    those rows are normalized: once per distinct raw string, with equal names
+    sharing one string object, so the index holds each distinct head and
+    tail once. The error message is worked out only for a row that fails a
+    check. Once the file is read, each head's list is cut into the index's
+    three columns by slicing it in steps of three.
 
     Raises MalformedRecord (with line number) for a row without three or four
     columns, an empty head, relation or tail, or a weight that is not a
@@ -431,7 +452,7 @@ def load_kb(path) -> KbIndex:
     IoFailure when the file cannot be read.
     """
     by_head: dict[str, list] = {}
-    indexed = KB_RELATION_LEAVES
+    indexed = _KB_LEAF_CODES
     inf = math.inf
     # Raw string -> its name; normalizing is idempotent, so names share the dict.
     names: dict[str, str] = {}
@@ -474,11 +495,17 @@ def load_kb(path) -> KbIndex:
                 raise ValueError
         except ValueError:
             _kb_row_error(fields, path, line_number)
-        by_head.setdefault(head, []).append((indexed[relation], tail, weight))
+        # Not setdefault, which would build a throwaway list on every row.
+        bucket = by_head.get(head)
+        if bucket is None:
+            bucket = by_head[head] = []
+        bucket.append(indexed[relation])
+        bucket.append(tail)
+        bucket.append(weight)
     if count == 0:
         raise EmptyKb(f"no edges in {path}")
-    # Freeze each bucket in place, so that the lists are freed one by one
-    # and never coexist in full with the tuples (KB load sets peak memory).
+    # Replace each bucket in place, so that the lists are freed one by one
+    # and never coexist in full with the columns (KB load sets peak memory).
     for head, bucket in by_head.items():
-        by_head[head] = tuple(bucket)
+        by_head[head] = (bytes(bucket[::3]), tuple(bucket[1::3]), array("d", bucket[2::3]))
     return KbIndex(by_head, count)

@@ -218,6 +218,19 @@ def _receive(worker: _Worker) -> bytearray:
     raise _worker_died(worker)
 
 
+def _hand_out(worker: _Worker, handed_out: int, stop: int) -> int:
+    """Write chunk indices from `handed_out` on to a worker until it holds
+    `_QUEUED_PER_WORKER` or `stop` is reached; return the next index to hand out."""
+    while handed_out < stop and len(worker.queued) < _QUEUED_PER_WORKER:
+        try:
+            os.write(worker.tasks, handed_out.to_bytes(4, "little"))
+        except BrokenPipeError:
+            raise _worker_died(worker) from None
+        worker.queued.append(handed_out)
+        handed_out += 1
+    return handed_out
+
+
 def _forked_results(
     task: _Task, bounds: list[tuple[int, ...]], processes: int
 ) -> Iterator[tuple[list[str], BuildDiagnostics]]:
@@ -229,24 +242,22 @@ def _forked_results(
 
     workers: list[_Worker] = []
     selector = selectors.DefaultSelector()
+    window = processes * _WINDOW_PER_WORKER
+    handed_out = 0
     try:
         for _ in range(processes):
-            workers.append(_fork_worker(task, bounds, workers))
-            selector.register(workers[-1].results, selectors.EVENT_READ, workers[-1])
-        window = processes * _WINDOW_PER_WORKER
+            worker = _fork_worker(task, bounds, workers)
+            workers.append(worker)
+            selector.register(worker.results, selectors.EVENT_READ, worker)
+            # Its first chunks go out now, so it builds while its siblings
+            # are forked.
+            handed_out = _hand_out(worker, handed_out, min(len(bounds), window))
         finished: dict[int, bytearray] = {}
-        handed_out = 0
         for index in range(len(bounds)):
             while index not in finished:
                 stop = min(len(bounds), index + window)
                 for worker in workers:
-                    while handed_out < stop and len(worker.queued) < _QUEUED_PER_WORKER:
-                        try:
-                            os.write(worker.tasks, handed_out.to_bytes(4, "little"))
-                        except BrokenPipeError:
-                            raise _worker_died(worker) from None
-                        worker.queued.append(handed_out)
-                        handed_out += 1
+                    handed_out = _hand_out(worker, handed_out, stop)
                 for key, _ in selector.select():
                     message = _receive(key.data)
                     finished[key.data.queued.pop(0)] = message
@@ -273,8 +284,10 @@ def _chunk_results(
     available, workers forked once `task` is bound compute the chunks: each
     inherits what the task reads, so a chunk is sent as its index alone and
     comes back as a pickle of its lines and diagnostics, over a pipe pair per
-    worker. Indices are handed out as workers answer, and results are put
-    back in order in a reorder window of a fixed number of chunks per worker.
+    worker. Each worker is handed its first indices as soon as it is forked,
+    so it starts before its siblings do, and the rest as workers answer;
+    results are put back in order in a reorder window of a fixed number of
+    chunks per worker.
     A task's exception is raised when its chunk's turn comes; a worker that
     dies raises RuntimeError. Closing this generator, or any exception, kills
     and reaps every worker. Otherwise the calling process does the work.

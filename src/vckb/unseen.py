@@ -110,13 +110,14 @@ def object_aware_sort(
 def _ranked_edges(
     obj: GroundedObject, kb: KbIndex, lexicon: Lexicon
 ) -> tuple[tuple[CategoryPath, str, float], ...]:
-    """The KB's own (leaf, tail, weight) edges of the object's synset, one per
-    (leaf, tail), the first of its highest weight kept as `retrieve_unseen`
-    keeps it, ordered by (-weight, tail, leaf text); ranked once per synset.
+    """The (leaf, tail, weight) edges of the object's synset, one per (leaf,
+    tail), the first of its highest weight kept as `retrieve_unseen` keeps
+    it, ordered by (-weight, tail, leaf text); ranked once per synset.
 
-    The entry holds the KB's edge tuples, not new ones: a tuple holding an
-    enum member is never untracked by the garbage collector, so copies would
-    add to every full collection even for a name that is met once.
+    The entry holds the tuples `KbIndex.lookup` builds from the KB's columns,
+    so each synset's edges are decoded once per process. A tuple holding an
+    enum member is never untracked by the garbage collector, so the memo's
+    cap also bounds the tracked objects its entries add.
     """
     memo = kb._ranked
     synset = make_synset(obj, lexicon)

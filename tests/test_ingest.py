@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 
@@ -517,6 +518,30 @@ def test_kb_index_keeps_only_unseen_relations():
     unseen_leaves = [leaf for leaf in CategoryPath if leaf.visibility is Visibility.UNSEEN]
     for head in ("car", "dog"):
         assert kb.lookup(head) == tuple((leaf, "tail", 1.0) for leaf in unseen_leaves)
+
+
+def test_kb_index_grows_with_heads_not_edges():
+    """Each head's edges are held as columns: once collected, the objects the
+    garbage collector tracks grow by a few per head, not by one per edge."""
+    relations = tuple(KB_RELATION_LEAVES)
+    rows = [
+        KbRow(f"head {h}", relations[n % len(relations)], f"tail {h} {n}", n / 8)
+        for h in range(5)
+        for n in range(300)
+    ]
+    make_kb(rows)  # a first load, so that nothing it sets up once is counted
+    gc.collect()
+    before = len(gc.get_objects())
+    kb = make_kb(rows)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert grown <= 4 * 5 + 16, grown  # one tracked tuple per edge would be 1,500
+    for h in range(5):
+        assert kb.lookup(f"head {h}") == tuple(
+            (KB_RELATION_LEAVES[row.relation], row.tail, row.weight)
+            for row in rows
+            if row.head == f"head {h}"
+        )
 
 
 def test_kb_lookup_keeps_file_order_across_relations(tmp_path):

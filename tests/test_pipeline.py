@@ -261,6 +261,40 @@ def test_write_to_a_dead_worker_is_not_an_os_error(tmp_path, monkeypatch):
     assert_no_child_processes()
 
 
+def test_a_worker_starts_before_its_sibling_is_forked(tmp_path, monkeypatch):
+    """Each worker is handed its first chunks as soon as it is forked, so
+    worker 0 starts one while the parent has yet to fork worker 1."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    log = tmp_path / "started"
+    fork_worker = pipeline._fork_worker
+    came = []
+
+    def fork_once_worker_0_started(task, bounds, workers):
+        if workers:
+            deadline = time.monotonic() + 10
+            while not _started(log) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            came.append(bool(_started(log)))
+        return fork_worker(task, bounds, workers)
+
+    monkeypatch.setattr(pipeline, "_fork_worker", fork_once_worker_0_started)
+    results = list(pipeline._chunk_results(_logging_task(log), [(i,) for i in range(8)], 2))
+    assert [lines for lines, _ in results] == [[str(i)] for i in range(8)]
+    assert came == [True]
+    assert_no_child_processes()
+
+
+def test_a_worker_that_exits_before_its_first_chunk_is_reported(tmp_path, monkeypatch):
+    """Whether its first index finds the pipe closed or its results pipe
+    closes later, a worker gone before it read a chunk raises RuntimeError."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_serve_chunks", lambda *args: os._exit(3))
+    task = _logging_task(tmp_path / "started")
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        list(pipeline._chunk_results(task, [(i,) for i in range(8)], 2))
+    assert_no_child_processes()
+
+
 def _unpicklable_error(bounds):
     raise ValueError(lambda: None)
 
