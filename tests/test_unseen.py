@@ -22,6 +22,11 @@ from vckb.unseen import _tail_lemmas
 from vckb.taxonomy import CategoryPath
 
 from conftest import KbRow, make_kb, make_object
+from unseen_reference import (
+    reference_dedup_against_seen,
+    reference_object_aware_sort,
+    reference_retrieve_unseen,
+)
 
 
 class TestSynset:
@@ -319,8 +324,10 @@ def test_build_unseen_is_the_reference_order(lexicon, edges, images):
         got = build_unseen(objects, seen, kb, lexicon)
         image_lemmas = {name_keys(obj.name, lexicon)[0] for obj in objects}
         for obj in objects:
-            expected = object_aware_sort(
-                dedup_against_seen(retrieve_unseen(obj, kb, lexicon), seen[obj.object_id]),
+            expected = reference_object_aware_sort(
+                reference_dedup_against_seen(
+                    reference_retrieve_unseen(obj, kb, lexicon), seen[obj.object_id]
+                ),
                 obj,
                 image_lemmas,
                 lexicon,
