@@ -13,12 +13,14 @@ from pathlib import Path
 
 from vckb import (
     BBox,
+    CategoryPath,
+    CommonsenseTriple,
     GroundedObject,
     Lexicon,
+    Provenance,
+    build_unseen,
     load_kb,
     make_synset,
-    object_aware_sort,
-    retrieve_unseen,
 )
 
 lexicon = Lexicon.default()
@@ -44,12 +46,18 @@ with tempfile.TemporaryDirectory() as tmp:
 
 print("\nedges of 'man':", [(leaf.text, tail) for leaf, tail, _ in kb.lookup("man")])
 
-triples = retrieve_unseen(man, kb, lexicon)
-print("\nretrieved:")
-for triple in triples:
+# The image holds the men and a car. The men's seen triples, here one from
+# the scene graph, are given by object id, and a KB edge with the same
+# relation and tail ("vote") is dropped. The triples hold no head: they come
+# back under the object's id. The car is in the image, so "hit by a car"
+# outranks everything.
+car = GroundedObject("o2", "car", BBox(60, 40, 40, 30))
+seen = {
+    man.object_id: [
+        CommonsenseTriple(CategoryPath.SEEN_CAPABLE_OF, "vote", Provenance.SCENE_TRIPLE)
+    ]
+}
+unseen = build_unseen([man, car], seen, kb, lexicon)
+print("\nunseen triples of 'men', object-aware order:")
+for triple in unseen[man.object_id]:
     print(f"  ({triple.category.text}, {triple.tail})  weight={triple.score}")
-
-# The triples hold no head: the sort is told whose they are. The image also
-# contains a car, so "hit by a car" outranks everything.
-ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
-print("\nobject-aware order:", [t.tail for t in ranked])

@@ -68,12 +68,6 @@ from .taxonomy import (
     kb_relation_to_category,
     parse_category,
 )
-from .unseen import (
-    build_unseen,
-    dedup_against_seen,
-    make_synset,
-    object_aware_sort,
-    retrieve_unseen,
-)
+from .unseen import build_unseen, make_synset
 
 __version__ = "0.1.0"

@@ -252,23 +252,28 @@ def _read_record(fields: list[str], path, line_number: int) -> DatasetRecord:
 
     One pass reads the line; each group's triple fields are taken at once,
     and a triple's provenance is looked up among those its leaf admits. Every
-    rule is checked as it goes, blank names and `_check_triple`'s rules
-    included. A line that breaks one raises MalformedRecord for its first
-    bad field in field order; the message is worked out only then.
+    rule is checked as it goes, blank ids and names and `_check_triple`'s
+    rules included. A line that breaks one raises MalformedRecord for its
+    first bad field in field order; the message is worked out only then.
     """
     end = len(fields)
     image_id = fields[0]
+    if not image_id.strip():
+        raise MalformedRecord(path, line_number, "image id is empty")
     object_count = _count(fields, 1, "object count", path, line_number)
     i = 2
     entries = []
     for _ in range(object_count):
+        if i >= end:
+            raise MalformedRecord(path, line_number, "missing field: object_id")
+        object_id = fields[i]
+        if not object_id.strip():  # the scene loader's messages
+            raise MalformedRecord(path, line_number, "object id is empty")
         try:
             name = _unescape(fields[i + 1])
         except IndexError:
-            missing = "name" if i < end else "object_id"
-            raise MalformedRecord(path, line_number, f"missing field: {missing}") from None
-        object_id = fields[i]
-        if not name.strip():  # the scene loader's message
+            raise MalformedRecord(path, line_number, "missing field: name") from None
+        if not name.strip():
             raise MalformedRecord(path, line_number, "object name is empty")
         # Each coordinate is checked for a negative value before BBox is.
         x = _count(fields, i + 2, "x", path, line_number)

@@ -273,6 +273,8 @@ def load_scene_corpus(path) -> list[ImageEntry]:
         if len(fields) > 1 and fields[1] != image_id:
             state = images.get(fields[1])
             if state is None:
+                if not fields[1].strip():
+                    raise MalformedRecord(path, line_number, "image id is empty")
                 state = images[fields[1]] = (ImageEntry(fields[1]), {}, [])
             entry, object_lines, triple_lines = state
             image_id = entry.image_id
@@ -281,6 +283,8 @@ def load_scene_corpus(path) -> list[ImageEntry]:
             if len(fields) != 8:
                 raise MalformedRecord(path, line_number, "O record needs 7 fields")
             _, _, object_id, raw_name, x, y, w, h = fields
+            if not object_id.strip():
+                raise MalformedRecord(path, line_number, "object id is empty")
             try:
                 bbox = BBox(int(x), int(y), int(w), int(h))
             except ValueError:

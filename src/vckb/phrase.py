@@ -268,12 +268,20 @@ def _lemma_for(word: str, pos: Pos, lexicon: Lexicon) -> str:
     return word
 
 
+# Distinct keys the word memo (`tokenize_and_tag`) and the name memo
+# (`name_keys`) hold at most; a memo that reaches its cap is cleared.
+_WORDS_MEMO_CAP = 1 << 16
+_NAMES_MEMO_CAP = 1 << 16
+
+
 def _token_as(word: str, pos: Pos, memo: dict, lexicon: Lexicon) -> TaggedToken:
     """The word's token under a tag that is not its provisional one, made on
     first use and memoized under (word, tag)."""
     key = (word, pos)
     token = memo.get(key)
     if token is None:
+        if len(memo) >= _WORDS_MEMO_CAP:
+            memo.clear()
         token = memo[key] = TaggedToken(word, _lemma_for(word, pos, lexicon), pos)
     return token
 
@@ -290,8 +298,8 @@ def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
     by the word; a merged multiword token, and the noun token of an
     adjective that nothing nominal follows, are memoized under (word, tag)
     once first used. The memo grows with the vocabulary, not with the number
-    of phrases. The tokens are immutable and shared; the returned list is
-    fresh.
+    of phrases, and is cleared when it reaches its cap. The tokens are
+    immutable and shared; the returned list is fresh.
 
     Raises EmptyPhrase when nothing tokenizable remains.
     """
@@ -308,6 +316,8 @@ def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
         if pos is None:
             token = memo.get(word)
             if token is None:
+                if len(memo) >= _WORDS_MEMO_CAP:
+                    memo.clear()
                 pos = _provisional_pos(word, lexicon)
                 token = memo[word] = TaggedToken(word, _lemma_for(word, pos, lexicon), pos)
             # Adjective/noun ambiguity is positional: a word from the
@@ -370,11 +380,16 @@ def name_keys(name: str, lexicon: Lexicon) -> tuple[str, str]:
 
     "yellow cars" keys as ("yellow car", "car"); a name that is not one noun
     phrase keeps its lemma as its head. Each distinct name is keyed once per
-    lexicon, and every layer that matches objects by name reads these keys.
+    lexicon, until the memo is cleared at its cap, and every layer that
+    matches objects by name reads these keys.
     """
-    memo = lexicon._memo.setdefault("names", {})
+    memo = lexicon._memo.get("names")
+    if memo is None:
+        memo = lexicon._memo["names"] = {}
     keys = memo.get(name)
     if keys is None:
+        if len(memo) >= _NAMES_MEMO_CAP:
+            memo.clear()
         lemma = lemmatize(name, lexicon)
         try:
             head = simplify_np(tokenize_and_tag(name, lexicon))

@@ -139,7 +139,9 @@ def _predicate_reading(text: str, lexicon: Lexicon) -> tuple[CategoryPath | None
     """A predicate or attribute text's words without copulas and the seen leaf
     of the first of them that maps to one (None if none does), as (leaf,
     words joined by spaces); read once per distinct text."""
-    memo = lexicon._memo.setdefault("predicates", {})
+    memo = lexicon._memo.get("predicates")
+    if memo is None:
+        memo = lexicon._memo["predicates"] = {}
     reading = memo.get(text)
     if reading is None:
         if len(memo) >= _PREDICATE_MEMO_CAP:
@@ -221,7 +223,9 @@ def _phrase_reading(
     (None unless it is a prepositional phrase), and the (leaf, tail) pairs
     `extract_region_triples` gives it; None when the phrase has no tokens or
     the grammar rejects it. Read once per distinct text."""
-    memo = lexicon._memo.setdefault("phrases", {})
+    memo = lexicon._memo.get("phrases")
+    if memo is None:
+        memo = lexicon._memo["phrases"] = {}
     reading = memo.get(phrase, _UNREAD)
     if reading is _UNREAD:
         if len(memo) >= _PHRASE_MEMO_CAP:

@@ -1,10 +1,11 @@
-"""Builders for inferred (unseen) commonsense triples of one object.
+"""The inferred (unseen) commonsense triples of an image's objects.
 
-Object names expand into synsets of surface and lemma (`phrase.name_keys`).
-Each form is looked up once in the external KB, whose index holds each head's
-edges of the six unseen relations with their leaves. The triples are
-deduplicated against the object's seen triples, and finally sorted so that
-tails mentioning other objects' lemmas in the same image rank first.
+An object name's synset is its surface name and its lemma
+(`phrase.name_keys`). Each form is looked up in the external KB, whose index
+holds each head's edges of the six unseen relations with their leaves. An
+object's triples are its synset's edges, one per (leaf, tail), less those
+whose (relation, tail) one of its seen triples has; the tails that mention
+another object of the image come first.
 
 The triples are returned by object id and hold no head, as the seen layer's
 do. Names recur across boxes and images, so `build_unseen` ranks each
@@ -13,8 +14,7 @@ the `KbIndex`); per box it only drops the edges its seen triples duplicate
 and moves the tails that mention another image object to the front. Each
 distinct tail's lemmas are found once too (`_tail_lemmas`, on the lexicon).
 Both memos are cleared when they reach their caps (`_RANKED_MEMO_CAP`,
-`_TAIL_LEMMAS_CAP`). `retrieve_unseen`, `dedup_against_seen` and
-`object_aware_sort` do the same steps for one box, and are its reference.
+`_TAIL_LEMMAS_CAP`).
 """
 
 from __future__ import annotations
@@ -40,38 +40,13 @@ def make_synset(obj: GroundedObject, lexicon: Lexicon) -> tuple[str, ...]:
     return tuple(dict.fromkeys(form for form in (surface, lemma) if form))
 
 
-def retrieve_unseen(
-    obj: GroundedObject, kb: KbIndex, lexicon: Lexicon
-) -> list[CommonsenseTriple]:
-    """All KB triples of the object's synset: one lookup per synset form,
-    whose edges carry their unseen leaves.
-
-    Duplicates on (category, tail) keep the highest edge weight. Output is
-    ordered by (category, tail); callers re-rank with object_aware_sort.
-    """
-    best: dict[tuple[str, str], CommonsenseTriple] = {}
-    for form in make_synset(obj, lexicon):
-        for category, tail, weight in kb.lookup(form):
-            key = (category.text, tail)
-            current = best.get(key)
-            if current is None or weight > current.score:
-                best[key] = CommonsenseTriple(category, tail, Provenance.KB_RETRIEVAL, weight)
-    return [best[key] for key in sorted(best)]
-
-
-def dedup_against_seen(
-    unseen: list[CommonsenseTriple], seen: list[CommonsenseTriple]
-) -> list[CommonsenseTriple]:
-    """Drop unseen triples whose (relation, tail) duplicates a seen triple."""
-    seen_keys = {(t.category.relation.text, t.tail) for t in seen}
-    return [t for t in unseen if (t.category.relation.text, t.tail) not in seen_keys]
-
-
 def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
     # Tails recur across objects and images, so each distinct tail is tagged
     # once. Each frozenset is a new object, so the memo grows with every
     # distinct tail sorted until it reaches its cap.
-    memo = lexicon._memo.setdefault("tail_lemmas", {})
+    memo = lexicon._memo.get("tail_lemmas")
+    if memo is None:
+        memo = lexicon._memo["tail_lemmas"] = {}
     lemmas = memo.get(tail)
     if lemmas is None:
         if len(memo) >= _TAIL_LEMMAS_CAP:
@@ -86,33 +61,13 @@ def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
     return lemmas
 
 
-def object_aware_sort(
-    triples: list[CommonsenseTriple],
-    head: GroundedObject,
-    image_lemmas: set[str],
-    lexicon: Lexicon,
-) -> list[CommonsenseTriple]:
-    """Rank the head object's triples whose tails mention another image
-    object first.
-
-    Stable sort on (mentions-an-image-object DESC, score DESC, tail ASC);
-    the head object's own lemma never counts as a mention.
-    """
-    relevant = image_lemmas - {name_keys(head.name, lexicon)[0]}
-
-    def sort_key(triple: CommonsenseTriple):
-        mentions = bool(_tail_lemmas(triple.tail, lexicon) & relevant)
-        return (0 if mentions else 1, -triple.score, triple.tail)
-
-    return sorted(triples, key=sort_key)
-
-
 def _ranked_edges(
     obj: GroundedObject, kb: KbIndex, lexicon: Lexicon
 ) -> tuple[tuple[CategoryPath, str, float], ...]:
     """The (leaf, tail, weight) edges of the object's synset, one per (leaf,
-    tail), the first of its highest weight kept as `retrieve_unseen` keeps
-    it, ordered by (-weight, tail, leaf text); ranked once per synset.
+    tail), ordered by (-weight, tail, leaf text); ranked once per synset.
+    Of the edges of one (leaf, tail), the first of the highest weight is
+    kept, forms in synset order and each form's edges in file order.
 
     The entry holds the tuples `KbIndex.lookup` builds from the KB's columns,
     so each synset's edges are decoded once per process. A tuple holding an
@@ -145,17 +100,13 @@ def build_unseen(
     lexicon: Lexicon,
 ) -> dict[str, list[CommonsenseTriple]]:
     """Sorted unseen triples per object id for one image, given its seen
-    triples per object id: for each object, `object_aware_sort(
-    dedup_against_seen(retrieve_unseen(...), seen), ...)`.
+    triples per object id.
 
     Per box, the synset's ranked edges (`_ranked_edges`) are filtered against
     the box's seen (relation, tail) pairs, and split stably into the tails
-    that mention another image object and the rest. That is the reference's
-    order. `retrieve_unseen` orders by (leaf text, tail), and the filter keeps
-    that order, so the stable sort on (mention, -score, tail) breaks its ties
-    by leaf text: the order is (mention, -score, tail, leaf text). The ranked
-    edges are in (-score, tail, leaf text) order, which a stable split by
-    mention turns into the same order.
+    that mention another image object's lemma and the rest; the box's own
+    lemma is no mention. Each part stays in (-weight, tail, leaf text)
+    order.
     """
     lemmas = {name_keys(obj.name, lexicon)[0] for obj in objects}
     kb_retrieval = Provenance.KB_RETRIEVAL

@@ -241,6 +241,18 @@ _MAN = "img2\t1\to1\tman\t0\t0\t5\t5\t"
         pytest.param(_MAN + "1\t/Unseen/Action/CapableOf\t1\tgrow up\tco_occurrence\tnan",
                      "score must be a finite, non-negative number: 'nan'",
                      id="nan-score-before-provenance-mismatch"),
+        # Ids that are empty or blank, and named before any later bad field.
+        pytest.param("\t0", "image id is empty", id="blank-image-id-empty"),
+        pytest.param(" \t0", "image id is empty", id="blank-image-id-space"),
+        pytest.param(" \tx", "image id is empty", id="blank-image-id-before-bad-count"),
+        pytest.param("img2\t1\t\tman\t0\t0\t5\t5\t0", "object id is empty",
+                     id="blank-object-id-empty"),
+        pytest.param("img2\t1\t \tman\t0\t0\t5\t5\t0", "object id is empty",
+                     id="blank-object-id-space"),
+        pytest.param("img2\t1\t", "object id is empty",
+                     id="blank-object-id-before-missing-field"),
+        pytest.param("img2\t1\t \t ", "object id is empty",
+                     id="blank-object-id-before-blank-name"),
     ],
 )
 def test_dataset_reader_rejects_malformed_line(tmp_path, record, message):
@@ -475,9 +487,13 @@ def _reference_record(fields, path, line_number):
 
     rank_of = {category: rank for rank, category in enumerate(CategoryPath)}
     image_id = reader.take("image_id")
+    if not image_id.strip():
+        raise malformed("image id is empty")
     entries = []
     for _ in range(reader.take_int("object count")):
         object_id = reader.take("object_id")
+        if not object_id.strip():
+            raise malformed("object id is empty")
         name = _unescape(reader.take("name"))
         if not name.strip():
             raise malformed("object name is empty")
@@ -544,7 +560,8 @@ def _leaves_of_line(fields, kinds, at):
 # that gives them. They give counts off by one, negative, zero and
 # non-integer counts and coordinates, unknown leaves and provenances, leaves
 # repeated, out of order or of the other visibility, scores that are no
-# weight, and names and tails that are empty or blank once unescaped.
+# weight, ids that are empty or blank, and names and tails that are empty or
+# blank once unescaped.
 _REWRITES = {
     "count off by one": ("count", _off_by_one),
     "bad count": ("count", ["-1", "x", "1.5", ""]),
@@ -559,6 +576,8 @@ _REWRITES = {
     "not a number": ("score", ["x", "", "1,5"]),
     "blank tail": ("tail", ["", " ", "\\t", "\\n\\r"]),
     "blank name": ("name", ["", " ", "\\t"]),
+    "blank image id": ("image_id", ["", " "]),
+    "blank object id": ("object_id", ["", " "]),
 }
 # Fields dropped, inserted, swapped or appended take one of these.
 _ANY_FIELD = st.sampled_from(

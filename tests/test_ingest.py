@@ -77,10 +77,15 @@ def test_malformed_record_reports_line(tmp_path):
         ("T\timg1\tX\to1\tis\ttall", "unknown triple kind 'X'"),
         ("R\timg1\t0\t0\t5\t5", "R record needs 6 fields"),
         ("R\timg1\t0\t0\t5\t5\t  ", "region phrase is empty"),
+        ("O\timg1\t\tcar\t0\t0\t5\t5", "object id is empty"),
+        ("O\timg1\t \tcar\t0\t0\t5\t5", "object id is empty"),
+        ("O\t\to2\tcar\t0\t0\t5\t5", "image id is empty"),
+        ("T\t \tA\to1\tis\ttall", "image id is empty"),
     ],
     ids=[
         "coordinate-not-integer", "i-field-count", "empty-object-name",
         "t-field-count", "unknown-triple-kind", "r-field-count", "empty-region-phrase",
+        "empty-object-id", "blank-object-id", "empty-image-id", "blank-image-id",
     ],
 )
 def test_scene_reader_rejects_malformed_line(tmp_path, line, message):
@@ -676,12 +681,14 @@ _SCENE_TEXT = st.text(
     | st.characters(codec="utf-8", exclude_characters="\t\n\r"),
     max_size=6,
 )
+# Ids that are not blank once stripped.
+_SCENE_IDS = _SCENE_TEXT.filter(str.strip)
 # Field text that still has a word once normalized or stripped.
 _SCENE_WORDS = st.builds("{}{}{}".format, _SCENE_TEXT, st.sampled_from(["car", "Man", "x"]), _SCENE_TEXT)
 _IMAGE_FIELDS = st.tuples(
     st.sampled_from([None, "", "\t100\t100"]),  # no I record, or one without or with a size
     st.dictionaries(  # object id -> name, box
-        _SCENE_TEXT,
+        _SCENE_IDS,
         st.tuples(_SCENE_WORDS, st.tuples(*(st.integers(low, 50) for low in (0, 0, 1, 1)))),
         min_size=1, max_size=3,
     ),
@@ -713,7 +720,7 @@ def _scene_lines(fields):
 
 
 _SCENES = st.tuples(
-    st.dictionaries(_SCENE_TEXT, _IMAGE_FIELDS, min_size=1, max_size=2),
+    st.dictionaries(_SCENE_IDS, _IMAGE_FIELDS, min_size=1, max_size=2),
     st.lists(st.sampled_from(["", "  "]), max_size=2),
     st.randoms(use_true_random=False),
 ).map(_scene_lines)
@@ -740,8 +747,10 @@ def _reference_scene(text: str, path):
     MalformedRecord, DanglingReference or EmptyCorpus that the file must
     raise.
 
-    Lines are split as in `_reference_kb`. A record's first field names its
-    kind (I, O, T or R) and its field count is checked first. Each box is
+    Lines are split as in `_reference_kb`. A line's second field is its image
+    id, which must not be blank once stripped; that is checked first. A
+    record's first field names its kind (I, O, T or R) and its field count
+    is checked next. An object id must not be blank either. Each box is
     four integers, with a positive size, then a non-negative origin. Object
     names, predicates and attribute text are normalized names; an object name
     and a region phrase must be non-empty. Once every line is read, each
@@ -784,6 +793,8 @@ def _reference_scene(text: str, path):
         if not line.strip():
             continue
         fields = line.split("\t")
+        if len(fields) > 1 and not fields[1].strip():
+            raise MalformedRecord(path, line_number, "image id is empty")
         kind = fields[0]
         if kind not in shapes:
             raise MalformedRecord(path, line_number, f"unknown record type {kind!r}")
@@ -805,6 +816,8 @@ def _reference_scene(text: str, path):
                     raise MalformedRecord(path, line_number, "image size must be positive")
                 sizes[image_id] = (width, height)
         elif kind == "O":
+            if not fields[2].strip():
+                raise MalformedRecord(path, line_number, "object id is empty")
             object_box = box(fields[4:8], line_number)
             if not name(fields[3]):
                 raise MalformedRecord(path, line_number, "object name is empty")
@@ -963,12 +976,15 @@ _MUTATED_SCENE = [
         (1, "repeat", 0, "", MalformedRecord, "duplicate I record for 'img1'"),
         (2, "set", 3, "ghost", DanglingReference, "triple subject 'ghost' not in image 'img1'"),
         (4, "set", 5, "ghost", DanglingReference, "triple object 'ghost' not in image 'img1'"),
+        (0, "set", 2, "", MalformedRecord, "object id is empty"),
+        (3, "set", 1, " ", MalformedRecord, "image id is empty"),
     ],
     ids=[
         "coordinate-x", "region-coordinate-x", "zero-width", "negative-origin",
         "box-overflows-image", "unknown-triple-kind", "blank-name", "blank-phrase",
         "o-field-count", "i-field-count", "t-field-count", "r-field-count",
         "duplicate-object-id", "duplicate-i-record", "dangling-subject", "dangling-object",
+        "blank-object-id", "blank-image-id",
     ],
 )
 def test_scene_load_agrees_with_reference_on_each_bad_line(

@@ -87,6 +87,8 @@ MEMOS = {
         unseen_module, "_TAIL_LEMMAS_CAP", lambda lexicon, kb: lexicon._memo["tail_lemmas"]
     ),
     "plans": (phrase_module, "_PLAN_CAP", lambda lexicon, kb: phrase_module._PLANS),
+    "words": (phrase_module, "_WORDS_MEMO_CAP", lambda lexicon, kb: lexicon._memo["words"]),
+    "names": (phrase_module, "_NAMES_MEMO_CAP", lambda lexicon, kb: lexicon._memo["names"]),
 }
 
 

@@ -1,18 +1,14 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vckb import (
-    BBox,
     Lexicon,
     Provenance,
     Visibility,
     build_unseen,
-    dedup_against_seen,
     kb_relation_to_category,
     load_kb,
     make_synset,
-    object_aware_sort,
-    retrieve_unseen,
 )
 import vckb.unseen as unseen_module
 from vckb.errors import EmptyPhrase
@@ -41,10 +37,16 @@ class TestSynset:
         assert make_synset(make_object(name="men"), lexicon) == ("men", "man")
 
 
+def unseen_of(obj, kb, lexicon, seen=(), others=()):
+    """`build_unseen`'s list for obj, in an image that also holds others,
+    given obj's seen triples."""
+    return build_unseen([obj, *others], {obj.object_id: list(seen)}, kb, lexicon)[obj.object_id]
+
+
 class TestRetrieve:
     def test_car_retrieves_in_scope_relations(self, lexicon, toy_kb):
         kb = load_kb(toy_kb)
-        triples = retrieve_unseen(make_object(name="car"), kb, lexicon)
+        triples = unseen_of(make_object(name="car"), kb, lexicon)
         assert {(t.category.text, t.tail) for t in triples} == {
             ("/Unseen/Action/UsedFor", "drive to work"),
             ("/Unseen/Property/CreatedBy", "factory"),
@@ -55,109 +57,91 @@ class TestRetrieve:
 
     def test_no_matching_head(self, lexicon, toy_kb):
         kb = load_kb(toy_kb)
-        assert retrieve_unseen(make_object(name="tree"), kb, lexicon) == []
+        assert unseen_of(make_object(name="tree"), kb, lexicon) == []
 
     def test_out_of_scope_relation_excluded(self, lexicon, toy_kb):
         kb = load_kb(toy_kb)
-        triples = retrieve_unseen(make_object(name="car"), kb, lexicon)
+        triples = unseen_of(make_object(name="car"), kb, lexicon)
         assert "garage" not in {t.tail for t in triples}  # AtLocation filtered
 
     def test_plural_name_retrieves_via_lemma(self, lexicon, toy_kb):
         kb = load_kb(toy_kb)
-        triples = retrieve_unseen(make_object(name="cars"), kb, lexicon)
+        triples = unseen_of(make_object(name="cars"), kb, lexicon)
         assert {t.tail for t in triples} == {"drive to work", "factory"}
 
     def test_score_is_edge_weight(self, lexicon, toy_kb):
         kb = load_kb(toy_kb)
-        triples = retrieve_unseen(make_object(name="car"), kb, lexicon)
+        triples = unseen_of(make_object(name="car"), kb, lexicon)
         by_tail = {t.tail: t.score for t in triples}
         assert by_tail["drive to work"] == 2.0
         assert by_tail["factory"] == 1.0
-
-
-def unseen_triple(tail, score=1.0, category=CategoryPath.UNSEEN_CAPABLE_OF):
-    return CommonsenseTriple(
-        category=category, tail=tail, provenance=Provenance.KB_RETRIEVAL, score=score
-    )
 
 
 def seen_triple(tail, category=CategoryPath.SEEN_CAPABLE_OF):
     return CommonsenseTriple(category=category, tail=tail, provenance=Provenance.SCENE_TRIPLE)
 
 
+def man_kb(*edges, relation="CapableOf"):
+    """A KB of "man" edges of one relation, each a (tail, weight)."""
+    return make_kb([KbRow("man", relation, tail, weight) for tail, weight in edges])
+
+
 class TestDedupAgainstSeen:
     def test_exact_duplicate_removed(self, lexicon):
-        unseen = [unseen_triple("play skateboard")]
+        kb = man_kb(("play skateboard", 1.0))
         seen = [seen_triple("play skateboard")]
-        assert dedup_against_seen(unseen, seen) == []
+        assert unseen_of(make_object(name="man"), kb, lexicon, seen) == []
 
     def test_non_duplicate_kept(self, lexicon):
-        unseen = [unseen_triple("grow up")]
+        kb = man_kb(("grow up", 1.0))
         seen = [seen_triple("play skateboard")]
-        assert dedup_against_seen(unseen, seen) == unseen
+        triples = unseen_of(make_object(name="man"), kb, lexicon, seen)
+        assert [t.tail for t in triples] == ["grow up"]
 
     def test_same_tail_different_relation_kept(self, lexicon):
-        unseen = [unseen_triple("hit", category=CategoryPath.UNSEEN_RECEIVES_ACTION)]
+        kb = man_kb(("hit", 1.0), relation="ReceivesAction")
         seen = [seen_triple("hit")]  # CapableOf, not ReceivesAction
-        assert dedup_against_seen(unseen, seen) == unseen
-
-    def test_empty_input(self):
-        assert dedup_against_seen([], []) == []
+        triples = unseen_of(make_object(name="man"), kb, lexicon, seen)
+        assert [(t.category, t.tail) for t in triples] == [
+            (CategoryPath.UNSEEN_RECEIVES_ACTION, "hit")
+        ]
 
 
 class TestObjectAwareSort:
     def test_image_object_mention_ranks_first(self, lexicon):
-        man = make_object(name="man")
-        triples = [
-            unseen_triple("grow up", score=5.0),
-            unseen_triple(
-                "hit by a car", score=1.0, category=CategoryPath.UNSEEN_RECEIVES_ACTION
-            ),
-        ]
-        ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
+        kb = make_kb(
+            [KbRow("man", "CapableOf", "grow up", 5.0),
+             KbRow("man", "ReceivesAction", "hit by a car", 1.0)]
+        )
+        car = make_object(object_id="o2", name="car")
+        ranked = unseen_of(make_object(name="man"), kb, lexicon, others=[car])
         assert ranked[0].tail == "hit by a car"
 
     def test_own_lemma_excluded(self, lexicon):
-        man = make_object(name="man")
-        triples = [
-            unseen_triple("help a man", score=1.0),
-            unseen_triple("grow up", score=5.0),
-        ]
+        kb = man_kb(("help a man", 1.0), ("grow up", 5.0))
         # "man" is the head's own lemma, so it is not an image-object mention.
-        ranked = object_aware_sort(triples, man, {"man"}, lexicon)
+        ranked = unseen_of(make_object(name="man"), kb, lexicon)
         assert ranked[0].tail == "grow up"
 
     def test_plural_tail_token_matches_image_lemma(self, lexicon):
-        man = make_object(name="man")
-        triples = [
-            unseen_triple("wash cars", score=0.5),
-            unseen_triple("grow up", score=5.0),
-        ]
-        ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
+        kb = man_kb(("wash cars", 0.5), ("grow up", 5.0))
+        car = make_object(object_id="o2", name="car")
+        ranked = unseen_of(make_object(name="man"), kb, lexicon, others=[car])
         assert ranked[0].tail == "wash cars"
 
     def test_no_mentions_order_by_score_then_tail(self, lexicon):
-        man = make_object(name="man")
-        triples = [
-            unseen_triple("beta", score=1.0),
-            unseen_triple("alpha", score=1.0),
-            unseen_triple("delta", score=3.0),
-            unseen_triple("gamma", score=2.0),
-        ]
-        ranked = object_aware_sort(triples, man, {"man"}, lexicon)
+        kb = man_kb(("beta", 1.0), ("alpha", 1.0), ("delta", 3.0), ("gamma", 2.0))
+        ranked = unseen_of(make_object(name="man"), kb, lexicon)
         assert [t.tail for t in ranked] == ["delta", "gamma", "alpha", "beta"]
 
-    def test_empty(self, lexicon):
-        assert object_aware_sort([], make_object(), set(), lexicon) == []
+    def test_empty(self, lexicon, toy_kb):
+        assert build_unseen([], {}, load_kb(toy_kb), lexicon) == {}
 
     def test_permutation(self, lexicon):
-        man = make_object(name="man")
-        triples = [
-            unseen_triple(tail, score=s)
-            for tail, s in [("a", 1.0), ("b", 2.0), ("c", 1.0), ("drive a car", 0.0)]
-        ]
-        ranked = object_aware_sort(triples, man, {"man", "car"}, lexicon)
-        assert sorted(t.tail for t in ranked) == sorted(t.tail for t in triples)
+        tails = [("a", 1.0), ("b", 2.0), ("c", 1.0), ("drive a car", 0.0)]
+        car = make_object(object_id="o2", name="car")
+        ranked = unseen_of(make_object(name="man"), man_kb(*tails), lexicon, others=[car])
+        assert sorted(t.tail for t in ranked) == sorted(tail for tail, _ in tails)
 
     def test_tail_lemmas_tagged_once_and_match_tagger(self, monkeypatch):
         lexicon = Lexicon.default()  # a fresh lexicon starts with an empty memo
@@ -185,12 +169,11 @@ class TestObjectAwareSort:
         assert calls == list(tails)
 
     def test_deterministic(self, lexicon):
-        man = make_object(name="man")
-        triples = [unseen_triple(t, score=s) for t, s in
-                   [("x", 1.0), ("y", 1.0), ("ride a horse", 2.0)]]
-        lemmas = {"man", "horse"}
-        assert object_aware_sort(triples, man, lemmas, lexicon) == object_aware_sort(
-            triples, man, lemmas, lexicon
+        kb = man_kb(("x", 1.0), ("y", 1.0), ("ride a horse", 2.0))
+        horse = make_object(object_id="o2", name="horse")
+        # The second build reads the ranked edges the first one memoized.
+        assert unseen_of(make_object(name="man"), kb, lexicon, others=[horse]) == unseen_of(
+            make_object(name="man"), kb, lexicon, others=[horse]
         )
 
 
@@ -221,10 +204,7 @@ def test_retrieve_equals_brute_force(lexicon, edges, name):
     """Index-backed retrieval equals a scan of the whole edge list."""
     kb = make_kb(edges)
     obj = make_object(name=name)
-    got = {
-        (t.category.text, t.tail, t.score)
-        for t in retrieve_unseen(obj, kb, lexicon)
-    }
+    got = {(t.category.text, t.tail, t.score) for t in unseen_of(obj, kb, lexicon)}
     forms = set(make_synset(obj, lexicon))
     best = {}
     for edge in edges:
@@ -249,12 +229,9 @@ def test_retrieve_equals_brute_force(lexicon, edges, name):
 )
 @settings(max_examples=200)
 def test_sort_mentions_always_first(lexicon, tails, scores):
-    man = make_object(name="man")
-    triples = [
-        unseen_triple(tail, score=scores[i]) for i, tail in enumerate(tails)
-    ]
-    lemmas = {"man", "car", "dog"}
-    ranked = object_aware_sort(triples, man, lemmas, lexicon)
+    kb = man_kb(*zip(tails, scores))
+    others = [make_object(object_id="o2", name="car"), make_object(object_id="o3", name="dog")]
+    ranked = unseen_of(make_object(name="man"), kb, lexicon, others=others)
     mention_flags = ["car" in t.tail or "dog" in t.tail for t in ranked]
     # All mentioning tails precede all non-mentioning tails.
     assert mention_flags == sorted(mention_flags, reverse=True)
@@ -266,8 +243,8 @@ def test_sort_mentions_always_first(lexicon, tails, scores):
 # lemmas, and seen triples reuse the KB's tails. Few weights make equal weights,
 # one (leaf, tail) at two weights and one tail under two leaves at one weight
 # common; 0.0 and -0.0 are equal weights written differently, so only the
-# first of two equal maxima, as `retrieve_unseen` keeps it, writes the same
-# score.
+# first of two equal maxima, as `reference_retrieve_unseen` keeps it, writes
+# the same score.
 _ORDER_NAMES = ("car", "cars", "man", "men", "dog", "traffic lights")
 _ORDER_HEADS = ("car", "cars", "man", "men", "dog", "traffic light", "traffic lights")
 _ORDER_RELATIONS = (
@@ -313,6 +290,16 @@ def unseen_images(draw):
         max_size=40,
     ),
     images=st.lists(unseen_images(), min_size=1, max_size=4),
+)
+# Equal maxima written differently: of one head's (leaf, tail), and across the
+# synset's forms, where the surface form's edge comes first.
+@example(
+    edges=[KbRow("man", "CapableOf", "drive", -0.0), KbRow("man", "CapableOf", "drive", 0.0)],
+    images=[([make_object(name="man")], {"o1": []})],
+)
+@example(
+    edges=[KbRow("man", "CapableOf", "vote", -0.0), KbRow("men", "CapableOf", "vote", 0.0)],
+    images=[([make_object(name="men")], {"o1": []})],
 )
 @settings(max_examples=300, deadline=None)
 def test_build_unseen_is_the_reference_order(lexicon, edges, images):
