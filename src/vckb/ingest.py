@@ -45,6 +45,7 @@ from typing import NoReturn
 
 from .errors import DanglingReference, EmptyCorpus, EmptyKb, IoFailure, MalformedRecord
 from .geometry import BBox
+from .memo import Memo
 from .taxonomy import KB_RELATION_LEAVES, CategoryPath
 
 
@@ -389,6 +390,10 @@ def _validate_integrity(images, path) -> None:
 _KB_LEAVES = tuple(KB_RELATION_LEAVES.values())
 _KB_LEAF_CODES = {relation: code for code, relation in enumerate(KB_RELATION_LEAVES)}
 
+# Synsets whose ranked edges a `KbIndex` holds at most. A synset's entry
+# holds one reference per ranked edge.
+_RANKED_MEMO_CAP = 1 << 12
+
 
 class KbIndex:
     """KB edges by normalized head name: each head's (leaf, tail, weight)
@@ -411,7 +416,7 @@ class KbIndex:
         self._edge_count = edge_count
         # Each synset's ranked edges (`unseen._ranked_edges`), kept here so
         # that they go with the KB.
-        self._ranked: dict = {}
+        self._ranked = Memo(_RANKED_MEMO_CAP)
 
     def __len__(self) -> int:
         return self._edge_count

@@ -9,14 +9,24 @@ bundled tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from .errors import MalformedRecord, VckbError
 from .ingest import _read_lines
+from .memo import Memo
 
 _SET_FILES = ("determiners", "prepositions", "adjectives", "known_nouns")
 _MAP_FILES = ("irregular_participles", "irregular_plurals")
+
+# Distinct keys each of a lexicon's memos holds at most. A phrase's reading
+# takes about 250 bytes besides its key, so a full phrase memo holds about 8 MB.
+_WORDS_MEMO_CAP = 1 << 16
+_NAMES_MEMO_CAP = 1 << 16
+_PHRASE_MEMO_CAP = 1 << 15
+_PREDICATE_MEMO_CAP = 1 << 15
+_TAIL_LEMMAS_CAP = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,9 +37,18 @@ class Lexicon:
     irregular_participles: dict[str, str] = field(default_factory=dict)
     irregular_plurals: dict[str, str] = field(default_factory=dict)
     known_nouns: frozenset[str] = frozenset()
-    # Tables derived from this lexicon (multiword index, tagged words, name
-    # keys, tail lemmas), by name.
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # What these tables give each distinct key, worked out once per lexicon
+    # (README, "Memos"): tagged words by word and by (word, tag), name keys,
+    # region phrase and predicate readings, and tail lemmas.
+    words: Memo = field(default_factory=lambda: Memo(_WORDS_MEMO_CAP), init=False, repr=False)
+    names: Memo = field(default_factory=lambda: Memo(_NAMES_MEMO_CAP), init=False, repr=False)
+    phrases: Memo = field(default_factory=lambda: Memo(_PHRASE_MEMO_CAP), init=False, repr=False)
+    predicates: Memo = field(
+        default_factory=lambda: Memo(_PREDICATE_MEMO_CAP), init=False, repr=False
+    )
+    tail_lemmas: Memo = field(
+        default_factory=lambda: Memo(_TAIL_LEMMAS_CAP), init=False, repr=False
+    )
 
     def __post_init__(self):
         # Word classes must not overlap; only adjectives/nouns may (the
@@ -51,6 +70,23 @@ class Lexicon:
                     raise VckbError(
                         f"lexicon sets {a} and {b} overlap: {sorted(clash)[:5]}"
                     )
+
+    @cached_property
+    def multiword(self) -> dict[str, tuple[tuple[tuple[str, ...], bool], ...]]:
+        """Multiword prepositions and compounds keyed by first word, longest
+        first, each as (its words, whether it is a noun); built on first use.
+        Every entry has at least two words, so a window's first word is never
+        the singularized one and only entries keyed by it can match."""
+        buckets: dict[str, list[tuple[tuple[str, ...], bool]]] = {}
+        for table, noun in ((self.prepositions, False), (self.known_nouns, True)):
+            for entry in table:
+                if " " in entry:
+                    parts = tuple(entry.split(" "))
+                    buckets.setdefault(parts[0], []).append((parts, noun))
+        return {
+            first: tuple(sorted(bucket, key=lambda item: (-len(item[0]), item[0])))
+            for first, bucket in buckets.items()
+        }
 
     @classmethod
     def load(cls, directory) -> "Lexicon":

@@ -16,6 +16,10 @@ else is rejected as unparseable rather than guessed. Pre-noun VBN
 participles are treated like adjectives ("a striped shirt"); suffix tagging
 makes many bare adjectives look like participles and rejecting those noun
 phrases would lose far too much.
+
+Tokens are memoized per distinct word and keys per distinct name on the
+lexicon (`lexicon.words`, `lexicon.names`), parse plans per tag sequence once
+per process (`_PLANS`); each memo is a `memo.Memo`, cleared at its cap.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyPhrase, NotAnNP
 from .lexicon import Lexicon
+from .memo import Memo
 
 _VOWELS = "aeiou"
 
@@ -178,34 +183,9 @@ def _split_words(phrase: str) -> list[str]:
     return cleaned
 
 
-def _multiword_entries(
-    lexicon: Lexicon,
-) -> dict[str, tuple[tuple[tuple[str, ...], Pos], ...]]:
-    """Multiword prepositions and compounds keyed by first word, longest first.
-
-    Every entry has at least two words, so a window's first word is never
-    the singularized one and only entries keyed by it can match.
-    """
-    cached = lexicon._memo.get("multiword")
-    if cached is not None:
-        return cached
-    buckets: dict[str, list[tuple[tuple[str, ...], Pos]]] = {}
-    for table, pos in ((lexicon.prepositions, Pos.PREP), (lexicon.known_nouns, Pos.NOUN)):
-        for entry in table:
-            if " " in entry:
-                parts = tuple(entry.split(" "))
-                buckets.setdefault(parts[0], []).append((parts, pos))
-    index = {
-        first: tuple(sorted(bucket, key=lambda item: (-len(item[0]), item[0])))
-        for first, bucket in buckets.items()
-    }
-    lexicon._memo["multiword"] = index
-    return index
-
-
 def _merge_multiword(words: list[str], lexicon: Lexicon):
     """Join multiword prepositions and known compounds into single tokens."""
-    index = _multiword_entries(lexicon)
+    index = lexicon.multiword
     if index.keys().isdisjoint(words):
         return words, [None] * len(words)
     merged: list[str] = []
@@ -213,15 +193,15 @@ def _merge_multiword(words: list[str], lexicon: Lexicon):
     i = 0
     while i < len(words):
         hit = None
-        for parts, pos in index.get(words[i], ()):
+        for parts, noun in index.get(words[i], ()):
             n = len(parts)
             if i + n > len(words):
                 continue
             window = words[i : i + n]
-            if pos is Pos.NOUN:
+            if noun:
                 window[-1] = _singularize(window[-1], lexicon)
             if tuple(window) == parts:
-                hit = (n, pos)
+                hit = (n, Pos.NOUN if noun else Pos.PREP)
                 break
         if hit is None:
             merged.append(words[i])
@@ -268,21 +248,13 @@ def _lemma_for(word: str, pos: Pos, lexicon: Lexicon) -> str:
     return word
 
 
-# Distinct keys the word memo (`tokenize_and_tag`) and the name memo
-# (`name_keys`) hold at most; a memo that reaches its cap is cleared.
-_WORDS_MEMO_CAP = 1 << 16
-_NAMES_MEMO_CAP = 1 << 16
-
-
-def _token_as(word: str, pos: Pos, memo: dict, lexicon: Lexicon) -> TaggedToken:
+def _token_as(word: str, pos: Pos, memo: Memo, lexicon: Lexicon) -> TaggedToken:
     """The word's token under a tag that is not its provisional one, made on
     first use and memoized under (word, tag)."""
     key = (word, pos)
     token = memo.get(key)
     if token is None:
-        if len(memo) >= _WORDS_MEMO_CAP:
-            memo.clear()
-        token = memo[key] = TaggedToken(word, _lemma_for(word, pos, lexicon), pos)
+        token = memo.put(key, TaggedToken(word, _lemma_for(word, pos, lexicon), pos))
     return token
 
 
@@ -294,12 +266,12 @@ def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
     """Lowercase, strip punctuation, tag, and lemmatize a phrase.
 
     One right-to-left pass over the merged words tags them. Each distinct
-    word's token under its provisional tag is memoized on the lexicon, keyed
-    by the word; a merged multiword token, and the noun token of an
+    word's token under its provisional tag is memoized in `lexicon.words`,
+    keyed by the word; a merged multiword token, and the noun token of an
     adjective that nothing nominal follows, are memoized under (word, tag)
     once first used. The memo grows with the vocabulary, not with the number
-    of phrases, and is cleared when it reaches its cap. The tokens are
-    immutable and shared; the returned list is fresh.
+    of phrases, and is cleared at its cap. The tokens are immutable and
+    shared; the returned list is fresh.
 
     Raises EmptyPhrase when nothing tokenizable remains.
     """
@@ -307,19 +279,16 @@ def tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToken]:
     if not words:
         raise EmptyPhrase(f"no tokens in phrase: {phrase!r}")
     words, forced = _merge_multiword(words, lexicon)
-    memo = lexicon._memo.get("words")
-    if memo is None:
-        memo = lexicon._memo["words"] = {}
+    memo = lexicon.words
+    cached = memo.get
     tokens = []
     nominal_follows = False
     for word, pos in zip(reversed(words), reversed(forced)):
         if pos is None:
-            token = memo.get(word)
+            token = cached(word)
             if token is None:
-                if len(memo) >= _WORDS_MEMO_CAP:
-                    memo.clear()
                 pos = _provisional_pos(word, lexicon)
-                token = memo[word] = TaggedToken(word, _lemma_for(word, pos, lexicon), pos)
+                token = memo.put(word, TaggedToken(word, _lemma_for(word, pos, lexicon), pos))
             # Adjective/noun ambiguity is positional: a word from the
             # adjective set is an adjective only when something nominal
             # follows it.
@@ -380,30 +349,25 @@ def name_keys(name: str, lexicon: Lexicon) -> tuple[str, str]:
 
     "yellow cars" keys as ("yellow car", "car"); a name that is not one noun
     phrase keeps its lemma as its head. Each distinct name is keyed once per
-    lexicon, until the memo is cleared at its cap, and every layer that
-    matches objects by name reads these keys.
+    lexicon (`lexicon.names`), until the memo is cleared at its cap, and every
+    layer that matches objects by name reads these keys.
     """
-    memo = lexicon._memo.get("names")
-    if memo is None:
-        memo = lexicon._memo["names"] = {}
-    keys = memo.get(name)
+    keys = lexicon.names.get(name)
     if keys is None:
-        if len(memo) >= _NAMES_MEMO_CAP:
-            memo.clear()
         lemma = lemmatize(name, lexicon)
         try:
             head = simplify_np(tokenize_and_tag(name, lexicon))
         except (EmptyPhrase, NotAnNP):
             head = lemma
-        keys = memo[name] = (lemma, head)
+        keys = lexicon.names.put(name, (lemma, head))
     return keys
 
 
 # Each tag sequence's parse plan (`_plan`), or None for a sequence outside
 # the grammar. Plans depend on the tags alone, and a few sequences cover
-# almost every phrase; the memo is cleared when it reaches its cap.
+# almost every phrase; the memo is cleared at its cap.
 _PLAN_CAP = 1 << 12
-_PLANS: dict[tuple[Pos, ...], tuple | None] = {}
+_PLANS = Memo(_PLAN_CAP)
 _UNPLANNED = object()
 
 
@@ -461,9 +425,7 @@ def parse_region_phrase(tokens: list[TaggedToken]) -> PhraseParse | None:
     tags = tuple([token.pos for token in tokens])
     plan = _PLANS.get(tags, _UNPLANNED)
     if plan is _UNPLANNED:
-        if len(_PLANS) >= _PLAN_CAP:
-            _PLANS.clear()
-        plan = _PLANS[tags] = _plan(tags)
+        plan = _PLANS.put(tags, _plan(tags))
     if plan is None:
         return None
     properties, participle, head, verb, prep, tail, complement = plan

@@ -7,11 +7,11 @@ boxes by overlap ratio, the names compared before any box is measured. Names
 are keyed by `phrase.name_keys`: lemmas ground heads, head nouns end tails.
 
 Texts recur across boxes and images, so each distinct text is read once per
-process, on the lexicon's memo: a region phrase's tagging, parse and
-extracted (leaf, tail) pairs (`_phrase_reading`), and a predicate or
-attribute text's leaf and tail words (`_predicate_reading`). Only geometry,
-grounding and deduplication are done per box. Each memo is cleared when it
-reaches its cap (`_PHRASE_MEMO_CAP`, `_PREDICATE_MEMO_CAP`), so it stays
+lexicon, in two of its memos: a region phrase's tagging, parse and
+extracted (leaf, tail) pairs (`_phrase_reading`, `lexicon.phrases`), and a
+predicate or attribute text's leaf and tail words (`_predicate_reading`,
+`lexicon.predicates`). Only geometry, grounding and deduplication are done
+per box. Each memo is a `memo.Memo`, cleared at its cap, so it stays
 bounded however many distinct texts a corpus holds.
 
 A `CommonsenseTriple` is a leaf, a tail, a provenance and a score. It holds
@@ -45,12 +45,6 @@ from .phrase import (
 from .taxonomy import CategoryPath
 
 DEFAULT_TAU = 0.5
-
-# Distinct texts each memo holds at most; a memo that reaches its cap is
-# cleared. A phrase's reading takes about 250 bytes besides its key, so a full
-# phrase memo holds about 8 MB.
-_PHRASE_MEMO_CAP = 1 << 15
-_PREDICATE_MEMO_CAP = 1 << 15
 
 
 def _check_tau(tau) -> None:
@@ -139,15 +133,11 @@ def _predicate_reading(text: str, lexicon: Lexicon) -> tuple[CategoryPath | None
     """A predicate or attribute text's words without copulas and the seen leaf
     of the first of them that maps to one (None if none does), as (leaf,
     words joined by spaces); read once per distinct text."""
-    memo = lexicon._memo.get("predicates")
-    if memo is None:
-        memo = lexicon._memo["predicates"] = {}
-    reading = memo.get(text)
+    reading = lexicon.predicates.get(text)
     if reading is None:
-        if len(memo) >= _PREDICATE_MEMO_CAP:
-            memo.clear()
         words = _strip_copulas(text.split())
-        reading = memo[text] = (_first_seen_category(words, lexicon), " ".join(words))
+        reading = (_first_seen_category(words, lexicon), " ".join(words))
+        lexicon.predicates.put(text, reading)
     return reading
 
 
@@ -223,13 +213,8 @@ def _phrase_reading(
     (None unless it is a prepositional phrase), and the (leaf, tail) pairs
     `extract_region_triples` gives it; None when the phrase has no tokens or
     the grammar rejects it. Read once per distinct text."""
-    memo = lexicon._memo.get("phrases")
-    if memo is None:
-        memo = lexicon._memo["phrases"] = {}
-    reading = memo.get(phrase, _UNREAD)
+    reading = lexicon.phrases.get(phrase, _UNREAD)
     if reading is _UNREAD:
-        if len(memo) >= _PHRASE_MEMO_CAP:
-            memo.clear()
         try:
             parse = parse_region_phrase(tokenize_and_tag(phrase, lexicon))
         except EmptyPhrase:
@@ -240,7 +225,7 @@ def _phrase_reading(
             reading = (parse.root_noun, tail_noun, pairs)
         else:
             reading = None
-        memo[phrase] = reading
+        lexicon.phrases.put(phrase, reading)
     return reading
 
 

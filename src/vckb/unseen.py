@@ -9,12 +9,11 @@ another object of the image come first.
 
 The triples are returned by object id and hold no head, as the seen layer's
 do. Names recur across boxes and images, so `build_unseen` ranks each
-distinct synset's KB edges once per process and KB (`_ranked_edges`, kept on
-the `KbIndex`); per box it only drops the edges its seen triples duplicate
-and moves the tails that mention another image object to the front. Each
-distinct tail's lemmas are found once too (`_tail_lemmas`, on the lexicon).
-Both memos are cleared when they reach their caps (`_RANKED_MEMO_CAP`,
-`_TAIL_LEMMAS_CAP`).
+distinct synset's KB edges once per KB (`_ranked_edges`, in the `KbIndex`'s
+memo); per box it only drops the edges its seen triples duplicate and moves
+the tails that mention another image object to the front. Each distinct
+tail's lemmas are found once per lexicon too (`_tail_lemmas`, in
+`lexicon.tail_lemmas`). Both memos are `memo.Memo`s, cleared at their caps.
 """
 
 from __future__ import annotations
@@ -25,11 +24,6 @@ from .lexicon import Lexicon
 from .phrase import name_keys, tokenize_and_tag
 from .seen import CommonsenseTriple, Provenance
 from .taxonomy import CategoryPath
-
-# Distinct keys each memo holds at most; a memo that reaches its cap is
-# cleared. A synset's entry holds one reference per ranked edge.
-_RANKED_MEMO_CAP = 1 << 12
-_TAIL_LEMMAS_CAP = 1 << 16
 
 
 def make_synset(obj: GroundedObject, lexicon: Lexicon) -> tuple[str, ...]:
@@ -44,20 +38,13 @@ def _tail_lemmas(tail: str, lexicon: Lexicon) -> frozenset[str]:
     # Tails recur across objects and images, so each distinct tail is tagged
     # once. Each frozenset is a new object, so the memo grows with every
     # distinct tail sorted until it reaches its cap.
-    memo = lexicon._memo.get("tail_lemmas")
-    if memo is None:
-        memo = lexicon._memo["tail_lemmas"] = {}
-    lemmas = memo.get(tail)
+    lemmas = lexicon.tail_lemmas.get(tail)
     if lemmas is None:
-        if len(memo) >= _TAIL_LEMMAS_CAP:
-            memo.clear()
         try:
-            tokens = tokenize_and_tag(tail, lexicon)
+            lemmas = frozenset(token.lemma for token in tokenize_and_tag(tail, lexicon))
         except EmptyPhrase:
             lemmas = frozenset()
-        else:
-            lemmas = frozenset(token.lemma for token in tokens)
-        memo[tail] = lemmas
+        lexicon.tail_lemmas.put(tail, lemmas)
     return lemmas
 
 
@@ -70,16 +57,13 @@ def _ranked_edges(
     kept, forms in synset order and each form's edges in file order.
 
     The entry holds the tuples `KbIndex.lookup` builds from the KB's columns,
-    so each synset's edges are decoded once per process. A tuple holding an
+    so each synset's edges are decoded once per KB. A tuple holding an
     enum member is never untracked by the garbage collector, so the memo's
     cap also bounds the tracked objects its entries add.
     """
-    memo = kb._ranked
     synset = make_synset(obj, lexicon)
-    ranked = memo.get(synset)
+    ranked = kb._ranked.get(synset)
     if ranked is None:
-        if len(memo) >= _RANKED_MEMO_CAP:
-            memo.clear()
         best: dict[tuple[str, str], tuple[CategoryPath, str, float]] = {}
         for form in synset:
             for edge in kb.lookup(form):
@@ -87,9 +71,8 @@ def _ranked_edges(
                 current = best.get(key)
                 if current is None or edge[2] > current[2]:
                     best[key] = edge
-        ranked = memo[synset] = tuple(
-            sorted(best.values(), key=lambda edge: (-edge[2], edge[1], edge[0].text))
-        )
+        ranked = tuple(sorted(best.values(), key=lambda edge: (-edge[2], edge[1], edge[0].text)))
+        kb._ranked.put(synset, ranked)
     return ranked
 
 
@@ -110,6 +93,8 @@ def build_unseen(
     """
     lemmas = {name_keys(obj.name, lexicon)[0] for obj in objects}
     kb_retrieval = Provenance.KB_RETRIEVAL
+    # One lookup per edge; a miss, or an empty set, goes through `_tail_lemmas`.
+    tail_lemmas = lexicon.tail_lemmas.get
     out: dict[str, list[CommonsenseTriple]] = {}
     for obj in objects:
         seen_keys = {(t.category.relation.text, t.tail) for t in seen.get(obj.object_id, ())}
@@ -120,7 +105,9 @@ def build_unseen(
             if (category.relation.text, tail) in seen_keys:
                 continue
             triple = CommonsenseTriple(category, tail, kb_retrieval, weight)
-            if relevant and not relevant.isdisjoint(_tail_lemmas(tail, lexicon)):
+            if relevant and not relevant.isdisjoint(
+                tail_lemmas(tail) or _tail_lemmas(tail, lexicon)
+            ):
                 mentioning.append(triple)
             else:
                 rest.append(triple)

@@ -6,8 +6,8 @@ by token.
 `parse_region_phrase` and `simplify_np`. They are the three-pass tagger and
 the span-walking parser the package had before it tagged in one pass and
 parsed through a plan per tag sequence; only their names changed, and the
-tagger keeps its memo under a key of its own, so that it never reads a token
-the tagger under test made. The word-level helpers (splitting, multiword
+tagger keeps no memo, so that it never reads a token the tagger under test
+made. The word-level helpers (splitting, multiword
 merging, the provisional tag, lemmas) are shared with the package; their own
 tests guard them.
 
@@ -47,13 +47,9 @@ def reference_tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToke
     if not words:
         raise EmptyPhrase(f"no tokens in phrase: {phrase!r}")
     words, tags = _merge_multiword(words, lexicon)
-    memo = lexicon._memo.setdefault("reference_tokens", {})
     for i, word in enumerate(words):
         if tags[i] is None:
-            pos = memo.get(word)
-            if pos is None:
-                pos = memo[word] = _provisional_pos(word, lexicon)
-            tags[i] = pos
+            tags[i] = _provisional_pos(word, lexicon)
     # Adjective/noun ambiguity is positional: a word from the adjective set
     # is an adjective only when something nominal can follow it.
     for i in range(len(words) - 1, -1, -1):
@@ -65,14 +61,9 @@ def reference_tokenize_and_tag(phrase: str, lexicon: Lexicon) -> list[TaggedToke
                 Pos.VBN,
             ):
                 tags[i] = Pos.NOUN
-    tokens = []
-    for key in zip(words, tags):
-        token = memo.get(key)
-        if token is None:
-            word, tag = key
-            token = memo[key] = TaggedToken(word, _lemma_for(word, tag, lexicon), tag)
-        tokens.append(token)
-    return tokens
+    return [
+        TaggedToken(word, _lemma_for(word, tag, lexicon), tag) for word, tag in zip(words, tags)
+    ]
 
 
 @dataclass(frozen=True)

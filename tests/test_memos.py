@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import vckb
+import vckb.ingest as ingest_module
+import vckb.lexicon as lexicon_module
 import vckb.phrase as phrase_module
-import vckb.seen as seen_module
-import vckb.unseen as unseen_module
 from vckb import Lexicon, build_image_record, build_unseen, load_kb, load_scene_corpus
 from vckb.dataset import record_line
+from vckb.memo import Memo
 from vckb.pipeline import export_records
 
 from conftest import DATA_DIR, KbRow, make_kb, make_object
@@ -76,28 +77,49 @@ def test_one_kb_with_two_lexicons_ranks_each_name_for_each(tmp_path):
     assert tails == {default: ["grow up", "vote"], other: ["vote"]}
 
 
+# The memos each lexicon makes with it, by attribute name.
+LEXICON_MEMOS = ("words", "names", "phrases", "predicates", "tail_lemmas")
+
 # Each memo: the module and name of its cap, and where a build keeps it.
 MEMOS = {
-    "phrases": (seen_module, "_PHRASE_MEMO_CAP", lambda lexicon, kb: lexicon._memo["phrases"]),
-    "predicates": (
-        seen_module, "_PREDICATE_MEMO_CAP", lambda lexicon, kb: lexicon._memo["predicates"]
-    ),
-    "ranked": (unseen_module, "_RANKED_MEMO_CAP", lambda lexicon, kb: kb._ranked),
-    "tail_lemmas": (
-        unseen_module, "_TAIL_LEMMAS_CAP", lambda lexicon, kb: lexicon._memo["tail_lemmas"]
-    ),
+    "phrases": (lexicon_module, "_PHRASE_MEMO_CAP", lambda lexicon, kb: lexicon.phrases),
+    "predicates": (lexicon_module, "_PREDICATE_MEMO_CAP", lambda lexicon, kb: lexicon.predicates),
+    "ranked": (ingest_module, "_RANKED_MEMO_CAP", lambda lexicon, kb: kb._ranked),
+    "tail_lemmas": (lexicon_module, "_TAIL_LEMMAS_CAP", lambda lexicon, kb: lexicon.tail_lemmas),
     "plans": (phrase_module, "_PLAN_CAP", lambda lexicon, kb: phrase_module._PLANS),
-    "words": (phrase_module, "_WORDS_MEMO_CAP", lambda lexicon, kb: lexicon._memo["words"]),
-    "names": (phrase_module, "_NAMES_MEMO_CAP", lambda lexicon, kb: lexicon._memo["names"]),
+    "words": (lexicon_module, "_WORDS_MEMO_CAP", lambda lexicon, kb: lexicon.words),
+    "names": (lexicon_module, "_NAMES_MEMO_CAP", lambda lexicon, kb: lexicon.names),
 }
+
+
+@pytest.mark.parametrize("memo", sorted(MEMOS))
+def test_every_memo_is_a_memo_with_its_cap(memo):
+    module, name, where = MEMOS[memo]
+    held = where(Lexicon.default(), load_kb(KB))
+    assert type(held) is Memo
+    assert held.cap == getattr(module, name)
+
+
+def test_each_lexicon_makes_its_own_memos():
+    # A new lexicon, or a replace of a warm one, starts with empty memos of its own.
+    warm = Lexicon.default()
+    kb = load_kb(KB)
+    for image in load_scene_corpus(SCENE):
+        build_image_record(image, warm, kb)
+    assert all(getattr(warm, name) for name in LEXICON_MEMOS)
+    lexicons = (warm, Lexicon.default(), dataclasses.replace(warm))
+    memos = [getattr(lexicon, name) for lexicon in lexicons for name in LEXICON_MEMOS]
+    assert len({id(memo) for memo in memos}) == len(memos)
+    assert not any(memos[len(LEXICON_MEMOS):])
 
 
 @pytest.mark.parametrize("cap", [1, 3])
 def test_memos_stay_within_their_caps_and_keep_the_bytes(monkeypatch, cap):
     for module, name, _ in MEMOS.values():
         monkeypatch.setattr(module, name, cap)
-    # The plan memo is the process's, not the lexicon's: it starts empty here.
-    monkeypatch.setattr(phrase_module, "_PLANS", {})
+    # The plan memo is the process's, not the lexicon's: it is made at import,
+    # so it is made again here, empty and with the patched cap.
+    monkeypatch.setattr(phrase_module, "_PLANS", Memo(phrase_module._PLAN_CAP))
     lexicon = Lexicon.default()
     kb = load_kb(KB)
     held = {memo: set() for memo in MEMOS}
